@@ -396,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--slack", type=int)
     parser.add_argument("--workers", type=int)
     parser.add_argument("--certificate")
-    parser.add_argument("--out", default="out")
+    parser.add_argument("--out")
     return parser
 
 
@@ -422,7 +422,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     opts[key] = Fraction(value)
                 except (ValueError, ZeroDivisionError):
                     raise UsageError(f"bad fraction for --{key}: {value!r}")
-        out_dir = Path(str(opts.get("out", args.out)))
+        out_dir = Path(args.out if args.out is not None else str(opts.get("out", "out")))
         out_dir.mkdir(parents=True, exist_ok=True)
         extra = [Path(args.config)] if args.config else []
         if opts.get("certificate"):

@@ -35,15 +35,23 @@ class ExpMap:
         return int(self.image[x])
 
 
+# Up to this modulus every product of two residues stays below 2^63 - 1.
+MAX_MODULUS = math.isqrt(2 ** 63 - 1)
+
+
 def _exp_table(m: int, n: int) -> np.ndarray:
-    """m^x mod n for all x in {0..n-1}, one numpy pass per bit of x."""
-    x = np.arange(n, dtype=np.int64)
-    out = np.ones(n, dtype=np.int64)
-    power = m % n
-    for bit in range(max(1, n.bit_length())):
-        mask = (x >> bit) & 1 == 1
-        out[mask] = out[mask] * power % n
-        power = power * power % n
+    """m^x mod n for all x in {0..n-1} by doubling: once out[:k] holds
+    m^0..m^(k-1), out[k:2k] = out[:k] * m^k mod n.  ceil(log2 n) contiguous
+    passes; every product stays below n^2."""
+    out = np.empty(n, dtype=np.int64)
+    out[0] = 1
+    k, m_k = 1, m % n
+    while k < n:
+        w = min(k, n - k)
+        block = out[k:k + w]
+        np.multiply(out[:w], m_k, out=block)
+        np.remainder(block, n, out=block)
+        k, m_k = 2 * k, m_k * m_k % n
     return out
 
 
@@ -52,6 +60,8 @@ def exp_map(m: int, n: int, *, spot_checks: int = 16) -> ExpMap:
     at deterministic sample points."""
     if n < 2:
         raise ValueError("modulus must be >= 2")
+    if n > MAX_MODULUS:
+        raise ValueError(f"modulus {n} exceeds {MAX_MODULUS}: int64 products would overflow")
     if math.gcd(m, n) != 1:
         raise ValueError(f"gcd({m}, {n}) != 1")
     table = _exp_table(m, n)
@@ -84,24 +94,30 @@ def multiplicative_order(f: ExpMap) -> int:
 # ---------------------------------------------------------------------------
 # Periodic points
 
-def count_k_periodic(f: ExpMap, k: int) -> int:
-    """|{x : f^k(x) = x}| by direct iteration."""
-    if not 1 <= k <= 4:
-        raise ValueError("k must be in {1, 2, 3, 4}")
-    y = np.arange(f.n, dtype=np.int64)
-    for _ in range(k):
+Counts = Tuple[int, int, int, int]
+
+
+def count_k_periodic(f: ExpMap, identity: Optional[np.ndarray] = None) -> Counts:
+    """|{x : f^k(x) = x}| for k = 1..4 by direct iteration y <- f(y)."""
+    if identity is None:
+        identity = np.arange(f.n, dtype=np.int64)
+    y = f.image
+    counts = [int(np.count_nonzero(y == identity))]
+    for _ in range(3):
         y = f.image[y]
-    return int(np.count_nonzero(y == np.arange(f.n)))
+        counts.append(int(np.count_nonzero(y == identity)))
+    return tuple(counts)
 
 
-def count_k_periodic_by_tables(f: ExpMap, k: int) -> int:
-    """Independent route through precomposed tables f^2 = f o f, etc."""
-    if not 1 <= k <= 4:
-        raise ValueError("k must be in {1, 2, 3, 4}")
+def count_k_periodic_by_tables(f: ExpMap, identity: Optional[np.ndarray] = None) -> Counts:
+    """The same counts through precomposed tables f^2 = f o f, f^3 = f^2 o f
+    and f^4 = f^2 o f^2; only f^2 is composed as iteration composes it."""
+    if identity is None:
+        identity = np.arange(f.n, dtype=np.int64)
     f1 = f.image
     f2 = f1[f1]
-    tables = {1: f1, 2: f2, 3: f1[f2], 4: f2[f2]}
-    return int(np.count_nonzero(tables[k] == np.arange(f.n)))
+    return tuple(int(np.count_nonzero(t == identity))
+                 for t in (f1, f2, f2[f1], f2[f2]))
 
 
 @dataclass(frozen=True)
@@ -109,7 +125,7 @@ class CycleCensus:
     n: int
     m: int
     order: int                 # multiplicative order of m mod n
-    fixed: Tuple[int, int, int, int]    # counts for k = 1..4
+    fixed: Counts              # counts for k = 1..4
 
     @property
     def frac3(self) -> Fraction:
@@ -122,9 +138,11 @@ class CycleCensus:
 
 def cycle_census(m: int, n: int) -> CycleCensus:
     f = exp_map(m, n)
-    counts = tuple(count_k_periodic(f, k) for k in (1, 2, 3, 4))
-    for k in (1, 2, 3, 4):
-        if counts[k - 1] != count_k_periodic_by_tables(f, k):
+    identity = np.arange(n, dtype=np.int64)
+    counts = count_k_periodic(f, identity)
+    tables = count_k_periodic_by_tables(f, identity)
+    for k, (a, b) in enumerate(zip(counts, tables), start=1):
+        if a != b:
             raise AssertionError(f"periodic-count routes disagree at n={n}, k={k}")
     return CycleCensus(n, m, multiplicative_order(f), counts)
 

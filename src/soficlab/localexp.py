@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .expcycles import exp_table_by_product
 from .perm import HammingValue, Permutation, hamming, displacement
 
 
@@ -77,12 +78,7 @@ class ZnFunction:
 def running_product_map(m: int, n: int) -> ZnFunction:
     """f(0) = 1, f(x+1) = m f(x): the locally exponential model map whose
     defect set is the wraparound mismatch only."""
-    out = np.empty(n, dtype=np.int64)
-    acc = 1
-    for x in range(n):
-        out[x] = acc
-        acc = acc * m % n
-    return ZnFunction(n, out)
+    return ZnFunction(n, exp_table_by_product(m, n))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +236,8 @@ class PadicContext:
         q = self.p ** self.r
         s = pow(self.m, self.p - 1, q)
         object.__setattr__(self, "s", s)
-        assert s % self.p == 1
+        if s % self.p != 1:
+            raise AssertionError(f"m^(p-1) = {s} is not 1 mod p = {self.p}")
 
     @property
     def q(self) -> int:
@@ -333,8 +330,10 @@ def norvi_audit(f: ZnFunction, ctx: PadicContext) -> NorviReport:
     law = len(rep.defect_set)
     nonper = len(rep.four_periodic_failures)
     # second, independent recomputation
-    assert law == len(_law_failures_slow(f.image, ctx.m, n))
-    assert nonper == int(np.count_nonzero(_iterate(f.image, 4) != np.arange(n)))
+    if law != len(_law_failures_slow(f.image, ctx.m, n)):
+        raise AssertionError("law-failure recounts disagree")
+    if nonper != int(np.count_nonzero(_iterate(f.image, 4) != np.arange(n))):
+        raise AssertionError("non-4-periodic recounts disagree")
     law_bound = ctx.p ** (ctx.r / 4 - 1) / 2 ** 0.25
     periodic_bound = Fraction(n, 2)
     holds = law >= law_bound or nonper >= periodic_bound
@@ -552,7 +551,8 @@ def search_local_exp(n: int, m: int, budget: int = 200_000,
             temp *= cooling
         budget_exhausted = True
 
-    assert best_img is not None
+    if best_img is None:
+        raise AssertionError("search kept no candidate map")
     if not is_four_periodic(best_img):
         raise AssertionError("search produced a non-4-periodic map")
     recheck = len(defect_report(ZnFunction(n, best_img), m).defect_set)

@@ -75,7 +75,8 @@ def plan_parameters(eps, kappa) -> PlanParams:
     eta = kappa_eff / (Fraction(24) / eps) ** (k - 1)
     plan = PlanParams(eps, kappa, kappa_eff, k, lambdas, eta)
     sigma1 = plan.sigma1
-    assert 1 - eps / 2 <= sigma1 <= 1 - eps / 4
+    if not 1 - eps / 2 <= sigma1 <= 1 - eps / 4:
+        raise AssertionError(f"sigma1 = {sigma1} outside [1 - eps/2, 1 - eps/4]")
     return plan
 
 

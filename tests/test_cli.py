@@ -45,6 +45,20 @@ class TestConfig:
         assert manifest["params"]["N"] == 8
         assert manifest["config_source"] == str(p)
 
+    def test_out_flag_overrides_config(self, tmp_path):
+        p = tmp_path / "cfg"
+        p.write_text(f"out = {tmp_path / 'from_config'}\n")
+        code, out = run(tmp_path, "heuristic", "--config", str(p), "--N", "3")
+        assert code == 0
+        assert (out / "heuristic.csv").is_file()
+        assert not (tmp_path / "from_config").exists()
+
+    def test_out_from_config(self, tmp_path):
+        p = tmp_path / "cfg"
+        p.write_text(f"out = {tmp_path / 'from_config'}\n")
+        assert main(["heuristic", "--config", str(p), "--N", "3"]) == 0
+        assert (tmp_path / "from_config" / "heuristic.csv").is_file()
+
 
 class TestHeuristic:
     def test_csv_p3_row(self, tmp_path):
@@ -76,6 +90,10 @@ class TestCycles:
         assert code == 0
         lines = (out / "cycles.csv").read_text().strip().split("\n")[1:]
         assert [int(l.split(",")[0]) for l in lines] == [3, 9, 27]
+
+    def test_int64_overflowing_modulus_exits_2(self, tmp_path):
+        code, _ = run(tmp_path, "cycles", "--m", "2", "--n", "3037000501")
+        assert code == 2
 
     def test_no_moduli(self, tmp_path):
         code, _ = run(tmp_path, "cycles", "--m", "2")

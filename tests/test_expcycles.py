@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from soficlab import expcycles
+from soficlab.cli import main
 from soficlab.expcycles import (CSV_HEADER, CycleCensus, DegreeCapError,
                                 count_k_periodic, count_k_periodic_by_tables,
                                 cycle_census, exp_map, exp_table_by_product,
@@ -43,6 +45,21 @@ class TestExpMap:
             table = exp_map(m, n).image
             assert np.array_equal(table, exp_table_by_product(m, n))
 
+    @pytest.mark.parametrize("n", sorted({2 ** j + d for j in range(1, 17)
+                                          for d in (-1, 0, 1)} - {1}))
+    def test_doubling_fill_at_powers_of_two(self, n):
+        # m = n + 1 is 1 mod n; m = 2n + 3 and n + 1 are at least n
+        for m in (2, 3, n - 1, n + 1, 2 * n + 3):
+            if m < 1 or math.gcd(m, n) != 1:
+                continue
+            table = exp_map(m, n).image
+            assert np.array_equal(table, exp_table_by_product(m, n))
+            assert table.tolist() == [pow(m, x, n) for x in range(n)]
+
+    def test_int64_overflowing_modulus_refused(self):
+        with pytest.raises(ValueError, match="int64"):
+            exp_map(2, 3_037_000_501)
+
     def test_multiplicative_order(self):
         f = exp_map(2, 5)
         assert multiplicative_order(f) == 4
@@ -51,27 +68,45 @@ class TestExpMap:
 
 class TestPeriodicCounts:
     def test_f25_k1(self):
-        assert count_k_periodic(exp_map(2, 5), 1) == 1    # x = 3: 2^3 = 8 = 3
+        assert count_k_periodic(exp_map(2, 5))[0] == 1    # x = 3: 2^3 = 8 = 3
 
     def test_f23_k3(self):
-        assert count_k_periodic(exp_map(2, 3), 3) == 0
+        assert count_k_periodic(exp_map(2, 3))[2] == 0
 
     def test_bound(self):
         f = exp_map(3, 100)
         for k in (1, 2, 3, 4):
-            assert count_k_periodic(f, k) <= f.n
+            assert count_k_periodic(f)[k - 1] <= f.n
 
     @given(coprime_pairs, st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
     def test_two_routes_agree(self, mn, k):
         f = exp_map(*mn)
-        assert count_k_periodic(f, k) == count_k_periodic_by_tables(f, k)
+        assert count_k_periodic(f)[k - 1] == count_k_periodic_by_tables(f)[k - 1]
 
     def test_census_consistency(self):
         c = cycle_census(2, 101)
         assert c.fixed[0] <= c.fixed[3] or True       # counts are independent
         assert c.frac3 == Fraction(c.fixed[2], 101)
         assert c.order == multiplicative_order(exp_map(2, 101))
+
+
+class TestCensusCheck:
+    @pytest.fixture
+    def skewed_tables(self, monkeypatch):
+        real = expcycles.count_k_periodic_by_tables
+
+        def skewed(*args):
+            c1, c2, c3, c4 = real(*args)
+            return c1, c2, c3 + 1, c4
+        monkeypatch.setattr(expcycles, "count_k_periodic_by_tables", skewed)
+
+    def test_route_disagreement_raises(self, skewed_tables):
+        with pytest.raises(AssertionError, match="k=3"):
+            cycle_census(2, 101)
+
+    def test_route_disagreement_exits_2(self, skewed_tables, tmp_path):
+        assert main(["cycles", "--n", "101", "--m", "2", "--out", str(tmp_path)]) == 2
 
 
 class TestGapCensus:

@@ -1,11 +1,16 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from soficlab import localexp
 from soficlab.localexp import (DegreeMAudit, PadicContext, ZnFunction,
                                defect_report, degree_m_audit, h3_witness,
                                induce_g, is_four_periodic, mezo_failures,
@@ -228,6 +233,36 @@ class TestNorviAudit:
     def test_wrong_degree(self):
         with pytest.raises(ValueError):
             norvi_audit(random_bijection(10, 0), PadicContext(3, 2, 2))
+
+    def test_recount_survives_optimize(self):
+        # defect_report scans once with _law_failures_slow; the second call
+        # is norvi_audit's own recount, which must still run under -O
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from soficlab import localexp as le
+            if not sys.flags.optimize:
+                sys.exit(3)
+            real, calls = le._law_failures_slow, []
+            def skewed(image, m, n):
+                calls.append(n)
+                out = real(image, m, n)
+                return out if len(calls) == 1 else out + [n]
+            le._law_failures_slow = skewed
+            f = le.ZnFunction(27, np.random.default_rng(3).permutation(27))
+            try:
+                le.norvi_audit(f, le.PadicContext(3, 3, 2))
+            except AssertionError as exc:
+                print(exc)
+                sys.exit(0)
+            sys.exit(1)
+        """)
+        src = os.path.dirname(os.path.dirname(localexp.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "law-failure recounts disagree" in proc.stdout
 
 
 def exp_like_bijection(n):
