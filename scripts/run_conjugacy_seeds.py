@@ -11,7 +11,7 @@ from soficlab.bsgroup import bs_a1, bs_a2
 from soficlab.cli import conjugate_shapes
 from soficlab.conjugacy import build_conjugator, conjugacy_defect
 from soficlab.perm import Permutation
-from soficlab.soficcheck import ArithmeticModel, SoficApprox
+from soficlab.soficcheck import ArithmeticModel
 
 
 def main() -> None:
@@ -31,11 +31,7 @@ def main() -> None:
 
     worst = Fraction(0)
     for seed in range(args.seeds):
-        sigma = Permutation(np.random.default_rng(seed).permutation(n))
-        sigma_inv = sigma.inverse()
-        phi2 = SoficApprox(n, phi1.key_kind,
-                           {g: sigma.compose(p).compose(sigma_inv)
-                            for g, p in phi1.table.items()})
+        phi2 = phi1.conjugated(Permutation(np.random.default_rng(seed).permutation(n)))
         conj = build_conjugator(phi1, phi2, eps, shapes,
                                 inner_eps=Fraction(1, 8), n_threshold=n,
                                 delta_prime=Fraction(3, 8), order_key=bs_a2(m))

@@ -10,9 +10,9 @@ arithmetic permutation model immediate.  Convention throughout:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Tuple
 
 
 class BaseMismatchError(ValueError):
@@ -82,6 +82,14 @@ class BsElement:
     def sort_key(self):
         return (self.e, self.d, self.num)
 
+    def to_obj(self) -> dict:
+        """The JSON form used by every certificate and approximation."""
+        return {"m": self.m, "e": self.e, "num": self.num, "d": self.d}
+
+    @classmethod
+    def from_obj(cls, obj) -> "BsElement":
+        return cls(int(obj["m"]), int(obj["e"]), int(obj["num"]), int(obj["d"]))
+
 
 def _from_affine(m: int, e: int, b: Fraction) -> BsElement:
     """Normalize the shift b = num / m^d with minimal d."""
@@ -149,15 +157,21 @@ def canonical_word(g: BsElement) -> Word:
     return reduce_word([("a1", g.d), ("a2", g.num), ("a1", -g.e - g.d)])
 
 
+def word_value(w: Iterable[Letter], images: Mapping, identity):
+    """Evaluate [(gen, exp), ...] left to right as images[gen] ** exp under
+    (g * h)(x) = g(h(x)).  Works for any type with * and ** (elements,
+    permutations); inverse letters use exact inverses, so w * w^-1 cancels."""
+    result = identity
+    for gen, exp in w:
+        if gen not in images:
+            raise KeyError(f"generator {gen!r} has no image")
+        result = result * (images[gen] ** exp)
+    return result
+
+
 def evaluate_word(w: Word, m: int) -> BsElement:
     """Evaluate a word in generators a1, a2 to a normalized element."""
-    gens = {"a1": bs_a1(m), "a2": bs_a2(m)}
-    result = bs_identity(m)
-    for gen, exp in w:
-        if gen not in gens:
-            raise KeyError(f"generator {gen!r} has no affine image")
-        result = result * (gens[gen] ** exp)
-    return result
+    return word_value(w, {"a1": bs_a1(m), "a2": bs_a2(m)}, bs_identity(m))
 
 
 # ---------------------------------------------------------------------------

@@ -240,12 +240,7 @@ def _cmd_conjugate(opts, out_dir: Path) -> int:
     domain |= {g.inverse() * h for g in shapes[-1] for h in shapes[-1]}
     domain |= {bs_a1(m), bs_a2(m)}
     phi1 = model.approx_on(domain)
-    rng = np.random.default_rng(seed)
-    sigma = Permutation(rng.permutation(n))
-    sigma_inv = sigma.inverse()
-    phi2 = type(phi1)(n, phi1.key_kind,
-                      {g: sigma.compose(p).compose(sigma_inv)
-                       for g, p in phi1.table.items()})
+    phi2 = phi1.conjugated(Permutation(np.random.default_rng(seed).permutation(n)))
     conj = build_conjugator(phi1, phi2, eps, shapes,
                             inner_eps=Fraction(1, 8), n_threshold=n,
                             delta_prime=Fraction(3, 8), order_key=bs_a2(m))
@@ -422,7 +417,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     opts[key] = Fraction(value)
                 except (ValueError, ZeroDivisionError):
                     raise UsageError(f"bad fraction for --{key}: {value!r}")
-        out_dir = Path(args.out if args.out is not None else str(opts.get("out", "out")))
+        # not a recorded param: the manifest is written into the directory itself
+        config_out = opts.pop("out", "out")
+        out_dir = Path(args.out if args.out is not None else str(config_out))
         out_dir.mkdir(parents=True, exist_ok=True)
         extra = [Path(args.config)] if args.config else []
         if opts.get("certificate"):

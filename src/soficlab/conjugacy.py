@@ -17,9 +17,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .bsgroup import BsElement
 from .perm import HammingValue, Permutation, hamming, orbit_order
-from .soficcheck import Key, SoficApprox
-from .tiling import Tiling, _key_sorter, quasi_tile
+from .soficcheck import SoficApprox
+from .tiling import Tiling, quasi_tile
 
 
 class InsufficientSupportError(ValueError):
@@ -30,7 +31,7 @@ class InsufficientSupportError(ValueError):
 class ConjLevel:
     j: int
     pairs: Tuple[Tuple[int, int], ...]          # (c in C'_1j, rho_j(c) in C'_2j)
-    trimmed: Tuple[Tuple[Key, ...], ...]        # F_{j,c} per pair, sorted
+    trimmed: Tuple[Tuple[BsElement, ...], ...]  # F_{j,c} per pair, sorted
 
 
 @dataclass(frozen=True)
@@ -74,13 +75,13 @@ def _witness_cores(t: Tiling) -> Dict[Tuple[int, int], set]:
 
 
 def build_conjugator(phi1: SoficApprox, phi2: SoficApprox, eps,
-                     folner_seq: Sequence[Iterable[Key]],
+                     folner_seq: Sequence[Iterable[BsElement]],
                      *, inner_eps=None, inner_kappa=None,
                      n_threshold: Optional[int] = None,
                      delta_prime=Fraction(1, 4),
                      support_threshold=None,
                      maximal: bool = True,
-                     order_key: Optional[Key] = None) -> Conjugator:
+                     order_key: Optional[BsElement] = None) -> Conjugator:
     """Quasi-tile both approximations (at eps/7 by default, per the
     analysis behind the defect bound; inner_eps overrides) and assemble tau.
 
@@ -95,8 +96,6 @@ def build_conjugator(phi1: SoficApprox, phi2: SoficApprox, eps,
     """
     if phi1.n != phi2.n:
         raise ValueError(f"degrees {phi1.n} != {phi2.n}")
-    if phi1.key_kind != phi2.key_kind:
-        raise ValueError("key kinds differ")
     eps = Fraction(eps)
     e_t = Fraction(inner_eps) if inner_eps is not None else eps / 7
     k_t = Fraction(inner_kappa) if inner_kappa is not None else e_t
@@ -128,9 +127,8 @@ def build_conjugator(phi1: SoficApprox, phi2: SoficApprox, eps,
         c2s = rank2[:m_count]
         pairs = []
         trimmed = []
-        sorter = _key_sorter(phi1.key_kind)
         for c, cp in zip(c1s, c2s):
-            shared = sorted(cores1[(j, c)] & cores2[(j, cp)], key=sorter)
+            shared = sorted(cores1[(j, c)] & cores2[(j, cp)], key=BsElement.sort_key)
             pairs.append((c, cp))
             trimmed.append(tuple(shared))
             for g in shared:
@@ -160,15 +158,15 @@ def build_conjugator(phi1: SoficApprox, phi2: SoficApprox, eps,
 
 
 @dataclass(frozen=True)
-class DefectReport:
-    per_key: Dict[Key, HammingValue]
+class ConjugacyReport:
+    per_key: Dict[BsElement, HammingValue]
     max_defect: HammingValue
     eps: Fraction
     passed: bool
 
 
 def conjugacy_defect(c: Conjugator, phi1: SoficApprox, phi2: SoficApprox,
-                     S: Iterable[Key]) -> DefectReport:
+                     S: Iterable[BsElement]) -> ConjugacyReport:
     """max over s in S of d_h(tau phi1(s) tau^-1, phi2(s)); pass iff <= eps."""
     S = list(S)
     if not S:
@@ -177,11 +175,11 @@ def conjugacy_defect(c: Conjugator, phi1: SoficApprox, phi2: SoficApprox,
     if missing:
         raise KeyError(f"keys missing from an approximation: {missing}")
     tau_inv = c.tau.inverse()
-    per: Dict[Key, HammingValue] = {}
+    per: Dict[BsElement, HammingValue] = {}
     worst: Optional[HammingValue] = None
     for s in S:
         d = hamming(c.tau.compose(phi1.table[s]).compose(tau_inv), phi2.table[s])
         per[s] = d
         if worst is None or d > worst:
             worst = d
-    return DefectReport(per, worst, c.eps, worst <= c.eps)
+    return ConjugacyReport(per, worst, c.eps, worst <= c.eps)

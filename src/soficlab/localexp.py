@@ -20,7 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .expcycles import exp_table_by_product
+from .bsgroup import word_value
+from .expcycles import exp_table_by_product, segmented_sieve
 from .perm import HammingValue, Permutation, hamming, displacement
 
 
@@ -189,15 +190,6 @@ class H3Report:
     g1_displacement: HammingValue       # always 1 (every point moves)
 
 
-def _word_value(word: Sequence[Tuple[int, int]], gens: Dict[int, Permutation],
-                n: int) -> Permutation:
-    """Evaluate [(gen, exp), ...] left to right as function composition."""
-    out = Permutation.identity(n)
-    for gen, exp in word:
-        out = out.compose(gens[gen] ** exp)
-    return out
-
-
 def h3_witness(f: ZnFunction, m: int) -> H3Report:
     """Build g_1(x) = x - 1, g_3 = f g_1 f^{-1}, g_2 = f^2 g_1 f^{-2} and
     measure the Hamming defect of the three cyclic conjugation relators
@@ -213,7 +205,7 @@ def h3_witness(f: ZnFunction, m: int) -> H3Report:
     gens = {1: g1, 2: g2, 3: g3}
     ident = Permutation.identity(n)
     defects = tuple(
-        hamming(_word_value([(i, -1), (j, 1), (i, 1), (j, -m)], gens, n), ident)
+        hamming(word_value([(i, -1), (j, 1), (i, 1), (j, -m)], gens, ident), ident)
         for i, j in ((1, 2), (2, 3), (3, 1)))
     return H3Report(n, m, defects, displacement(g1))
 
@@ -356,21 +348,12 @@ class DegreeMAudit:
     relator_solutions: int              # |{x : g(g(g(x)+1)+1)+1 = x}|
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, math.isqrt(n) + 1):
-        if n % d == 0:
-            return False
-    return True
-
-
 def degree_m_audit(g: ZnFunction, m: int, p: int) -> DegreeMAudit:
     """Extract the multiplier set of g against x -> x^m over Z/pZ, count the
     roots of the composed degree-m^3 congruence for every multiplier triple
     (each count must respect the m^3 root cap over a field), and count the
     points actually satisfying g(g(g(x)+1)+1)+1 = x."""
-    if not _is_prime(p):
+    if segmented_sieve(p, p) != [p]:
         raise ValueError(f"{p} is not prime")
     if m % p == 0:
         raise ValueError("p divides m")

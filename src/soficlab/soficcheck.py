@@ -11,81 +11,54 @@ multiplicativity defect is identically zero.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from .bsgroup import BsElement, Word, bs_a1, bs_a2, bs_identity, reduce_word
+from .bsgroup import BsElement, Word, bs_a1, bs_a2, evaluate_word, word_value
 from .perm import HammingValue, Permutation, hamming
-
-Key = Union[BsElement, Word]
 
 
 @dataclass
 class SoficApprox:
-    """A finite partial map from group elements (or words) to permutations
-    of one common degree."""
+    """A finite partial map from group elements to permutations of one
+    common degree."""
 
     n: int
-    key_kind: str  # "element" | "word"
-    table: Dict[Key, Permutation]
+    table: Dict[BsElement, Permutation]
 
     def __post_init__(self) -> None:
-        if self.key_kind not in ("element", "word"):
-            raise ValueError(f"unknown key kind {self.key_kind!r}")
         for key, perm in self.table.items():
             if perm.n != self.n:
                 raise ValueError(f"permutation for {key} has degree {perm.n} != {self.n}")
-            if self.key_kind == "element" and not isinstance(key, BsElement):
-                raise TypeError(f"element-kind table has non-element key {key!r}")
+            if not isinstance(key, BsElement):
+                raise TypeError(f"table has non-element key {key!r}")
 
     @property
     def domain(self):
         return self.table.keys()
 
-    def _sorted_keys(self):
-        if self.key_kind == "element":
-            return sorted(self.table, key=lambda g: g.sort_key())
-        return sorted(self.table)
-
-    def product_key(self, g: Key, h: Key) -> Key:
-        if self.key_kind == "element":
-            return g * h
-        return reduce_word(tuple(g) + tuple(h))
-
-    def is_identity_key(self, g: Key) -> bool:
-        if self.key_kind == "element":
-            return g.is_identity()
-        return len(g) == 0
+    def conjugated(self, sigma: Permutation) -> "SoficApprox":
+        """g -> sigma phi(g) sigma^-1: the same approximation on relabelled points."""
+        sigma_inv = sigma.inverse()
+        return SoficApprox(self.n, {g: sigma.compose(p).compose(sigma_inv)
+                                    for g, p in self.table.items()})
 
     def to_json(self) -> str:
-        entries = []
-        for key in self._sorted_keys():
-            entries.append([_key_to_obj(key, self.key_kind), self.table[key].image.tolist()])
-        return json.dumps({"n": self.n, "key_kind": self.key_kind, "entries": entries})
+        entries = [[g.to_obj(), self.table[g].image.tolist()]
+                   for g in sorted(self.table, key=BsElement.sort_key)]
+        return json.dumps({"n": self.n, "key_kind": "element", "entries": entries})
 
     @classmethod
     def from_json(cls, text: str) -> "SoficApprox":
         data = json.loads(text)
-        table = {}
-        for key_obj, image in data["entries"]:
-            table[_key_from_obj(key_obj, data["key_kind"])] = Permutation(image)
-        return cls(int(data["n"]), data["key_kind"], table)
-
-
-def _key_to_obj(key: Key, kind: str):
-    if kind == "element":
-        return {"m": key.m, "e": key.e, "num": key.num, "d": key.d}
-    return [[gen, exp] for gen, exp in key]
-
-
-def _key_from_obj(obj, kind: str) -> Key:
-    if kind == "element":
-        return BsElement(int(obj["m"]), int(obj["e"]), int(obj["num"]), int(obj["d"]))
-    return tuple((gen, int(exp)) for gen, exp in obj)
+        if data.get("key_kind") != "element":
+            raise ValueError(f"unsupported key kind {data.get('key_kind')!r}")
+        table = {BsElement.from_obj(obj): Permutation(image) for obj, image in data["entries"]}
+        return cls(int(data["n"]), table)
 
 
 # ---------------------------------------------------------------------------
@@ -96,9 +69,9 @@ class SoficReport:
     n: int
     delta: Fraction
     max_defect: Optional[HammingValue]
-    defect_witness: Optional[Tuple[Key, Key]]
+    defect_witness: Optional[Tuple[BsElement, BsElement]]
     min_displacement: Optional[HammingValue]
-    displacement_witness: Optional[Key]
+    displacement_witness: Optional[BsElement]
     triples_checked: int
     passed: bool
 
@@ -113,7 +86,7 @@ def check_sofic(phi: SoficApprox, delta) -> SoficReport:
     if not phi.table:
         raise ValueError("empty domain")
     delta = Fraction(delta)
-    keys = phi._sorted_keys()
+    keys = sorted(phi.table, key=BsElement.sort_key)
     key_set = set(keys)
 
     max_defect: Optional[HammingValue] = None
@@ -122,7 +95,7 @@ def check_sofic(phi: SoficApprox, delta) -> SoficReport:
     for g in keys:
         pg = phi.table[g]
         for h in keys:
-            gh = phi.product_key(g, h)
+            gh = g * h
             if gh not in key_set:
                 continue
             triples += 1
@@ -134,7 +107,7 @@ def check_sofic(phi: SoficApprox, delta) -> SoficReport:
     disp_witness = None
     ident = np.arange(phi.n)
     for g in keys:
-        if phi.is_identity_key(g):
+        if g.is_identity():
             continue
         d = HammingValue(int(np.count_nonzero(phi.table[g].image != ident)), phi.n)
         if min_disp is None or d < min_disp:
@@ -171,14 +144,14 @@ class ArithmeticModel:
         perm = self._cache.get(g)
         if perm is None:
             a = pow(self.m, g.e, self.n)
-            b = g.num * pow(self.m, -g.d, self.n)
+            b = g.num * pow(self.m, -g.d, self.n) % self.n
             img = (a * np.arange(self.n, dtype=np.int64) - b) % self.n
             perm = Permutation(img, _trusted=True)
             self._cache[g] = perm
         return perm
 
     def approx_on(self, S: Iterable[BsElement]) -> SoficApprox:
-        return SoficApprox(self.n, "element", {g: self.permutation(g) for g in S})
+        return SoficApprox(self.n, {g: self.permutation(g) for g in S})
 
 
 def arithmetic_bs_approx(n: int, m: int, S: Iterable[BsElement]) -> SoficApprox:
@@ -190,31 +163,15 @@ def arithmetic_bs_approx(n: int, m: int, S: Iterable[BsElement]) -> SoficApprox:
 # Word evaluation
 
 def _generator_images(phi: SoficApprox) -> Dict[str, Permutation]:
-    if phi.key_kind == "word":
-        out = {}
-        for key, perm in phi.table.items():
-            if len(key) == 1 and key[0][1] == 1:
-                out[key[0][0]] = perm
-        return out
-    some = next(iter(phi.table))
-    m = some.m
-    out = {}
-    for name, elem in (("a1", bs_a1(m)), ("a2", bs_a2(m))):
-        if elem in phi.table:
-            out[name] = phi.table[elem]
-    return out
+    m = next(iter(phi.table)).m
+    return {name: phi.table[g] for name, g in (("a1", bs_a1(m)), ("a2", bs_a2(m)))
+            if g in phi.table}
 
 
 def eval_word(phi: SoficApprox, w: Word) -> Permutation:
     """Left-to-right composition under (g*h)(x) = g(h(x)).  Inverse letters
     use permutation inverses, so w * w^-1 cancels exactly for any phi."""
-    gens = _generator_images(phi)
-    result = Permutation.identity(phi.n)
-    for gen, exp in w:
-        if gen not in gens:
-            raise KeyError(f"generator {gen!r} has no image in the approximation")
-        result = result.compose(gens[gen] ** exp)
-    return result
+    return word_value(w, _generator_images(phi), Permutation.identity(phi.n))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +193,7 @@ def amplify(phi: SoficApprox, target_n: int) -> SoficApprox:
     for key, perm in phi.table.items():
         img = np.concatenate([(perm.image[None, :] + offsets).reshape(-1), tail])
         table[key] = Permutation(img, _trusted=True)
-    return SoficApprox(target_n, phi.key_kind, table)
+    return SoficApprox(target_n, table)
 
 
 # ---------------------------------------------------------------------------
@@ -260,18 +217,9 @@ def affine_fixed_points(w: Word, m: int, n: int) -> AffineFixedReport:
     """
     if gcd(m, n) != 1:
         raise ValueError(f"gcd({m}, {n}) != 1")
-    a = 0
-    b = Fraction(0)
-    for gen, exp in w:
-        # compose on the right: current o psi(gen^exp)
-        if gen == "a1":
-            a -= exp
-        elif gen == "a2":
-            b = b  # no dilation
-            # current(x') with x' = x - exp: b_new = m^a * (-exp) + b
-            b = Fraction(m) ** a * (-exp) + b
-        else:
-            raise KeyError(f"generator {gen!r} not in the BS(1,m) model")
+    # psi is a homomorphism sending (e, num, d) to x -> m^e x - num/m^d
+    elem = evaluate_word(w, m)
+    a, b = elem.e, -elem.shift
     # reduce b = num/m^dd mod n through the inverse of m
     num, den = b.numerator, b.denominator
     b_res = num * pow(den, -1, n) % n

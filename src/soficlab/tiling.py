@@ -12,16 +12,16 @@ lambda_j -- are independently recheckable from the raw data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bsgroup import Word, word_concat, word_inverse
-from .perm import HammingValue, Permutation
-from .soficcheck import Key, SoficApprox, _key_from_obj, _key_to_obj
+from .bsgroup import BsElement
+from .perm import Permutation
+from .soficcheck import SoficApprox
 
 
 class MissingDomainError(KeyError):
@@ -174,7 +174,7 @@ def extract_eps_disjoint(fam: SetFamily, eps, target: Optional[int] = None) -> E
 @dataclass(frozen=True)
 class TileLevel:
     j: int
-    shape: Tuple[Key, ...]        # F_j, sorted
+    shape: Tuple[BsElement, ...]  # F_j, sorted
     lam: Fraction
     centers: Tuple[int, ...]      # C_j, in selection order
 
@@ -184,12 +184,14 @@ class Tiling:
     n: int
     eps: Fraction
     kappa: Fraction
-    key_kind: str
     levels: Tuple[TileLevel, ...]          # ascending j
-    table: Dict[Key, Permutation]          # permutations for every shape key
+    table: Dict[BsElement, Permutation]    # permutations for every shape key
     b_size: int
 
     def __post_init__(self) -> None:
+        for g, perm in self.table.items():
+            if perm.n != self.n:
+                raise ValueError(f"permutation for {g} has degree {perm.n} != {self.n}")
         lambdas = [lvl.lam for lvl in self.levels]
         k = len(lambdas)
         for j, lam in enumerate(lambdas, start=1):
@@ -208,65 +210,42 @@ class Tiling:
             "n": self.n,
             "eps": [self.eps.numerator, self.eps.denominator],
             "kappa": [self.kappa.numerator, self.kappa.denominator],
-            "key_kind": self.key_kind,
+            "key_kind": "element",
             "b_size": self.b_size,
             "levels": [{
                 "j": lvl.j,
                 "lam": [lvl.lam.numerator, lvl.lam.denominator],
-                "shape": [_key_to_obj(g, self.key_kind) for g in lvl.shape],
+                "shape": [g.to_obj() for g in lvl.shape],
                 "centers": list(lvl.centers),
             } for lvl in self.levels],
-            "table": [[_key_to_obj(g, self.key_kind), self.table[g].image.tolist()]
-                      for g in sorted(self.table, key=_key_sorter(self.key_kind))],
+            "table": [[g.to_obj(), self.table[g].image.tolist()]
+                      for g in sorted(self.table, key=BsElement.sort_key)],
         })
 
     @classmethod
     def from_json(cls, text: str) -> "Tiling":
         data = json.loads(text)
-        kind = data["key_kind"]
-        table = {_key_from_obj(obj, kind): Permutation(img) for obj, img in data["table"]}
+        if data.get("key_kind") != "element":
+            raise ValueError(f"unsupported key kind {data.get('key_kind')!r}")
+        table = {BsElement.from_obj(obj): Permutation(img) for obj, img in data["table"]}
         levels = tuple(
             TileLevel(lvl["j"],
-                      tuple(_key_from_obj(obj, kind) for obj in lvl["shape"]),
+                      tuple(BsElement.from_obj(obj) for obj in lvl["shape"]),
                       Fraction(*lvl["lam"]),
                       tuple(int(c) for c in lvl["centers"]))
             for lvl in data["levels"])
         return cls(int(data["n"]), Fraction(*data["eps"]), Fraction(*data["kappa"]),
-                   kind, levels, table, int(data["b_size"]))
+                   levels, table, int(data["b_size"]))
 
 
-def _key_sorter(kind: str):
-    if kind == "element":
-        return lambda g: g.sort_key()
-    return lambda g: g
-
-
-def _key_inverse(g: Key, kind: str) -> Key:
-    if kind == "element":
-        return g.inverse()
-    return word_inverse(g)
-
-
-def _key_product(g: Key, h: Key, kind: str) -> Key:
-    if kind == "element":
-        return g * h
-    return word_concat(g, h)
-
-
-def _key_is_identity(g: Key, kind: str) -> bool:
-    if kind == "element":
-        return g.is_identity()
-    return len(g) == 0
-
-
-def _shape_images(phi: SoficApprox, shape: Sequence[Key]) -> np.ndarray:
+def _shape_images(phi: SoficApprox, shape: Sequence[BsElement]) -> np.ndarray:
     return np.stack([phi.table[g].image for g in shape])
 
 
 # ---------------------------------------------------------------------------
 # The tiling algorithm
 
-def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[Key]], eps, kappa,
+def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]], eps, kappa,
                *, n_threshold: Optional[int] = None,
                delta_prime=Fraction(1, 8), maximal: bool = False,
                center_order: Optional[Sequence[int]] = None) -> Tiling:
@@ -294,13 +273,13 @@ def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[Key]], eps, kappa
     """
     plan = plan_parameters(eps, kappa)
     eps, kappa = plan.eps, plan.kappa
-    shapes = [tuple(sorted(F, key=_key_sorter(phi.key_kind))) for F in folner_seq]
+    shapes = [tuple(sorted(F, key=BsElement.sort_key)) for F in folner_seq]
     if len(shapes) != plan.k:
         raise ValueError(f"need {plan.k} Folner shapes for eps={eps}, got {len(shapes)}")
     for prev, cur in zip(shapes, shapes[1:]):
         if not set(prev) <= set(cur):
             raise ValueError("Folner shapes are not nested")
-    if not any(_key_is_identity(g, phi.key_kind) for g in shapes[0]):
+    if not any(g.is_identity() for g in shapes[0]):
         raise ValueError("identity not in the first Folner shape")
 
     F_k = shapes[-1]
@@ -309,11 +288,11 @@ def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[Key]], eps, kappa
     if phi.n < n_threshold:
         raise DegreeTooSmallError(f"degree {phi.n} below threshold {n_threshold}")
 
-    inverses = {g: _key_inverse(g, phi.key_kind) for g in F_k}
-    products: Dict[Tuple[Key, Key], Key] = {}
+    inverses = {g: g.inverse() for g in F_k}
+    products: Dict[Tuple[BsElement, BsElement], BsElement] = {}
     for g in F_k:
         for h in F_k:
-            products[(g, h)] = _key_product(inverses[g], h, phi.key_kind)
+            products[(g, h)] = inverses[g] * h
     missing = {p for p in products.values() if p not in phi.table}
     missing |= {g for g in F_k if g not in phi.table}
     if missing:
@@ -367,7 +346,7 @@ def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[Key]], eps, kappa
 
     levels.reverse()
     table = {g: phi.table[g] for shape in shapes for g in shape}
-    return Tiling(n, eps, kappa, phi.key_kind, tuple(levels), table, b_size)
+    return Tiling(n, eps, kappa, tuple(levels), table, b_size)
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ def test_04_conjugator_quality():
     for seed in range(10):
         sigma = Permutation(np.random.default_rng(seed).permutation(n))
         sigma_inv = sigma.inverse()
-        phi2 = SoficApprox(n, phi1.key_kind,
+        phi2 = SoficApprox(n,
                            {g: sigma.compose(p).compose(sigma_inv)
                             for g, p in phi1.table.items()})
         conj = build_conjugator(phi1, phi2, EPS, shapes,

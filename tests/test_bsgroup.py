@@ -9,7 +9,7 @@ from soficlab.bsgroup import (BaseMismatchError, BsElement, BudgetExceededError,
                               canonical_word, cyclic_extension_presentation,
                               evaluate_word, folner_diagnostics, folner_set,
                               higman_presentation, reduce_word, word_concat,
-                              word_inverse)
+                              word_inverse, word_value)
 
 
 def _from_b(m, b):
@@ -56,6 +56,10 @@ class TestGroupLaw:
         with pytest.raises(ValueError):
             BsElement(2, 0, 4, 1)
 
+    @given(elements)
+    def test_json_obj_roundtrip(self, g):
+        assert BsElement.from_obj(g.to_obj()) == g
+
 
 class TestCanonicalWord:
     def test_identity_empty(self):
@@ -75,6 +79,12 @@ class TestCanonicalWord:
     def test_roundtrip_large(self):
         g = _from_b(2, Fraction(999_983, 2 ** 8)) * BsElement(2, -8, 0, 0)
         assert evaluate_word(canonical_word(g), 2) == g
+
+
+class TestWordValue:
+    def test_unknown_generator(self):
+        with pytest.raises(KeyError):
+            word_value((("t", 1),), {"a1": bs_a1(2)}, bs_identity(2))
 
 
 class TestWords:

@@ -53,6 +53,15 @@ class TestConfig:
         assert (out / "heuristic.csv").is_file()
         assert not (tmp_path / "from_config").exists()
 
+    def test_manifest_omits_overridden_out(self, tmp_path):
+        p = tmp_path / "cfg"
+        p.write_text(f"out = {tmp_path / 'from_config'}\n")
+        code, out = run(tmp_path, "heuristic", "--config", str(p), "--N", "3")
+        assert code == 0
+        text = (out / "manifest.json").read_text()
+        assert "out" not in json.loads(text)["params"]
+        assert "from_config" not in text
+
     def test_out_from_config(self, tmp_path):
         p = tmp_path / "cfg"
         p.write_text(f"out = {tmp_path / 'from_config'}\n")
@@ -129,6 +138,19 @@ class TestTileVerify:
         code2, out2 = run(tmp_path / "v", "verify", "--certificate", str(cert))
         assert code2 == 2
         assert not json.loads((out2 / "verify.json").read_text())["passed"]
+
+    @pytest.mark.parametrize("key, value", [("n", 900), ("key_kind", "word")])
+    def test_verify_malformed(self, tmp_path, key, value):
+        code, out = run(tmp_path, "tile", "--n", "1000")
+        assert code == 0
+        data = json.loads((out / "tiling.json").read_text())
+        data[key] = value
+        cert = tmp_path / "bad.json"
+        cert.write_text(json.dumps(data))
+        code2, out2 = run(tmp_path / "v", "verify", "--certificate", str(cert))
+        assert code2 == 2
+        result = json.loads((out2 / "verify.json").read_text())
+        assert result["passed"] is False and result["error"]
 
     def test_eps_above_quarter(self, tmp_path):
         code, _ = run(tmp_path, "tile", "--n", "1000", "--eps", "3/10")

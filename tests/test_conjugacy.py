@@ -29,7 +29,7 @@ def base_model(n=N, m=M):
 
 def conjugated(phi, sigma):
     sigma_inv = sigma.inverse()
-    return SoficApprox(phi.n, phi.key_kind,
+    return SoficApprox(phi.n,
                        {g: sigma.compose(p).compose(sigma_inv)
                         for g, p in phi.table.items()})
 

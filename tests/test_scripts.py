@@ -1,0 +1,26 @@
+"""Each experiment script runs end to end at a small size."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+RUNS = [
+    ["run_conjugacy_seeds.py", "--n", "1000", "--seeds", "1"],
+    ["run_searcher.py", "--n", "8", "16", "--budget", "500"],
+    ["run_tiling_experiments.py"],
+]
+
+
+@pytest.mark.parametrize("argv", RUNS, ids=[argv[0] for argv in RUNS])
+def test_script_runs(argv, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

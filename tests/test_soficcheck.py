@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +51,14 @@ class TestArithmeticModel:
         with pytest.raises(ValueError):
             ArithmeticModel(10, 2)
 
+    def test_large_shift(self):
+        n, m = 101, 2
+        psi = ArithmeticModel(n, m)
+        for g in (BsElement(m, 0, 10 ** 20, 0), BsElement(m, 3, -10 ** 20 - 1, 5)):
+            a = pow(m, g.e, n)
+            b = g.num * pow(m, -g.d, n)
+            assert psi.permutation(g).image.tolist() == [(a * x - b) % n for x in range(n)]
+
     def test_homomorphism_on_random_pairs(self):
         psi = ArithmeticModel(101, 3)
         rng = np.random.default_rng(0)
@@ -72,7 +81,7 @@ class TestCheckSofic:
         m = 2
         table = {bs_identity(m): Permutation.identity(10),
                  bs_a2(m): Permutation.identity(10)}
-        report = check_sofic(SoficApprox(10, "element", table), Fraction(1, 8))
+        report = check_sofic(SoficApprox(10, table), Fraction(1, 8))
         assert report.min_displacement.numerator == 0
         assert not report.passed
 
@@ -81,12 +90,27 @@ class TestCheckSofic:
         m = 2
         table = {g: Permutation(rng.permutation(100))
                  for g in (bs_a1(m), bs_a2(m), bs_a1(m) * bs_a2(m))}
-        report = check_sofic(SoficApprox(100, "element", table), Fraction(1, 8))
+        report = check_sofic(SoficApprox(100, table), Fraction(1, 8))
         assert report.max_defect > Fraction(1, 2)
 
     def test_empty_domain(self):
         with pytest.raises(ValueError):
-            check_sofic(SoficApprox(5, "element", {}), Fraction(1, 8))
+            check_sofic(SoficApprox(5, {}), Fraction(1, 8))
+
+
+class TestSoficApprox:
+    def test_non_element_key_rejected(self):
+        with pytest.raises(TypeError):
+            SoficApprox(3, {(("a1", 1),): Permutation.identity(3)})
+
+    def test_conjugated_relabels_points(self):
+        n = 11
+        phi = arithmetic_bs_approx(n, 2, ball(2, 1, 2))
+        sigma = Permutation(np.random.default_rng(5).permutation(n))
+        psi = phi.conjugated(sigma)
+        assert psi.table.keys() == phi.table.keys()
+        for g, p in phi.table.items():
+            assert [psi.table[g](sigma(x)) for x in range(n)] == [sigma(p(x)) for x in range(n)]
 
 
 class TestEvalWord:
@@ -178,3 +202,9 @@ class TestSerialization:
         phi = arithmetic_bs_approx(11, 2, ball(2, 1, 2))
         other = SoficApprox.from_json(phi.to_json())
         assert other.n == phi.n and other.table == phi.table
+
+    def test_other_key_kind_rejected(self):
+        data = json.loads(arithmetic_bs_approx(11, 2, ball(2, 1, 2)).to_json())
+        data["key_kind"] = "word"
+        with pytest.raises(ValueError):
+            SoficApprox.from_json(json.dumps(data))

@@ -147,7 +147,7 @@ class TestVerifySoundness:
         lvl_lo = tiling.levels[0]
         tampered_lo = TileLevel(lvl_lo.j, lvl_lo.shape, lvl_lo.lam,
                                 lvl_lo.centers + (lvl_hi.centers[0],))
-        tampered = Tiling(tiling.n, tiling.eps, tiling.kappa, tiling.key_kind,
+        tampered = Tiling(tiling.n, tiling.eps, tiling.kappa,
                           (tampered_lo,) + tiling.levels[1:], tiling.table,
                           tiling.b_size)
         assert not verify_tiling(tampered).passed
@@ -156,7 +156,7 @@ class TestVerifySoundness:
         tiling = z_model_tiling()
         lvl = tiling.levels[0]
         # strip the bottom level to a single center: measure falls below
-        tampered = Tiling(tiling.n, tiling.eps, tiling.kappa, tiling.key_kind,
+        tampered = Tiling(tiling.n, tiling.eps, tiling.kappa,
                           (TileLevel(lvl.j, lvl.shape, lvl.lam, lvl.centers[:1]),)
                           + tiling.levels[1:], tiling.table, tiling.b_size)
         report = verify_tiling(tampered)
@@ -168,8 +168,13 @@ class TestVerifySoundness:
         lvl = bad[0]
         bad[0] = TileLevel(lvl.j, lvl.shape, lvl.lam * 2, lvl.centers)
         with pytest.raises(ValueError):
-            Tiling(tiling.n, tiling.eps, tiling.kappa, tiling.key_kind,
+            Tiling(tiling.n, tiling.eps, tiling.kappa,
                    tuple(bad), tiling.table, tiling.b_size)
+
+    def test_degree_mismatch_rejected(self):
+        tiling = z_model_tiling()
+        with pytest.raises(ValueError, match="degree"):
+            Tiling(900, tiling.eps, tiling.kappa, tiling.levels, tiling.table, tiling.b_size)
 
     def test_json_roundtrip_verifies(self):
         tiling = z_model_tiling()
