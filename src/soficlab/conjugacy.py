@@ -57,21 +57,23 @@ class Conjugator:
         })
 
 
-def _witness_cores(t: Tiling) -> Dict[Tuple[int, int], set]:
-    """Per tile (j, c): the generators g whose point phi(g)c avoids every
-    tile placed earlier, replaying the construction order (level k down to
-    1, centers in selection order).  These core point sets are pairwise
-    disjoint across the whole family."""
-    cores: Dict[Tuple[int, int], set] = {}
-    used = np.zeros(t.n, dtype=bool)
-    for lvl in reversed(t.levels):
-        imgs = {g: t.table[g].image for g in lvl.shape}
-        for c in lvl.centers:
-            core = {g for g, img in imgs.items() if not used[img[c]]}
-            cores[(lvl.j, c)] = core
-            for g in lvl.shape:
-                used[imgs[g][c]] = True
-    return cores
+def _witness_cores(t: Tiling) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per level, ascending j: the tile points, row q holding phi(g)c for
+    the q-th center c and g in shape order, and a boolean mask of the same
+    shape marking the generators whose point avoids every tile placed
+    earlier, replaying the construction order (level k down to 1, centers
+    in selection order).  These core point sets are pairwise disjoint
+    across the whole family."""
+    points = [np.stack([t.table[g].image for g in lvl.shape])[:, list(lvl.centers)].T
+              for lvl in t.levels]
+    construction = points[::-1]
+    flat = np.concatenate([p.ravel() for p in construction])
+    widths = np.concatenate([np.full(len(p), p.shape[1]) for p in construction])
+    tile = np.repeat(np.arange(len(widths)), widths)      # construction order
+    _, first, point = np.unique(flat, return_index=True, return_inverse=True)
+    core = tile[first][point] == tile           # the first tile to reach the point
+    cores = np.split(core, np.cumsum([p.size for p in construction])[:-1])
+    return [(p, c.reshape(p.shape)) for p, c in zip(points, cores[::-1])]
 
 
 def build_conjugator(phi1: SoficApprox, phi2: SoficApprox, eps,
@@ -113,47 +115,44 @@ def build_conjugator(phi1: SoficApprox, phi2: SoficApprox, eps,
     cores2 = _witness_cores(t2)
 
     tau_img = np.full(n, -1, dtype=np.int64)
-    lambda1: List[int] = []
-    lambda2: List[int] = []
+    lambda1: List[np.ndarray] = []
+    lambda2: List[np.ndarray] = []
     levels: List[ConjLevel] = []
-    for lvl1, lvl2 in zip(t1.levels, t2.levels):
-        j = lvl1.j
+    for lvl1, lvl2, (pts1, core1), (pts2, core2) in zip(t1.levels, t2.levels, cores1, cores2):
         m_count = min(len(lvl1.centers), len(lvl2.centers))
         # keep the centers with the largest disjoint cores and pair them in
         # that order, so interior tiles match interior tiles
-        rank1 = sorted(lvl1.centers, key=lambda c: (-len(cores1[(j, c)]), c))
-        rank2 = sorted(lvl2.centers, key=lambda c: (-len(cores2[(j, c)]), c))
-        c1s = rank1[:m_count]
-        c2s = rank2[:m_count]
-        pairs = []
-        trimmed = []
-        for c, cp in zip(c1s, c2s):
-            shared = sorted(cores1[(j, c)] & cores2[(j, cp)], key=BsElement.sort_key)
-            pairs.append((c, cp))
-            trimmed.append(tuple(shared))
-            for g in shared:
-                x = int(phi1.table[g].image[c])
-                y = int(phi2.table[g].image[cp])
-                tau_img[x] = y
-                lambda1.append(x)
-                lambda2.append(y)
-        levels.append(ConjLevel(j, tuple(pairs), tuple(trimmed)))
+        q1 = np.lexsort((lvl1.centers, -core1.sum(axis=1)))[:m_count]
+        q2 = np.lexsort((lvl2.centers, -core2.sum(axis=1)))[:m_count]
+        shared = core1[q1] & core2[q2]
+        x = pts1[q1][shared]
+        y = pts2[q2][shared]
+        tau_img[x] = y
+        lambda1.append(x)
+        lambda2.append(y)
+        pairs = tuple(zip(np.asarray(lvl1.centers)[q1].tolist(),
+                          np.asarray(lvl2.centers)[q2].tolist()))
+        trimmed = tuple(tuple(lvl1.shape[g] for g in np.flatnonzero(row).tolist())
+                        for row in shared)
+        levels.append(ConjLevel(lvl1.j, pairs, trimmed))
+    lambda1_pts = np.concatenate(lambda1)
+    lambda2_pts = np.concatenate(lambda2)
 
     if support_threshold is None:
         support_threshold = (1 - 4 * eps / 7) * n
-    if len(lambda1) < support_threshold:
+    if len(lambda1_pts) < support_threshold:
         raise InsufficientSupportError(
-            f"matched support {len(lambda1)}/{n} below {float(support_threshold):.1f}")
+            f"matched support {len(lambda1_pts)}/{n} below {float(support_threshold):.1f}")
 
     # order-preserving extension between the complements
     free1 = np.flatnonzero(tau_img < 0)
     used2 = np.zeros(n, dtype=bool)
-    used2[np.array(lambda2, dtype=np.int64)] = True
+    used2[lambda2_pts] = True
     free2 = np.flatnonzero(~used2)
     tau_img[free1] = free2
     tau = Permutation(tau_img)
 
-    return Conjugator(tau, frozenset(lambda1), frozenset(lambda2),
+    return Conjugator(tau, frozenset(lambda1_pts.tolist()), frozenset(lambda2_pts.tolist()),
                       tuple(levels), eps, t1, t2)
 
 

@@ -163,6 +163,8 @@ def arithmetic_bs_approx(n: int, m: int, S: Iterable[BsElement]) -> SoficApprox:
 # Word evaluation
 
 def _generator_images(phi: SoficApprox) -> Dict[str, Permutation]:
+    if not phi.table:
+        raise ValueError("empty domain")
     m = next(iter(phi.table)).m
     return {name: phi.table[g] for name, g in (("a1", bs_a1(m)), ("a2", bs_a2(m)))
             if g in phi.table}

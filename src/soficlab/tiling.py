@@ -85,14 +85,32 @@ def plan_parameters(eps, kappa) -> PlanParams:
 
 @dataclass(frozen=True)
 class SetFamily:
+    """Subsets of the ground set {0..n-1}: row i of members is the set whose
+    index is indices[i].  A row is read as a set, so repeated entries count
+    once; a family of sets of different sizes pads each short row by
+    repeating one of its elements."""
     n: int
-    sets: Tuple[Tuple[int, frozenset], ...]   # (index, subset of {0..n-1})
+    indices: np.ndarray     # (|C|,) int
+    members: np.ndarray     # (|C|, w) int
 
     def __post_init__(self) -> None:
-        for idx, subset in self.sets:
-            for x in subset:
-                if not 0 <= x < self.n:
-                    raise ValueError(f"set {idx} has element {x} outside ground set")
+        indices = np.asarray(self.indices, dtype=np.int64)
+        members = np.asarray(self.members, dtype=np.int64)
+        if members.size == 0:
+            members = members.reshape(len(indices), 0)
+        if indices.ndim != 1 or members.ndim != 2 or len(members) != len(indices):
+            raise ValueError(f"members of shape {members.shape} do not match "
+                             f"{indices.shape} indices")
+        if members.size and (members.min() < 0 or members.max() >= self.n):
+            bad = int(np.flatnonzero(((members < 0) | (members >= self.n)).any(axis=1))[0])
+            raise ValueError(f"set {indices[bad]} has an element outside the ground set")
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "members", members)
+
+    @property
+    def sets(self) -> np.ndarray:
+        """One row per set offered."""
+        return self.members
 
 
 @dataclass(frozen=True)
@@ -106,65 +124,79 @@ class ExtractionResult:
     coverage_ok: bool
 
 
-def _measure_rho(fam: SetFamily) -> Tuple[int, Fraction]:
-    count = np.zeros(fam.n, dtype=np.int64)
-    mass = 0
-    for _, subset in fam.sets:
-        mass += len(subset)
-        for x in subset:
-            count[x] += 1
-    mult = int(count.max()) if len(fam.sets) else 1
-    mult = max(mult, 1)
-    rho = max(Fraction(0), 1 - Fraction(mass, mult * fam.n))
+def _distinct_rows(fam: SetFamily) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row sorted with its repeated entries replaced by the sentinel n,
+    and the number of distinct entries per row."""
+    rows = np.sort(fam.members, axis=1)
+    repeat = np.zeros(rows.shape, dtype=bool)
+    repeat[:, 1:] = rows[:, 1:] == rows[:, :-1]
+    rows[repeat] = fam.n
+    return rows, rows.shape[1] - np.count_nonzero(repeat, axis=1)
+
+
+def _measure_rho(n: int, rows: np.ndarray) -> Tuple[int, Fraction]:
+    entries = rows[rows < n]
+    count = np.bincount(entries, minlength=n)
+    mult = max(int(count.max()), 1)
+    rho = max(Fraction(0), 1 - Fraction(entries.size, mult * n))
     return mult, rho
 
 
 def extract_eps_disjoint(fam: SetFamily, eps, target: Optional[int] = None) -> ExtractionResult:
     """Greedy eps-disjoint subfamily: descending set size, ties by smallest
-    index; a set is kept when at least (1-eps) of it avoids everything
-    already selected.
+    index; a set of size s is kept when at least ceil((1-eps) s) of its
+    points avoid everything already selected.
 
     With a coverage target, the selection is then pruned to minimality:
-    repeatedly drop (latest first) any set whose removal keeps the union of
-    the remaining full sets at or above the target.
+    latest first, drop every set whose removal keeps the union of the
+    remaining sets at or above the target.  One reverse pass over per-point
+    cover counts suffices because droppability is monotone: dropping a set
+    only shrinks the union of the others, so a set that could not be dropped
+    never becomes droppable later.  The pass therefore selects exactly what
+    restarting from the latest set after every drop would.
     """
-    if not fam.sets:
+    if not len(fam.indices):
         raise ValueError("empty family")
     eps = Fraction(eps)
-    mult, rho = _measure_rho(fam)
+    n = fam.n
+    rows, sizes = _distinct_rows(fam)
+    mult, rho = _measure_rho(n, rows)
 
-    order = sorted(fam.sets, key=lambda pair: (-len(pair[1]), pair[0]))
-    selected: List[Tuple[int, frozenset]] = []
-    union: set = set()
-    for idx, subset in order:
-        core = subset - union
-        if len(core) >= (1 - eps) * len(subset):
-            selected.append((idx, subset))
-            union |= subset
+    order = np.lexsort((fam.indices, -sizes))
+    size_values, size_of = np.unique(sizes, return_inverse=True)
+    keep_at = np.array([ceil((1 - eps) * int(s)) for s in size_values])[size_of]
+    width = rows.shape[1]
+    union = np.zeros(n + 1, dtype=bool)
+    union[n] = True                 # sentinels are covered, so a core counts distinct points
+    selected: List[int] = []
+    for i in order.tolist():
+        row = rows[i]
+        if width - np.count_nonzero(union[row]) >= keep_at[i]:
+            selected.append(i)
+            union[row] = True
 
     if target is not None:
-        changed = True
-        while changed:
-            changed = False
-            for pos in range(len(selected) - 1, -1, -1):
-                rest: set = set()
-                for q, (_, subset) in enumerate(selected):
-                    if q != pos:
-                        rest |= subset
-                if len(rest) >= target:
-                    del selected[pos]
-                    union = rest
-                    changed = True
-                    break
+        cover = np.bincount(rows[selected].ravel(), minlength=n + 1)[:n]
+        union_size = int(np.count_nonzero(cover))
+        kept = []
+        for i in reversed(selected):
+            points = rows[i][rows[i] < n]
+            only_here = int(np.count_nonzero(cover[points] == 1))
+            if union_size - only_here >= target:
+                cover[points] -= 1
+                union_size -= only_here
+            else:
+                kept.append(i)
+        selected = kept[::-1]
 
-    witnesses = []
-    seen: set = set()
-    for _, subset in selected:
-        witnesses.append(frozenset(subset - seen))
-        seen |= subset
-    coverage = len(seen)
-    ok = coverage >= (target if target is not None else eps * (1 - rho) * fam.n)
-    return ExtractionResult(tuple(idx for idx, _ in selected), tuple(witnesses),
+    chosen = rows[selected]
+    first = np.zeros(chosen.size, dtype=bool)
+    first[np.unique(chosen, return_index=True)[1]] = True
+    first = first.reshape(chosen.shape) & (chosen < n)
+    witnesses = tuple(frozenset(row[core].tolist()) for row, core in zip(chosen, first))
+    coverage = int(np.count_nonzero(first))
+    ok = coverage >= (target if target is not None else eps * (1 - rho) * n)
+    return ExtractionResult(tuple(fam.indices[selected].tolist()), witnesses,
                             coverage, mult, rho, target, ok)
 
 
@@ -192,6 +224,10 @@ class Tiling:
         for g, perm in self.table.items():
             if perm.n != self.n:
                 raise ValueError(f"permutation for {g} has degree {perm.n} != {self.n}")
+        for lvl in self.levels:
+            outside = [c for c in lvl.centers if not 0 <= c < self.n]
+            if outside:
+                raise ValueError(f"level {lvl.j} has center {outside[0]} outside [0, {self.n})")
         lambdas = [lvl.lam for lvl in self.levels]
         k = len(lambdas)
         for j, lam in enumerate(lambdas, start=1):
@@ -331,18 +367,17 @@ def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]], eps,
         available = b_mask & ~covered[imgs].any(axis=0)
         centers = np.flatnonzero(available)
         centers = centers[np.argsort(rank[centers], kind="stable")]
-        fam = SetFamily(n, tuple((int(rank[c]), frozenset(imgs[:, c].tolist())) for c in centers))
-        if not fam.sets:
+        if not len(centers):
             if not maximal:
                 raise CoarseApproximationError(f"no available centers at level {j}")
             levels.append(TileLevel(j, shape, plan.lambdas[j - 1], ()))
             continue
         target = None if maximal else ceil(eps * len(centers))
-        result = extract_eps_disjoint(fam, eps, target=target)
-        chosen = tuple(int(by_rank[idx]) for idx in result.indices)
-        for c in chosen:
-            covered[imgs[:, c]] = True
-        levels.append(TileLevel(j, shape, plan.lambdas[j - 1], chosen))
+        result = extract_eps_disjoint(SetFamily(n, rank[centers], imgs[:, centers].T),
+                                      eps, target=target)
+        chosen = by_rank[list(result.indices)]
+        covered[imgs[:, chosen]] = True
+        levels.append(TileLevel(j, shape, plan.lambdas[j - 1], tuple(chosen.tolist())))
 
     levels.reverse()
     table = {g: phi.table[g] for shape in shapes for g in shape}

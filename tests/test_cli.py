@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -152,6 +153,19 @@ class TestTileVerify:
         result = json.loads((out2 / "verify.json").read_text())
         assert result["passed"] is False and result["error"]
 
+    @pytest.mark.parametrize("center", [-157, 1000])
+    def test_verify_center_outside_ground_set(self, tmp_path, center):
+        code, out = run(tmp_path, "tile", "--n", "1000")
+        assert code == 0
+        data = json.loads((out / "tiling.json").read_text())
+        data["levels"][0]["centers"][0] = center
+        cert = tmp_path / "bad.json"
+        cert.write_text(json.dumps(data))
+        code2, out2 = run(tmp_path / "v", "verify", "--certificate", str(cert))
+        assert code2 == 2
+        result = json.loads((out2 / "verify.json").read_text())
+        assert result["passed"] is False and "outside" in result["error"]
+
     def test_eps_above_quarter(self, tmp_path):
         code, _ = run(tmp_path, "tile", "--n", "1000", "--eps", "3/10")
         assert code == 1
@@ -205,3 +219,22 @@ class TestEntryPoint:
         assert manifest["subcommand"] == "heuristic"
         assert set(manifest) >= {"params", "seed", "config_source",
                                  "content_hash", "wall_time_s", "version"}
+
+
+class TestGoldenDigests:
+    """sha256 of certificates written before the tiling pipeline moved onto
+    integer arrays; any change to construction order or tie-breaking shows
+    here."""
+
+    @pytest.mark.parametrize("argv, artifact, digest", [
+        (("tile", "--n", "1000"), "tiling.json",
+         "388352d80717bd71e2126a406571e75ca75152193069f1de8a4cc45cc1adfd58"),
+        (("tile", "--n", "10007"), "tiling.json",
+         "938601c0e68138f7100973f3cf5bddd2a3bf110fe20a34d947109685e9d19176"),
+        (("conjugate", "--n", "1000", "--seed", "0"), "conjugator.json",
+         "424bc9689f34189ac54bd6ef8e4fb7729990c55e93c7a9d5629cc821c8f74389"),
+    ])
+    def test_artifact_digest(self, tmp_path, argv, artifact, digest):
+        code, out = run(tmp_path, *argv)
+        assert code == 0
+        assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest

@@ -118,6 +118,10 @@ class TestEvalWord:
         phi = arithmetic_bs_approx(11, 2, [bs_a1(2), bs_a2(2)])
         assert eval_word(phi, ()).is_identity()
 
+    def test_empty_approximation(self):
+        with pytest.raises(ValueError, match="empty domain"):
+            eval_word(SoficApprox(5, {}), ())
+
     def test_a2_cubed(self):
         n = 13
         phi = arithmetic_bs_approx(n, 2, [bs_a1(2), bs_a2(2)])

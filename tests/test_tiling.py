@@ -1,4 +1,5 @@
 from fractions import Fraction
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from soficlab.bsgroup import BsElement, a2_interval
 from soficlab.perm import Permutation
 from soficlab.soficcheck import ArithmeticModel, SoficApprox, amplify
 from soficlab.tiling import (CoarseApproximationError, DegreeTooSmallError,
-                             SetFamily, TileLevel, Tiling, extract_eps_disjoint,
-                             plan_parameters, quasi_tile, verify_tiling)
+                             ExtractionResult, SetFamily, TileLevel, Tiling,
+                             extract_eps_disjoint, plan_parameters, quasi_tile,
+                             verify_tiling)
 
 WIDTHS = [2, 4, 6, 8, 12, 16, 24, 32]
 
@@ -52,21 +54,104 @@ class TestPlanParameters:
             plan_parameters(Fraction(3, 10), Fraction(1, 8))
 
 
+def family(n, sets):
+    """SetFamily from (index, frozenset) pairs, each row padded to the widest
+    set by repeating one of its elements."""
+    width = max((len(subset) for _, subset in sets), default=0)
+    rows = [sorted(subset) + [min(subset)] * (width - len(subset)) for _, subset in sets]
+    return SetFamily(n, [idx for idx, _ in sets], rows)
+
+
+# The restart-loop extraction as it stood before the array rewrite, kept as
+# the reference the array version must reproduce exactly.
+
+class OracleFamily(NamedTuple):
+    n: int
+    sets: Tuple[Tuple[int, frozenset], ...]
+
+
+def _oracle_measure_rho(fam: OracleFamily) -> Tuple[int, Fraction]:
+    count = np.zeros(fam.n, dtype=np.int64)
+    mass = 0
+    for _, subset in fam.sets:
+        mass += len(subset)
+        for x in subset:
+            count[x] += 1
+    mult = int(count.max()) if len(fam.sets) else 1
+    mult = max(mult, 1)
+    rho = max(Fraction(0), 1 - Fraction(mass, mult * fam.n))
+    return mult, rho
+
+
+def oracle_extract(fam: OracleFamily, eps, target: Optional[int] = None) -> ExtractionResult:
+    if not fam.sets:
+        raise ValueError("empty family")
+    eps = Fraction(eps)
+    mult, rho = _oracle_measure_rho(fam)
+
+    order = sorted(fam.sets, key=lambda pair: (-len(pair[1]), pair[0]))
+    selected: List[Tuple[int, frozenset]] = []
+    union: set = set()
+    for idx, subset in order:
+        core = subset - union
+        if len(core) >= (1 - eps) * len(subset):
+            selected.append((idx, subset))
+            union |= subset
+
+    if target is not None:
+        changed = True
+        while changed:
+            changed = False
+            for pos in range(len(selected) - 1, -1, -1):
+                rest: set = set()
+                for q, (_, subset) in enumerate(selected):
+                    if q != pos:
+                        rest |= subset
+                if len(rest) >= target:
+                    del selected[pos]
+                    union = rest
+                    changed = True
+                    break
+
+    witnesses = []
+    seen: set = set()
+    for _, subset in selected:
+        witnesses.append(frozenset(subset - seen))
+        seen |= subset
+    coverage = len(seen)
+    ok = coverage >= (target if target is not None else eps * (1 - rho) * fam.n)
+    return ExtractionResult(tuple(idx for idx, _ in selected), tuple(witnesses),
+                            coverage, mult, rho, target, ok)
+
+
+@st.composite
+def ragged_families(draw):
+    """Rows of 1..8 entries drawn with repetition, padded to the widest row
+    by repeating their first entry."""
+    n = draw(st.integers(1, 40))
+    raw = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=8),
+                        min_size=1, max_size=25))
+    indices = draw(st.lists(st.integers(0, 30), min_size=len(raw), max_size=len(raw)))
+    width = max(len(row) for row in raw)
+    rows = [row + [row[0]] * (width - len(row)) for row in raw]
+    return n, indices, rows
+
+
 class TestExtraction:
     def test_disjoint_family_kept_whole(self):
-        fam = SetFamily(10, ((0, frozenset({0, 1, 2})), (1, frozenset({5, 6}))))
+        fam = family(10, ((0, frozenset({0, 1, 2})), (1, frozenset({5, 6}))))
         res = extract_eps_disjoint(fam, Fraction(1, 4))
         assert res.indices == (0, 1)
         assert res.witnesses == (frozenset({0, 1, 2}), frozenset({5, 6}))
 
     def test_duplicates_collapse(self):
-        fam = SetFamily(10, ((0, frozenset({0, 1})), (1, frozenset({0, 1}))))
+        fam = family(10, ((0, frozenset({0, 1})), (1, frozenset({0, 1}))))
         res = extract_eps_disjoint(fam, Fraction(1, 2))
         assert len(res.indices) == 1
 
     def test_empty_family(self):
         with pytest.raises(ValueError):
-            extract_eps_disjoint(SetFamily(5, ()), Fraction(1, 4))
+            extract_eps_disjoint(family(5, ()), Fraction(1, 4))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -78,21 +163,21 @@ class TestExtraction:
             start = int(rng.integers(0, n - 30))
             width = int(rng.integers(5, 30))
             sets.append((i, frozenset(range(start, start + width))))
-        fam = SetFamily(n, tuple(sets))
+        fam = family(n, tuple(sets))
         res = extract_eps_disjoint(fam, eps)
         # witnesses pairwise disjoint and large
         seen = set()
-        for (idx, _), wit in zip([fam.sets[i] for i in res.indices], res.witnesses):
+        for (idx, _), wit in zip([sets[i] for i in res.indices], res.witnesses):
             assert not (wit & seen)
             seen |= wit
         for idx, wit in zip(res.indices, res.witnesses):
-            full = dict(fam.sets)[idx]
+            full = dict(sets)[idx]
             assert len(wit) >= (1 - eps) * len(full)
         assert res.coverage >= eps * (1 - res.rho) * n
 
     def test_prune_to_target_minimal(self):
         sets = tuple((i, frozenset(range(10 * i, 10 * i + 10))) for i in range(10))
-        fam = SetFamily(100, sets)
+        fam = family(100, sets)
         res = extract_eps_disjoint(fam, Fraction(1, 4), target=30)
         assert res.coverage >= 30
         # minimality: dropping any selected set breaks the target
@@ -102,6 +187,27 @@ class TestExtraction:
                 if q != drop:
                     rest |= dict(sets)[idx]
             assert len(rest) < 30
+
+    @given(ragged_families(),
+           st.fractions(0, 1, max_denominator=12),
+           st.one_of(st.none(), st.integers(0, 45)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_restart_loop_oracle(self, case, eps, target):
+        n, indices, rows = case
+        expected = oracle_extract(
+            OracleFamily(n, tuple((idx, frozenset(row)) for idx, row in zip(indices, rows))),
+            eps, target)
+        got = extract_eps_disjoint(SetFamily(n, indices, rows), eps, target)
+        assert got == expected
+
+    def test_sets_offered(self):
+        fam = SetFamily(10, (4, 7, 1), ((0, 1), (2, 2), (9, 3)))
+        assert len(fam.sets) == 3
+
+    @pytest.mark.parametrize("rows", [((0, 10),), ((-1, 2),)])
+    def test_element_outside_ground_set(self, rows):
+        with pytest.raises(ValueError, match="outside the ground set"):
+            SetFamily(10, (0,), rows)
 
 
 class TestQuasiTile:
