@@ -117,10 +117,6 @@ def bs_a2(m: int) -> BsElement:
     return BsElement(m, 0, 1, 0)
 
 
-def bs_op(a: BsElement, b: BsElement) -> BsElement:
-    return a * b
-
-
 def bs_from_affine(m: int, e: int, b: Fraction) -> BsElement:
     return _from_affine(m, e, Fraction(b))
 

@@ -9,6 +9,7 @@ failed certificate, or exhausted budget.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import random
@@ -27,12 +28,9 @@ from .expcycles import prime_powers, run_sweep, segmented_sieve, sweep_csv
 from .heuristics import heuristic_csv, p_sequence
 from .localexp import (PadicContext, ZnFunction, defect_report, h3_witness,
                        min_mezo_fraction, padic_fixed_point, search_local_exp)
-from .perm import Permutation
+from .perm import HammingValue, Permutation
 from .soficcheck import ArithmeticModel, check_sofic
 from .tiling import Tiling, plan_parameters, quasi_tile, verify_tiling
-
-SUBCOMMANDS = ("cycles", "sofic-check", "tile", "conjugate", "search-f",
-               "h3", "padic", "heuristic", "verify")
 
 
 class UsageError(ValueError):
@@ -42,12 +40,21 @@ class UsageError(ValueError):
 # ---------------------------------------------------------------------------
 # Configuration
 
-_CONFIG_KEYS = {
-    "m": int, "n": int, "eps": Fraction, "kappa": Fraction, "delta": Fraction,
-    "seed": int, "budget": int, "workers": int, "N": int, "slack": int,
-    "primes": str, "prime_powers": str, "out": str, "num_bound": int,
-    "exp_bound": int, "tuples": int,
+# Every option, settable as config key `name` or as flag `--name` (with
+# '_' spelled '-'), and the parser its text goes through.
+_OPTIONS = {
+    "m": int, "n": int, "N": int, "eps": Fraction, "kappa": Fraction,
+    "delta": Fraction, "seed": int, "budget": int, "tuples": int, "slack": int,
+    "workers": int, "num_bound": int, "exp_bound": int, "primes": str,
+    "prime_powers": str, "certificate": str, "out": str,
 }
+
+
+def _parse_option(name: str, text: str, where: str) -> object:
+    try:
+        return _OPTIONS[name](text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"{where}: bad value for {name}: {exc}")
 
 
 def load_config(path: Optional[str]) -> Tuple[Dict[str, object], str]:
@@ -66,12 +73,9 @@ def load_config(path: Optional[str]) -> Tuple[Dict[str, object], str]:
         if "=" not in line:
             raise UsageError(f"{path}:{line_no}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise UsageError(f"{path}:{line_no}: unknown key {key!r}")
-        try:
-            out[key] = _CONFIG_KEYS[key](value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"{path}:{line_no}: bad value for {key}: {exc}")
+        out[key] = _parse_option(key, value, f"{path}:{line_no}")
     return out, str(path)
 
 
@@ -94,7 +98,7 @@ def _parse_prime_powers(text: str) -> Tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Manifest
+# Reports and manifest
 
 def _content_hash(params: Dict[str, object], extra_files: Sequence[Path]) -> str:
     h = hashlib.sha256()
@@ -107,21 +111,35 @@ def _content_hash(params: Dict[str, object], extra_files: Sequence[Path]) -> str
 def _write_manifest(out_dir: Path, subcommand: str, params: Dict[str, object],
                     seed: Optional[int], started: float,
                     config_source: str, extra_files: Sequence[Path] = ()) -> None:
-    manifest = {
+    _write_json(out_dir, "manifest.json", {
         "subcommand": subcommand,
-        "params": {k: str(v) if isinstance(v, Fraction) else v
-                   for k, v in sorted(params.items())},
+        "params": dict(sorted(params.items())),
         "seed": seed,
         "config_source": config_source,
         "content_hash": _content_hash(params, extra_files),
         "wall_time_s": round(time.monotonic() - started, 3),
         "version": __version__,
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    })
+
+
+def _report_value(obj: object) -> object:
+    """JSON form of the values reports hold: a Fraction as "p/q", a Hamming
+    value as [numerator, n], any other dataclass as its fields in order."""
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, HammingValue):
+        return [obj.numerator, obj.n]
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"{type(obj).__name__} has no report form")
 
 
 def _write(out_dir: Path, name: str, text: str) -> None:
     (out_dir / name).write_text(text)
+
+
+def _write_json(out_dir: Path, name: str, payload: object) -> None:
+    _write(out_dir, name, json.dumps(payload, indent=2, default=_report_value) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -137,15 +155,15 @@ def _cmd_cycles(opts, out_dir: Path) -> int:
         p, r_min, r_max = _parse_prime_powers(opts["prime_powers"])
         moduli.extend(prime_powers(p, r_min, r_max))
     if opts.get("n"):
-        moduli.append(int(opts["n"]))
+        moduli.append(opts["n"])
     if not moduli:
         raise UsageError("cycles needs --primes, --prime-powers or --n")
-    rows = run_sweep(m, moduli, workers=int(opts.get("workers", 1)))
+    rows = run_sweep(m, moduli, workers=opts.get("workers", 1))
     _write(out_dir, "cycles.csv", sweep_csv(rows))
-    slack = int(opts.get("slack", 100))
-    findings = [{"n": r.n, "fix3": r.fixed[2], "bound": 3 * r.n // 4 + slack}
-                for r in rows if r.fixed[2] > 3 * r.n / 4 + slack]
-    _write(out_dir, "findings.json", json.dumps(findings, indent=2) + "\n")
+    slack = opts.get("slack", 100)
+    _write_json(out_dir, "findings.json",
+                [{"n": r.n, "fix3": r.fixed[2], "bound": 3 * r.n // 4 + slack}
+                 for r in rows if r.fixed[2] > 3 * r.n / 4 + slack])
     return 0
 
 
@@ -163,20 +181,17 @@ def _ball(m: int, e_bound: int, num_bound: int) -> List[BsElement]:
 def _cmd_sofic_check(opts, out_dir: Path) -> int:
     m = _require(opts, "m")
     n = _require(opts, "n")
-    delta = Fraction(opts.get("delta", Fraction(1, 8)))
+    delta = opts.get("delta", Fraction(1, 8))
     model = ArithmeticModel(n, m)
-    phi = model.approx_on(_ball(m, int(opts.get("exp_bound", 2)),
-                                int(opts.get("num_bound", 8))))
+    phi = model.approx_on(_ball(m, opts.get("exp_bound", 2), opts.get("num_bound", 8)))
     report = check_sofic(phi, delta)
-    _write(out_dir, "sofic_report.json", json.dumps({
-        "n": n, "m": m, "delta": str(delta),
-        "max_defect": None if report.max_defect is None
-        else [report.max_defect.numerator, report.max_defect.n],
-        "min_displacement": None if report.min_displacement is None
-        else [report.min_displacement.numerator, report.min_displacement.n],
+    _write_json(out_dir, "sofic_report.json", {
+        "n": n, "m": m, "delta": delta,
+        "max_defect": report.max_defect,
+        "min_displacement": report.min_displacement,
         "triples_checked": report.triples_checked,
         "passed": report.passed,
-    }, indent=2) + "\n")
+    })
     return 0 if report.passed else 2
 
 
@@ -192,10 +207,10 @@ def interval_shapes(k: int, m: int, max_width: int = 32) -> List[frozenset]:
 
 
 def _cmd_tile(opts, out_dir: Path) -> int:
-    m = int(opts.get("m", 3))
+    m = opts.get("m", 3)
     n = _require(opts, "n")
-    eps = Fraction(opts.get("eps", Fraction(1, 4)))
-    kappa = Fraction(opts.get("kappa", eps))
+    eps = opts.get("eps", Fraction(1, 4))
+    kappa = opts.get("kappa", eps)
     if eps > Fraction(1, 4):
         raise UsageError(f"eps = {eps} > 1/4 is outside the tiling regime")
     plan = plan_parameters(eps, kappa)
@@ -206,18 +221,17 @@ def _cmd_tile(opts, out_dir: Path) -> int:
     tiling = quasi_tile(phi, shapes, eps, kappa, n_threshold=n)
     report = verify_tiling(tiling)
     _write(out_dir, "tiling.json", tiling.to_json() + "\n")
-    _write(out_dir, "tile_report.json", json.dumps({
-        "n": n, "m": m, "eps": str(eps), "kappa": str(kappa),
+    _write_json(out_dir, "tile_report.json", {
+        "n": n, "m": m, "eps": eps, "kappa": kappa,
         "b_size": tiling.b_size,
         "disjoint_ok": report.disjoint_ok,
         "injective_ok": report.injective_ok,
         "eps_disjoint_ok": report.eps_disjoint_ok,
-        "cover_ratio": str(report.cover_ratio),
+        "cover_ratio": report.cover_ratio,
         "cover_ok": report.cover_ok,
-        "measures": [{"j": mm.j, "ratio": str(mm.ratio), "low": str(mm.low),
-                      "high": str(mm.high), "ok": mm.ok} for mm in report.measures],
+        "measures": report.measures,
         "passed": report.passed,
-    }, indent=2) + "\n")
+    })
     return 0 if report.passed else 2
 
 
@@ -228,12 +242,12 @@ def conjugate_shapes(m: int) -> List[frozenset]:
 
 
 def _cmd_conjugate(opts, out_dir: Path) -> int:
-    n = int(opts.get("n", 1000))
-    m = int(opts.get("m", n - 1))
-    eps = Fraction(opts.get("eps", Fraction(1, 4)))
+    n = opts.get("n", 1000)
+    m = opts.get("m", n - 1)
+    eps = opts.get("eps", Fraction(1, 4))
     if eps > Fraction(1, 4):
         raise UsageError(f"eps = {eps} > 1/4 is outside the tiling regime")
-    seed = int(opts.get("seed", 0))
+    seed = opts.get("seed", 0)
     model = ArithmeticModel(n, m)
     shapes = conjugate_shapes(m)
     domain = set().union(*shapes)
@@ -246,22 +260,21 @@ def _cmd_conjugate(opts, out_dir: Path) -> int:
                             delta_prime=Fraction(3, 8), order_key=bs_a2(m))
     report = conjugacy_defect(conj, phi1, phi2, [bs_a1(m), bs_a2(m)])
     _write(out_dir, "conjugator.json", conj.to_json() + "\n")
-    _write(out_dir, "conjugacy_report.json", json.dumps({
-        "n": n, "m": m, "eps": str(eps), "seed": seed,
-        "support_fraction": str(conj.support_fraction()),
-        "defects": {"a1" if g == bs_a1(m) else "a2":
-                    [d.numerator, d.n] for g, d in report.per_key.items()},
-        "max_defect": [report.max_defect.numerator, report.max_defect.n],
+    _write_json(out_dir, "conjugacy_report.json", {
+        "n": n, "m": m, "eps": eps, "seed": seed,
+        "support_fraction": conj.support_fraction(),
+        "defects": {"a1" if g == bs_a1(m) else "a2": d for g, d in report.per_key.items()},
+        "max_defect": report.max_defect,
         "passed": report.passed,
-    }, indent=2) + "\n")
+    })
     return 0 if report.passed else 2
 
 
 def _cmd_search_f(opts, out_dir: Path) -> int:
     n = _require(opts, "n")
     m = _require(opts, "m")
-    budget = int(opts.get("budget", 200_000))
-    seed = int(opts.get("seed", 0))
+    budget = opts.get("budget", 200_000)
+    seed = opts.get("seed", 0)
     result = search_local_exp(n, m, budget=budget, seed=seed)
     _write(out_dir, "search.json", result.to_json() + "\n")
     return 2 if (result.budget_exhausted and not result.exhaustive and n <= 10) else 0
@@ -274,21 +287,21 @@ def _cmd_h3(opts, out_dir: Path) -> int:
     code = 0
     if n <= 8:
         frac = min_mezo_fraction(n, m)
-        payload["min_failing_fraction"] = str(frac)
+        payload["min_failing_fraction"] = frac
         payload["strictly_positive"] = frac > 0
         if frac <= 0:
             code = 2
     else:
-        seed = int(opts.get("seed", 0))
+        seed = opts.get("seed", 0)
         rng = np.random.default_rng(seed)
         f = ZnFunction(n, rng.permutation(n))
         rep = defect_report(f, m)
         wit = h3_witness(f, m)
         payload["seed"] = seed
-        payload["defect_fraction"] = str(rep.defect_fraction)
-        payload["relator_defects"] = [[d.numerator, d.n] for d in wit.w_defects]
-        payload["g1_displacement"] = [wit.g1_displacement.numerator, wit.g1_displacement.n]
-    _write(out_dir, "h3.json", json.dumps(payload, indent=2) + "\n")
+        payload["defect_fraction"] = rep.defect_fraction
+        payload["relator_defects"] = wit.w_defects
+        payload["g1_displacement"] = wit.g1_displacement
+    _write_json(out_dir, "h3.json", payload)
     return code
 
 
@@ -297,8 +310,8 @@ def _cmd_padic(opts, out_dir: Path) -> int:
     if not opts.get("prime_powers"):
         raise UsageError("padic needs --prime-powers p:rmin..rmax")
     p, r_min, r_max = _parse_prime_powers(opts["prime_powers"])
-    tuples = int(opts.get("tuples", 100))
-    seed = int(opts.get("seed", 0))
+    tuples = opts.get("tuples", 100)
+    seed = opts.get("seed", 0)
     rng = random.Random(seed)
     results = []
     for r in range(r_min, r_max + 1):
@@ -312,13 +325,13 @@ def _cmd_padic(opts, out_dir: Path) -> int:
         results.append({"p": p, "r": r, "s": ctx.s, "tuples": tuples,
                         "genuinely_fixed": fixed_hits,
                         "cross_checked": ctx.q ** 4 <= 10 ** 6})
-    _write(out_dir, "padic.json", json.dumps(results, indent=2) + "\n")
+    _write_json(out_dir, "padic.json", results)
     return 0
 
 
 def _cmd_heuristic(opts, out_dir: Path) -> int:
-    N = int(opts.get("N", opts.get("n", 50) or 50))
-    eps = float(Fraction(opts.get("eps", Fraction(1, 5))))
+    N = opts.get("N", opts.get("n") or 50)
+    eps = float(opts.get("eps", Fraction(1, 5)))
     p_sequence(N)      # runs the built-in exactness validations
     _write(out_dir, "heuristic.csv", heuristic_csv(N, eps))
     return 0
@@ -335,26 +348,25 @@ def _cmd_verify(opts, out_dir: Path) -> int:
         tiling = Tiling.from_json(p.read_text())
         report = verify_tiling(tiling)
     except Exception as exc:
-        _write(out_dir, "verify.json",
-               json.dumps({"certificate": str(p), "error": str(exc),
-                           "passed": False}, indent=2) + "\n")
+        _write_json(out_dir, "verify.json",
+                    {"certificate": str(p), "error": str(exc), "passed": False})
         return 2
-    _write(out_dir, "verify.json", json.dumps({
+    _write_json(out_dir, "verify.json", {
         "certificate": str(p),
         "disjoint_ok": report.disjoint_ok,
         "injective_ok": report.injective_ok,
         "eps_disjoint_ok": report.eps_disjoint_ok,
-        "cover_ratio": str(report.cover_ratio),
+        "cover_ratio": report.cover_ratio,
         "measure_ok": report.measure_ok,
         "passed": report.passed,
-    }, indent=2) + "\n")
+    })
     return 0 if report.passed else 2
 
 
 def _require(opts: Dict[str, object], key: str) -> int:
     if opts.get(key) is None:
         raise UsageError(f"missing required option --{key}")
-    return int(opts[key])
+    return opts[key]
 
 
 _RUNNERS = {
@@ -373,25 +385,16 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 # Entry point
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="soficlab")
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=_RUNNERS)
     parser.add_argument("--config")
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--N", type=int, dest="N")
-    parser.add_argument("--primes")
-    parser.add_argument("--prime-powers", dest="prime_powers")
-    parser.add_argument("--eps")
-    parser.add_argument("--kappa")
-    parser.add_argument("--delta")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--budget", type=int)
-    parser.add_argument("--tuples", type=int)
-    parser.add_argument("--slack", type=int)
-    parser.add_argument("--workers", type=int)
-    parser.add_argument("--certificate")
-    parser.add_argument("--out")
+    for name in _OPTIONS:
+        parser.add_argument(_flag(name), dest=name)
     return parser
 
 
@@ -403,27 +406,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1 if exc.code else 0
     started = time.monotonic()
     try:
-        config, source = load_config(args.config)
-        opts: Dict[str, object] = dict(config)
-        for key in ("m", "n", "N", "primes", "prime_powers", "seed", "budget",
-                    "tuples", "slack", "workers", "certificate"):
-            value = getattr(args, key, None)
-            if value is not None:
-                opts[key] = value
-        for key in ("eps", "kappa", "delta"):
-            value = getattr(args, key)
-            if value is not None:
-                try:
-                    opts[key] = Fraction(value)
-                except (ValueError, ZeroDivisionError):
-                    raise UsageError(f"bad fraction for --{key}: {value!r}")
+        opts, source = load_config(args.config)
+        for name in _OPTIONS:
+            text = getattr(args, name)
+            if text is not None:
+                opts[name] = _parse_option(name, text, _flag(name))
         # not a recorded param: the manifest is written into the directory itself
-        config_out = opts.pop("out", "out")
-        out_dir = Path(args.out if args.out is not None else str(config_out))
+        out_dir = Path(opts.pop("out", "out"))
         out_dir.mkdir(parents=True, exist_ok=True)
         extra = [Path(args.config)] if args.config else []
         if opts.get("certificate"):
-            cert = Path(str(opts["certificate"]))
+            cert = Path(opts["certificate"])
             if cert.is_file():
                 extra.append(cert)
         code = _RUNNERS[args.subcommand](opts, out_dir)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bsgroup import word_value
 from .expcycles import exp_table_by_product, segmented_sieve
-from .perm import HammingValue, Permutation, hamming, displacement
+from .perm import HammingValue, Permutation, displacement, hamming, iterate
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +104,6 @@ def _law_failures_slow(image: np.ndarray, m: int, n: int) -> List[int]:
     return [x for x in range(n) if int(image[(x + 1) % n]) != m * int(image[x]) % n]
 
 
-def _iterate(image: np.ndarray, k: int) -> np.ndarray:
-    y = np.arange(image.size, dtype=np.int64)
-    for _ in range(k):
-        y = image[y]
-    return y
-
-
 def defect_report(f: ZnFunction, m: int) -> DefectReport:
     """Full scan for both local laws; each set is computed by two
     independent routes that must agree."""
@@ -120,7 +113,7 @@ def defect_report(f: ZnFunction, m: int) -> DefectReport:
     fast = _law_failures(f.image, m, n)
     if fast.tolist() != _law_failures_slow(f.image, m, n):
         raise AssertionError("defect-set scans disagree")
-    fours = np.flatnonzero(_iterate(f.image, 4) != np.arange(n))
+    fours = np.flatnonzero(iterate(f.image, 4) != np.arange(n))
     f2 = f.image[f.image]
     if not np.array_equal(fours, np.flatnonzero(f2[f2] != np.arange(n))):
         raise AssertionError("four-periodic scans disagree")
@@ -132,7 +125,7 @@ def mezo_failures(f: ZnFunction, m: int) -> Tuple[int, ...]:
     """Points x failing at least one of f(x+1) = m f(x) and f^3(x) = x."""
     n = f.n
     bad = set(_law_failures(f.image, m, n).tolist())
-    bad.update(np.flatnonzero(_iterate(f.image, 3) != np.arange(n)).tolist())
+    bad.update(np.flatnonzero(iterate(f.image, 3) != np.arange(n)).tolist())
     return tuple(sorted(bad))
 
 
@@ -324,7 +317,7 @@ def norvi_audit(f: ZnFunction, ctx: PadicContext) -> NorviReport:
     # second, independent recomputation
     if law != len(_law_failures_slow(f.image, ctx.m, n)):
         raise AssertionError("law-failure recounts disagree")
-    if nonper != int(np.count_nonzero(_iterate(f.image, 4) != np.arange(n))):
+    if nonper != int(np.count_nonzero(iterate(f.image, 4) != np.arange(n))):
         raise AssertionError("non-4-periodic recounts disagree")
     law_bound = ctx.p ** (ctx.r / 4 - 1) / 2 ** 0.25
     periodic_bound = Fraction(n, 2)

@@ -187,11 +187,10 @@ def periodic_points(p: Permutation, k: int) -> int:
     return sum(length for length in p.cycle_lengths() if k % length == 0)
 
 
-def periodic_points_by_iteration(p: Permutation, k: int) -> int:
-    """Test oracle for periodic_points: apply p k times and count agreements."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    y = np.arange(p.n, dtype=np.int64)
+def iterate(image: np.ndarray, k: int) -> np.ndarray:
+    """Image array of the k-fold iterate of i -> image[i], by applying the
+    map k times (the oracle that cycle-based counts are checked against)."""
+    y = np.arange(image.size, dtype=np.int64)
     for _ in range(k):
-        y = p.image[y]
-    return int(np.count_nonzero(y == np.arange(p.n)))
+        y = image[y]
+    return y

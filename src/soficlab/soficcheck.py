@@ -75,10 +75,6 @@ class SoficReport:
     triples_checked: int
     passed: bool
 
-    @property
-    def vacuous(self) -> bool:
-        return self.triples_checked == 0
-
 
 def check_sofic(phi: SoficApprox, delta) -> SoficReport:
     """Measure the worst multiplicativity defect over triples (g, h, gh)
@@ -152,11 +148,6 @@ class ArithmeticModel:
 
     def approx_on(self, S: Iterable[BsElement]) -> SoficApprox:
         return SoficApprox(self.n, {g: self.permutation(g) for g in S})
-
-
-def arithmetic_bs_approx(n: int, m: int, S: Iterable[BsElement]) -> SoficApprox:
-    """Concrete table of the arithmetic model on a requested domain."""
-    return ArithmeticModel(n, m).approx_on(S)
 
 
 # ---------------------------------------------------------------------------

@@ -228,18 +228,19 @@ class Tiling:
             outside = [c for c in lvl.centers if not 0 <= c < self.n]
             if outside:
                 raise ValueError(f"level {lvl.j} has center {outside[0]} outside [0, {self.n})")
-        lambdas = [lvl.lam for lvl in self.levels]
-        k = len(lambdas)
-        for j, lam in enumerate(lambdas, start=1):
-            sigma_next = sum(lambdas[j:], Fraction(0))
-            if j == k:
-                if lam != self.eps:
-                    raise ValueError(f"lambda_k = {lam} != eps = {self.eps}")
-            elif lam != self.eps * (1 - sigma_next):
-                raise ValueError(f"lambda_{j} breaks the recursion")
-        total = sum(lambdas, Fraction(0))
-        if not 1 - self.eps <= total <= 1:
-            raise ValueError(f"sum of lambdas {total} outside [1-eps, 1]")
+        plan = plan_parameters(self.eps, self.kappa)
+        labels = [lvl.j for lvl in self.levels]
+        if labels != list(range(1, plan.k + 1)):
+            raise ValueError(f"levels labelled {labels}, but the plan for eps = {self.eps} "
+                             f"has levels 1..{plan.k}")
+        for lvl, lam in zip(self.levels, plan.lambdas):
+            if lvl.lam != lam:
+                raise ValueError(f"lambda_{lvl.j} = {lvl.lam} != {lam} from the plan")
+        missing = {g for lvl in self.levels for g in lvl.shape} - self.table.keys()
+        if missing:
+            g = min(missing, key=BsElement.sort_key)
+            raise ValueError(f"table has no permutation for shape key {g} "
+                             f"({len(missing)} missing)")
 
     def to_json(self) -> str:
         return json.dumps({

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from soficlab.bsgroup import (BaseMismatchError, BsElement, BudgetExceededError,
                               Presentation, a2_interval, bs_a1, bs_a2,
-                              bs_identity, bs_op, bs_presentation, bs_rectangle,
+                              bs_identity, bs_presentation, bs_rectangle,
                               canonical_word, cyclic_extension_presentation,
                               evaluate_word, folner_diagnostics, folner_set,
                               higman_presentation, reduce_word, word_concat,
@@ -29,7 +29,7 @@ class TestGroupLaw:
             assert a1.inverse() * a2 * a1 == a2 ** m
 
     def test_a2_squared(self):
-        g = bs_op(bs_a2(2), bs_a2(2))
+        g = bs_a2(2) * bs_a2(2)
         assert (g.e, g.num, g.d) == (0, 2, 0)
 
     def test_a1_times_a2(self):

@@ -118,6 +118,24 @@ class TestSoficCheck:
         assert report["passed"] and report["max_defect"][0] == 0
 
 
+def drop_lowest_levels(data):
+    # the top five levels of eps = 1/4 still satisfy the lambda recursion
+    data["levels"] = data["levels"][3:]
+    for j, lvl in enumerate(data["levels"], start=1):
+        lvl["j"] = j
+
+
+def one_level_eps_one(data):
+    top = data["levels"][-1]
+    top["j"], top["lam"] = 1, [1, 1]
+    data["levels"] = [top]
+    data["eps"] = data["kappa"] = [1, 1]
+
+
+def drop_table_key(data):
+    del data["table"][0]
+
+
 class TestTileVerify:
     def test_tile_then_verify(self, tmp_path):
         code, out = run(tmp_path, "tile", "--n", "1000")
@@ -165,6 +183,23 @@ class TestTileVerify:
         assert code2 == 2
         result = json.loads((out2 / "verify.json").read_text())
         assert result["passed"] is False and "outside" in result["error"]
+
+    @pytest.mark.parametrize("mutate, reason", [
+        (drop_lowest_levels, "the plan for eps = 1/4 has levels 1..8"),
+        (one_level_eps_one, "eps=1 outside (0, 1/4]"),
+        (drop_table_key, "table has no permutation for shape key"),
+    ])
+    def test_verify_rejects_certificate_off_plan(self, tmp_path, mutate, reason):
+        code, out = run(tmp_path, "tile", "--n", "1000")
+        assert code == 0
+        data = json.loads((out / "tiling.json").read_text())
+        mutate(data)
+        cert = tmp_path / "bad.json"
+        cert.write_text(json.dumps(data))
+        code2, out2 = run(tmp_path / "v", "verify", "--certificate", str(cert))
+        assert code2 == 2
+        result = json.loads((out2 / "verify.json").read_text())
+        assert result["passed"] is False and reason in result["error"]
 
     def test_eps_above_quarter(self, tmp_path):
         code, _ = run(tmp_path, "tile", "--n", "1000", "--eps", "3/10")
@@ -221,10 +256,15 @@ class TestEntryPoint:
                                  "content_hash", "wall_time_s", "version"}
 
 
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 class TestGoldenDigests:
-    """sha256 of certificates written before the tiling pipeline moved onto
-    integer arrays; any change to construction order or tie-breaking shows
-    here."""
+    """sha256 of artifacts written before the tiling pipeline moved onto
+    integer arrays (certificates) and before the reports went through one
+    JSON encoder (reports); any change to construction order, tie-breaking
+    or report layout shows here."""
 
     @pytest.mark.parametrize("argv, artifact, digest", [
         (("tile", "--n", "1000"), "tiling.json",
@@ -233,8 +273,57 @@ class TestGoldenDigests:
          "938601c0e68138f7100973f3cf5bddd2a3bf110fe20a34d947109685e9d19176"),
         (("conjugate", "--n", "1000", "--seed", "0"), "conjugator.json",
          "424bc9689f34189ac54bd6ef8e4fb7729990c55e93c7a9d5629cc821c8f74389"),
+        (("sofic-check", "--m", "3", "--n", "101"), "sofic_report.json",
+         "757815c65553cd09951c86198d6d3dd49b094cc2588cf9a8621a8caa4654dc71"),
+        (("tile", "--n", "1000"), "tile_report.json",
+         "cc50e47889b9bad736108e50b169a7b9b9fbe80fbae0dda420467ad793a29a44"),
+        (("conjugate", "--n", "1000", "--seed", "0"), "conjugacy_report.json",
+         "f6527e4792cf54f8eea1404141e75a8711668a69e928b0324600d67e1940d1d6"),
+        (("search-f", "--n", "5", "--m", "2"), "search.json",
+         "852741d3f5ac316c029ba57adba1e98e2fd8c525808fd037fefd9ca8bc3cac9a"),
+        (("search-f", "--n", "16", "--m", "3", "--budget", "500"), "search.json",
+         "4a59445095a3ebd4bd641f61463b89402cc8dc9de53323f0c84080e892d4cb67"),
+        (("h3", "--n", "5", "--m", "2"), "h3.json",
+         "82b12e51d8b08267678afaa1c7f5558a9455dabc1f39c5706ba26b29f8958f4c"),
+        (("h3", "--n", "101", "--m", "2", "--seed", "3"), "h3.json",
+         "7c6ab139b1769ca8bc1b9ddbfdb33d59878cdbd9b0af332629e41074f7da4c7f"),
+        (("padic", "--m", "2", "--prime-powers", "3:2..3", "--tuples", "10"), "padic.json",
+         "6dfe6c599d8b163a0691377dce2b1c3562e6840f8cf91bdade01a2373ae686fd"),
+        # one finding: n = 5 has fix3 = 4 > 3n/4
+        (("cycles", "--m", "2", "--prime-powers", "5:1..4", "--slack", "0"), "findings.json",
+         "f287b53529c5ea7b8b270669716874294d21bf12602bd125f352dc9099d1c3e9"),
+        (("cycles", "--m", "2", "--prime-powers", "5:1..4", "--slack", "0"), "cycles.csv",
+         "d86c5d927dd301923deb6d36ed4d9b30c0e032d382a46099ae7ad201295cc37e"),
+        (("heuristic", "--N", "20"), "heuristic.csv",
+         "de50f00f9f5ef1630ee9ba9954b0bc616a4b2fb60d1380176b261a4a1467daa3"),
     ])
     def test_artifact_digest(self, tmp_path, argv, artifact, digest):
         code, out = run(tmp_path, *argv)
         assert code == 0
-        assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest
+        assert sha256(out / artifact) == digest
+
+    def test_failing_report_digest(self, tmp_path):
+        code, out = run(tmp_path, "sofic-check", "--m", "2", "--n", "7")
+        assert code == 2
+        assert sha256(out / "sofic_report.json") == (
+            "52095675a1f99f87519710abec5c1dfee9fd628d30a6049e262723b31a49d5df")
+
+    def test_verify_report_digest(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["tile", "--n", "1000", "--out", "t"]) == 0
+        assert main(["verify", "--certificate", "t/tiling.json", "--out", "v"]) == 0
+        assert sha256(tmp_path / "v" / "verify.json") == (
+            "87088601761222029dd1a3596f315cf5f7e74bb71ea7ccb0e17a98217950e8fd")
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("heuristic", "--N", "6", "--eps", "1/5"),
+         "21c43e7f8f4ce6e683d1d18380a7f397809bf51f038cef1bb8cf53b76594402e"),
+        (("tile", "--n", "1000", "--kappa", "1/8"),
+         "70b28cc8f37dec0f5b1ada762caa5fd41d146be2e221cc0cd986989b1cd0651b"),
+        (("sofic-check", "--m", "3", "--n", "101", "--delta", "1/10"),
+         "83bb56f0045553649171c23bb2dd0a81b579f4511b9f7a58281fc369a2e7183f"),
+    ])
+    def test_manifest_content_hash(self, tmp_path, argv, digest):
+        code, out = run(tmp_path, *argv)
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["content_hash"] == digest

@@ -4,8 +4,12 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from soficlab.perm import (DegreeMismatchError, HammingValue, Permutation,
-                           displacement, hamming, orbit_order,
-                           periodic_points, periodic_points_by_iteration)
+                           displacement, hamming, iterate, orbit_order,
+                           periodic_points)
+
+
+def periodic_points_by_iteration(p, k):
+    return int(np.count_nonzero(iterate(p.image, k) == np.arange(p.n)))
 
 
 def random_perm(n, seed):

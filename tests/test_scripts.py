@@ -10,8 +10,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 RUNS = [
-    ["run_conjugacy_seeds.py", "--n", "1000", "--seeds", "1"],
-    ["run_searcher.py", "--n", "8", "16", "--budget", "500"],
     ["run_tiling_experiments.py"],
 ]
 

@@ -9,7 +9,7 @@ from soficlab.bsgroup import (BsElement, bs_a1, bs_a2, bs_identity,
                               canonical_word, evaluate_word)
 from soficlab.perm import Permutation, hamming
 from soficlab.soficcheck import (ArithmeticModel, SoficApprox, affine_fixed_points,
-                                 amplify, arithmetic_bs_approx, check_sofic,
+                                 amplify, check_sofic,
                                  eval_word)
 
 
@@ -71,7 +71,7 @@ class TestArithmeticModel:
 
 class TestCheckSofic:
     def test_psi_defect_zero(self):
-        phi = arithmetic_bs_approx(101, 2, ball(2))
+        phi = ArithmeticModel(101, 2).approx_on(ball(2))
         report = check_sofic(phi, Fraction(1, 8))
         assert report.max_defect is not None
         assert report.max_defect.numerator == 0
@@ -105,7 +105,7 @@ class TestSoficApprox:
 
     def test_conjugated_relabels_points(self):
         n = 11
-        phi = arithmetic_bs_approx(n, 2, ball(2, 1, 2))
+        phi = ArithmeticModel(n, 2).approx_on(ball(2, 1, 2))
         sigma = Permutation(np.random.default_rng(5).permutation(n))
         psi = phi.conjugated(sigma)
         assert psi.table.keys() == phi.table.keys()
@@ -115,7 +115,7 @@ class TestSoficApprox:
 
 class TestEvalWord:
     def test_empty_word(self):
-        phi = arithmetic_bs_approx(11, 2, [bs_a1(2), bs_a2(2)])
+        phi = ArithmeticModel(11, 2).approx_on([bs_a1(2), bs_a2(2)])
         assert eval_word(phi, ()).is_identity()
 
     def test_empty_approximation(self):
@@ -124,14 +124,14 @@ class TestEvalWord:
 
     def test_a2_cubed(self):
         n = 13
-        phi = arithmetic_bs_approx(n, 2, [bs_a1(2), bs_a2(2)])
+        phi = ArithmeticModel(n, 2).approx_on([bs_a1(2), bs_a2(2)])
         img = eval_word(phi, (("a2", 3),)).image
         assert img.tolist() == [(x - 3) % n for x in range(n)]
 
     @given(word_strategy)
     @settings(max_examples=50)
     def test_w_winv_cancels(self, w):
-        phi = arithmetic_bs_approx(17, 2, [bs_a1(2), bs_a2(2)])
+        phi = ArithmeticModel(17, 2).approx_on([bs_a1(2), bs_a2(2)])
         winv = tuple((g, -e) for g, e in reversed(w))
         assert eval_word(phi, w + winv).is_identity()
 
@@ -146,12 +146,12 @@ class TestEvalWord:
 
 class TestAmplify:
     def test_same_degree_unchanged(self):
-        phi = arithmetic_bs_approx(7, 2, [bs_a2(2)])
+        phi = ArithmeticModel(7, 2).approx_on([bs_a2(2)])
         amp = amplify(phi, 7)
         assert amp.table[bs_a2(2)] == phi.table[bs_a2(2)]
 
     def test_blocks_and_tail(self):
-        phi = arithmetic_bs_approx(3, 2, [bs_a2(2)])
+        phi = ArithmeticModel(3, 2).approx_on([bs_a2(2)])
         amp = amplify(phi, 7)
         img = amp.table[bs_a2(2)].image
         # two 3-blocks plus one identity point
@@ -160,19 +160,19 @@ class TestAmplify:
         assert img[3:6].tolist() == [3 + (x - 1) % 3 for x in range(3)]
 
     def test_displacement_is_block_fraction(self):
-        phi = arithmetic_bs_approx(101, 2, [bs_a2(2)])
+        phi = ArithmeticModel(101, 2).approx_on([bs_a2(2)])
         amp = amplify(phi, 1000)
         r = 1000 // 101
         moved = amp.n - amp.table[bs_a2(2)].fixed_point_count()
         assert moved == r * 101
 
     def test_shrink_rejected(self):
-        phi = arithmetic_bs_approx(7, 2, [bs_a2(2)])
+        phi = ArithmeticModel(7, 2).approx_on([bs_a2(2)])
         with pytest.raises(ValueError):
             amplify(phi, 5)
 
     def test_multiplicativity_preserved(self):
-        phi = arithmetic_bs_approx(101, 3, ball(3, 1, 2))
+        phi = ArithmeticModel(101, 3).approx_on(ball(3, 1, 2))
         amp = amplify(phi, 950)
         report = check_sofic(amp, Fraction(1, 8))
         assert report.max_defect.numerator == 0
@@ -196,19 +196,19 @@ class TestAffineFixedPoints:
            st.sampled_from([11, 101, 997]))
     @settings(max_examples=120, deadline=None)
     def test_prediction_matches_bruteforce(self, w, m, n):
-        phi = arithmetic_bs_approx(n, m, [bs_a1(m), bs_a2(m)])
+        phi = ArithmeticModel(n, m).approx_on([bs_a1(m), bs_a2(m)])
         predicted = affine_fixed_points(w, m, n).count
         assert predicted == eval_word(phi, w).fixed_point_count()
 
 
 class TestSerialization:
     def test_json_roundtrip(self):
-        phi = arithmetic_bs_approx(11, 2, ball(2, 1, 2))
+        phi = ArithmeticModel(11, 2).approx_on(ball(2, 1, 2))
         other = SoficApprox.from_json(phi.to_json())
         assert other.n == phi.n and other.table == phi.table
 
     def test_other_key_kind_rejected(self):
-        data = json.loads(arithmetic_bs_approx(11, 2, ball(2, 1, 2)).to_json())
+        data = json.loads(ArithmeticModel(11, 2).approx_on(ball(2, 1, 2)).to_json())
         data["key_kind"] = "word"
         with pytest.raises(ValueError):
             SoficApprox.from_json(json.dumps(data))
