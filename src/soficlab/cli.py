@@ -154,7 +154,9 @@ def _cmd_cycles(opts, out_dir: Path) -> int:
     if opts.get("prime_powers"):
         p, r_min, r_max = _parse_prime_powers(opts["prime_powers"])
         moduli.extend(prime_powers(p, r_min, r_max))
-    if opts.get("n"):
+    if opts.get("n") is not None:
+        if opts["n"] < 2:
+            raise UsageError("modulus must be >= 2")
         moduli.append(opts["n"])
     if not moduli:
         raise UsageError("cycles needs --primes, --prime-powers or --n")
@@ -206,13 +208,17 @@ def interval_shapes(k: int, m: int, max_width: int = 32) -> List[frozenset]:
     return [a2_interval(width, m) for width in widths]
 
 
+def _check_tiling_eps(eps: Fraction) -> None:
+    if not 0 < eps <= Fraction(1, 4):
+        raise UsageError(f"eps = {eps} is outside the tiling regime (0, 1/4]")
+
+
 def _cmd_tile(opts, out_dir: Path) -> int:
     m = opts.get("m", 3)
     n = _require(opts, "n")
     eps = opts.get("eps", Fraction(1, 4))
     kappa = opts.get("kappa", eps)
-    if eps > Fraction(1, 4):
-        raise UsageError(f"eps = {eps} > 1/4 is outside the tiling regime")
+    _check_tiling_eps(eps)
     plan = plan_parameters(eps, kappa)
     shapes = interval_shapes(plan.k, m)
     max_w = max(len(s) for s in shapes)
@@ -245,8 +251,7 @@ def _cmd_conjugate(opts, out_dir: Path) -> int:
     n = opts.get("n", 1000)
     m = opts.get("m", n - 1)
     eps = opts.get("eps", Fraction(1, 4))
-    if eps > Fraction(1, 4):
-        raise UsageError(f"eps = {eps} > 1/4 is outside the tiling regime")
+    _check_tiling_eps(eps)
     seed = opts.get("seed", 0)
     model = ArithmeticModel(n, m)
     shapes = conjugate_shapes(m)
@@ -330,7 +335,11 @@ def _cmd_padic(opts, out_dir: Path) -> int:
 
 
 def _cmd_heuristic(opts, out_dir: Path) -> int:
-    N = opts.get("N", opts.get("n") or 50)
+    N = opts.get("N", opts.get("n"))
+    if N is None:
+        N = 50
+    elif N < 1:
+        raise UsageError(f"N = {N} must be >= 1")
     eps = float(opts.get("eps", Fraction(1, 5)))
     p_sequence(N)      # runs the built-in exactness validations
     _write(out_dir, "heuristic.csv", heuristic_csv(N, eps))

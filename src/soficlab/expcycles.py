@@ -42,15 +42,21 @@ MAX_MODULUS = math.isqrt(2 ** 63 - 1)
 def _exp_table(m: int, n: int) -> np.ndarray:
     """m^x mod n for all x in {0..n-1} by doubling: once out[:k] holds
     m^0..m^(k-1), out[k:2k] = out[:k] * m^k mod n.  ceil(log2 n) contiguous
-    passes; every product stays below n^2."""
+    passes.  Each block is reduced as block - (block // n) * n, since integer
+    division by a scalar is far cheaper in numpy than np.remainder; this is
+    exact because 0 <= block < n^2 <= 2^63 - 1 for n <= MAX_MODULUS, so the
+    floor quotient is the true one and no intermediate overflows."""
     out = np.empty(n, dtype=np.int64)
+    quot = np.empty(n // 2, dtype=np.int64)
     out[0] = 1
     k, m_k = 1, m % n
     while k < n:
         w = min(k, n - k)
-        block = out[k:k + w]
+        block, q = out[k:k + w], quot[:w]
         np.multiply(out[:w], m_k, out=block)
-        np.remainder(block, n, out=block)
+        np.floor_divide(block, n, out=q)
+        np.multiply(q, n, out=q)
+        np.subtract(block, q, out=block)
         k, m_k = 2 * k, m_k * m_k % n
     return out
 

@@ -109,6 +109,12 @@ class TestCycles:
         code, _ = run(tmp_path, "cycles", "--m", "2")
         assert code == 1
 
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_modulus_below_two_is_usage_error(self, tmp_path, capsys, n):
+        code, _ = run(tmp_path, "cycles", "--m", "2", "--n", n)
+        assert code == 1
+        assert "modulus must be >= 2" in capsys.readouterr().err
+
 
 class TestSoficCheck:
     def test_arithmetic_model_passes(self, tmp_path):
@@ -205,6 +211,14 @@ class TestTileVerify:
         code, _ = run(tmp_path, "tile", "--n", "1000", "--eps", "3/10")
         assert code == 1
 
+    @pytest.mark.parametrize("subcommand", ["tile", "conjugate"])
+    @pytest.mark.parametrize("eps", ["0", "-1/4"])
+    def test_eps_not_positive_is_usage_error(self, tmp_path, capsys, subcommand, eps):
+        # "--eps=-1/4": argparse would read a separate "-1/4" as a flag
+        code, _ = run(tmp_path, subcommand, "--n", "1000", f"--eps={eps}")
+        assert code == 1
+        assert "outside the tiling regime" in capsys.readouterr().err
+
     def test_interval_shapes_monotone(self):
         shapes = interval_shapes(8, 3)
         sizes = [len(s) for s in shapes]
@@ -241,6 +255,13 @@ class TestOtherSubcommands:
     def test_padic_needs_prime_powers(self, tmp_path):
         code, _ = run(tmp_path, "padic", "--m", "2")
         assert code == 1
+
+    @pytest.mark.parametrize("flag", ["--n", "--N"])
+    def test_heuristic_zero_terms_is_usage_error(self, tmp_path, capsys, flag):
+        code, out = run(tmp_path, "heuristic", flag, "0")
+        assert code == 1
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not (out / "heuristic.csv").exists()
 
 
 class TestEntryPoint:
@@ -296,6 +317,11 @@ class TestGoldenDigests:
          "d86c5d927dd301923deb6d36ed4d9b30c0e032d382a46099ae7ad201295cc37e"),
         (("heuristic", "--N", "20"), "heuristic.csv",
          "de50f00f9f5ef1630ee9ba9954b0bc616a4b2fb60d1380176b261a4a1467daa3"),
+        # recorded from the full-recount annealer, before steps updated the
+        # defect from the touched points only
+        (("search-f", "--n", "1009", "--m", "7", "--budget", "20000", "--seed", "0"),
+         "search.json",
+         "24cf92cffc475b9473a066cafd6dafa8dda8f7fd9fe3e1238fedacec609d0b17"),
     ])
     def test_artifact_digest(self, tmp_path, argv, artifact, digest):
         code, out = run(tmp_path, *argv)

@@ -1,22 +1,27 @@
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from soficlab import localexp
+from soficlab.cli import main
 from soficlab.localexp import (DegreeMAudit, PadicContext, ZnFunction,
                                defect_report, degree_m_audit, h3_witness,
                                induce_g, is_four_periodic, mezo_failures,
                                min_mezo_fraction, norvi_audit,
                                padic_fixed_point, praktisch_count,
                                running_product_map, search_local_exp)
+from soficlab.localexp import (SearchResult, _cycle_histogram, _defect_count,
+                               _enumerate_order4, _random_order4)
 from soficlab.perm import Permutation
 
 
@@ -341,3 +346,107 @@ class TestSearcher:
         r = search_local_exp(8, 3, budget=10, seed=0)
         assert r.budget_exhausted and not r.exhaustive
         assert is_four_periodic(r.f.image)
+
+
+# The searcher as it was before annealing steps updated the defect in place:
+# every step copies the map and recounts all n points.  Kept verbatim as the
+# oracle that the incremental searcher must match byte for byte.
+def oracle_search(n: int, m: int, budget: int = 200_000,
+                  seed: int = 0) -> SearchResult:
+    """Minimize the defect-set size over bijections with f^4 = id.
+    Exhaustive for n <= 10 (within budget), simulated annealing above; the
+    winner's defect count is recomputed independently before returning."""
+    if math.gcd(m, n) != 1:
+        raise ValueError(f"gcd({m}, {n}) != 1")
+    exhaustive = n <= 10
+    budget_exhausted = False
+    best_img: Optional[np.ndarray] = None
+    best = n + 1
+
+    if exhaustive:
+        evals = 0
+        for assignment in _enumerate_order4(list(range(n))):
+            img = np.array([assignment[x] for x in range(n)], dtype=np.int64)
+            d = _defect_count(img, m, n)
+            if d < best or (d == best and best_img is not None
+                            and img.tolist() < best_img.tolist()):
+                best, best_img = d, img
+            evals += 1
+            if evals >= budget:
+                budget_exhausted = True
+                exhaustive = False
+                break
+    else:
+        rng = random.Random(seed)
+        cur = np.arange(n, dtype=np.int64)
+        for k, v in _random_order4(list(range(n)), rng).items():
+            cur[k] = v
+        cur_d = _defect_count(cur, m, n)
+        best, best_img = cur_d, cur.copy()
+        temp = max(1.0, n / 8)
+        cooling = (0.01 / temp) ** (1 / max(1, budget))
+        for _ in range(budget):
+            # resample the cycles through two random points with a fresh
+            # order-dividing-4 pattern
+            a, b = rng.randrange(n), rng.randrange(n)
+            touched = set()
+            for start in (a, b):
+                x = start
+                while x not in touched:
+                    touched.add(x)
+                    x = int(cur[x])
+            cand = cur.copy()
+            for k, v in _random_order4(sorted(touched), rng).items():
+                cand[k] = v
+            d = _defect_count(cand, m, n)
+            if d <= cur_d or rng.random() < math.exp((cur_d - d) / temp):
+                cur, cur_d = cand, d
+                if d < best:
+                    best, best_img = d, cand.copy()
+            temp *= cooling
+        budget_exhausted = True
+
+    if best_img is None:
+        raise AssertionError("search kept no candidate map")
+    if not is_four_periodic(best_img):
+        raise AssertionError("search produced a non-4-periodic map")
+    recheck = len(defect_report(ZnFunction(n, best_img), m).defect_set)
+    if recheck != best:
+        raise AssertionError("reported defect does not recompute")
+    return SearchResult(ZnFunction(n, best_img), n, m, seed, budget, best,
+                        _cycle_histogram(best_img), exhaustive, budget_exhausted)
+
+
+class TestSearcherOracle:
+    @given(st.integers(2, 300), st.sampled_from([2, 3, 5, 7]),
+           st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 7, 500]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_recount_oracle(self, n, m, seed, budget):
+        assume(math.gcd(m, n) == 1)
+        assert (search_local_exp(n, m, budget=budget, seed=seed).to_json()
+                == oracle_search(n, m, budget=budget, seed=seed).to_json())
+
+
+class TestRunningDefectCheck:
+    """A wrong step delta must not reach search.json: the running count is
+    recounted against the final map after the loop."""
+
+    @pytest.fixture
+    def delta_off_by_one(self, monkeypatch):
+        true_delta = localexp._resample_delta
+
+        def off_by_one(*args):
+            delta, flags = true_delta(*args)
+            return delta + 1, flags
+
+        monkeypatch.setattr(localexp, "_resample_delta", off_by_one)
+
+    def test_function_raises(self, delta_off_by_one):
+        with pytest.raises(AssertionError, match="running defect count"):
+            search_local_exp(101, 7, budget=500, seed=0)
+
+    def test_cli_exits_2(self, delta_off_by_one, tmp_path, capsys):
+        code = main(["search-f", "--n", "101", "--m", "7", "--budget", "500",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "running defect count" in capsys.readouterr().err
