@@ -5,7 +5,7 @@ locally-exponential bijections of Z/nZ."""
 __version__ = "0.1.0"
 
 from .perm import Permutation, HammingValue, hamming, periodic_points
-from .bsgroup import BsElement, bs_identity, bs_a1, bs_a2, canonical_word, folner_set
+from .bsgroup import BsElement, bs_identity, bs_a1, bs_a2, canonical_word
 from .soficcheck import SoficApprox, ArithmeticModel, check_sofic, eval_word, amplify
 from .tiling import plan_parameters, quasi_tile, verify_tiling, Tiling
 from .conjugacy import build_conjugator, conjugacy_defect
@@ -15,7 +15,7 @@ from .heuristics import p_sequence
 
 __all__ = [
     "Permutation", "HammingValue", "hamming", "periodic_points",
-    "BsElement", "bs_identity", "bs_a1", "bs_a2", "canonical_word", "folner_set",
+    "BsElement", "bs_identity", "bs_a1", "bs_a2", "canonical_word",
     "SoficApprox", "ArithmeticModel", "check_sofic", "eval_word", "amplify",
     "plan_parameters", "quasi_tile", "verify_tiling", "Tiling",
     "build_conjugator", "conjugacy_defect",

@@ -1,5 +1,5 @@
-"""BS(1,m) in affine normal form, freely reduced words, presentations,
-and the rectangular Folner sets a_1^i a_2^l.
+"""BS(1,m) in affine normal form, freely reduced words, and the rectangle
+and interval shapes {a_1^i a_2^l}.
 
 An element is the affine map x -> m^e * x + num / m^d with d == 0 or
 m not dividing num; this normal form makes equality, hashing and the
@@ -9,18 +9,13 @@ arithmetic permutation model immediate.  Convention throughout:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Tuple
+from typing import Iterable, Mapping, Tuple
 
 
 class BaseMismatchError(ValueError):
     """Elements over different bases m were combined."""
-
-
-class BudgetExceededError(ValueError):
-    """A Folner set would exceed the configured size budget."""
 
 
 Letter = Tuple[str, int]
@@ -117,10 +112,6 @@ def bs_a2(m: int) -> BsElement:
     return BsElement(m, 0, 1, 0)
 
 
-def bs_from_affine(m: int, e: int, b: Fraction) -> BsElement:
-    return _from_affine(m, e, Fraction(b))
-
-
 # ---------------------------------------------------------------------------
 # Words
 
@@ -138,14 +129,6 @@ def reduce_word(letters: Iterable[Letter]) -> Word:
         else:
             out.append((gen, exp))
     return tuple(out)
-
-
-def word_inverse(w: Word) -> Word:
-    return tuple((gen, -exp) for gen, exp in reversed(w))
-
-
-def word_concat(a: Word, b: Word) -> Word:
-    return reduce_word(list(a) + list(b))
 
 
 def canonical_word(g: BsElement) -> Word:
@@ -171,18 +154,7 @@ def evaluate_word(w: Word, m: int) -> BsElement:
 
 
 # ---------------------------------------------------------------------------
-# Folner sets
-
-def folner_set(j: int, M: int, m: int, budget: int = 10_000_000) -> frozenset:
-    """The rectangle {a_1^i a_2^l : 0 <= i < 2j, 0 <= l < 2M m^(2j)}."""
-    if j < 1 or M < 1:
-        raise ValueError("j and M must be >= 1")
-    width = 2 * M * m ** (2 * j)
-    size = 2 * j * width
-    if size > budget:
-        raise BudgetExceededError(f"Folner set of size {size} exceeds budget {budget}")
-    return bs_rectangle(2 * j, width, m)
-
+# Shapes
 
 def bs_rectangle(rows: int, cols: int, m: int) -> frozenset:
     """{a_1^i a_2^l : 0 <= i < rows, 0 <= l < cols}."""
@@ -196,84 +168,3 @@ def bs_rectangle(rows: int, cols: int, m: int) -> frozenset:
 def a2_interval(length: int, m: int) -> frozenset:
     """{a_2^l : 0 <= l < length}; the Z-model Folner interval."""
     return frozenset(BsElement(m, 0, ell, 0) for ell in range(length))
-
-
-@dataclass(frozen=True)
-class FolnerReport:
-    translate_ratio: Fraction       # |sF delta F| / |F|
-    growth_ratio: Fraction          # |(F_prev^-1 F) \ F| / |F|
-    translate_ok: Optional[bool]    # vs 1/j, None when j not supplied
-    growth_ok: bool                 # vs eta
-
-
-def folner_diagnostics(F_prev: Iterable[BsElement], F: Iterable[BsElement],
-                       s: BsElement, eta, j: Optional[int] = None) -> FolnerReport:
-    F = frozenset(F)
-    F_prev = frozenset(F_prev)
-    if not F:
-        raise ValueError("F is empty")
-    sF = {s * g for g in F}
-    translate = Fraction(len(sF ^ F), len(F))
-    prod = {g.inverse() * h for g in F_prev for h in F}
-    growth = Fraction(len(prod - F), len(F))
-    translate_ok = None if j is None else translate <= Fraction(1, j)
-    return FolnerReport(translate, growth, translate_ok, growth <= Fraction(eta))
-
-
-# ---------------------------------------------------------------------------
-# Presentations
-
-@dataclass(frozen=True)
-class Presentation:
-    generators: Tuple[str, ...]
-    relators: Tuple[Word, ...]
-
-    def __post_init__(self) -> None:
-        for rel in self.relators:
-            if not rel:
-                raise ValueError("empty relator")
-            if rel != reduce_word(rel):
-                raise ValueError(f"relator {rel} is not freely reduced")
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "generators": list(self.generators),
-            "relators": [[[gen, exp] for gen, exp in rel] for rel in self.relators],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "Presentation":
-        data = json.loads(text)
-        return cls(
-            tuple(data["generators"]),
-            tuple(tuple((gen, int(exp)) for gen, exp in rel) for rel in data["relators"]),
-        )
-
-
-def bs_presentation(m: int) -> Presentation:
-    """<a1, a2 | a1^-1 a2 a1 a2^-m>."""
-    rel = reduce_word([("a1", -1), ("a2", 1), ("a1", 1), ("a2", -m)])
-    return Presentation(("a1", "a2"), (rel,))
-
-
-def higman_presentation(n: int, m: int) -> Presentation:
-    """Generators a1..an with a_i^-1 a_(i+1) a_i = a_(i+1)^m cyclically."""
-    gens = tuple(f"a{i}" for i in range(1, n + 1))
-    relators = []
-    for i in range(n):
-        a, b = gens[i], gens[(i + 1) % n]
-        relators.append(reduce_word([(a, -1), (b, 1), (a, 1), (b, -m)]))
-    return Presentation(gens, tuple(relators))
-
-
-def cyclic_extension_presentation(m: int) -> Presentation:
-    """(Z/4Z) acting on H_{4,m}: t^4 = e and t a_i t^-1 = a_(i+1) cyclically,
-    together with the H_{4,m} relators."""
-    base = higman_presentation(4, m)
-    gens = base.generators + ("t",)
-    relators = list(base.relators)
-    relators.append((("t", 4),))
-    for i in range(4):
-        a, b = base.generators[i], base.generators[(i + 1) % 4]
-        relators.append(reduce_word([("t", 1), (a, 1), ("t", -1), (b, -1)]))
-    return Presentation(gens, tuple(relators))

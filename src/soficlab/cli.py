@@ -278,7 +278,7 @@ def _cmd_conjugate(opts, out_dir: Path) -> int:
 def _cmd_search_f(opts, out_dir: Path) -> int:
     n = _require(opts, "n")
     m = _require(opts, "m")
-    budget = opts.get("budget", 200_000)
+    budget = _count(opts, "budget", 200_000)
     seed = opts.get("seed", 0)
     result = search_local_exp(n, m, budget=budget, seed=seed)
     _write(out_dir, "search.json", result.to_json() + "\n")
@@ -315,7 +315,7 @@ def _cmd_padic(opts, out_dir: Path) -> int:
     if not opts.get("prime_powers"):
         raise UsageError("padic needs --prime-powers p:rmin..rmax")
     p, r_min, r_max = _parse_prime_powers(opts["prime_powers"])
-    tuples = opts.get("tuples", 100)
+    tuples = _count(opts, "tuples", 100)
     seed = opts.get("seed", 0)
     rng = random.Random(seed)
     results = []
@@ -340,9 +340,11 @@ def _cmd_heuristic(opts, out_dir: Path) -> int:
         N = 50
     elif N < 1:
         raise UsageError(f"N = {N} must be >= 1")
-    eps = float(opts.get("eps", Fraction(1, 5)))
+    eps = opts.get("eps", Fraction(1, 5))
+    if not 0 < eps < 1:
+        raise UsageError(f"eps = {eps} is outside (0, 1)")
     p_sequence(N)      # runs the built-in exactness validations
-    _write(out_dir, "heuristic.csv", heuristic_csv(N, eps))
+    _write(out_dir, "heuristic.csv", heuristic_csv(N, float(eps)))
     return 0
 
 
@@ -376,6 +378,13 @@ def _require(opts: Dict[str, object], key: str) -> int:
     if opts.get(key) is None:
         raise UsageError(f"missing required option --{key}")
     return opts[key]
+
+
+def _count(opts: Dict[str, object], key: str, default: int) -> int:
+    value = opts.get(key, default)
+    if value < 0:
+        raise UsageError(f"{key} = {value} must be >= 0")
+    return value
 
 
 _RUNNERS = {

@@ -1,7 +1,6 @@
 """The modular exponential map f(x) = m^x mod n on {0..n-1}: tabulation,
-k-periodic-point censuses, shift-gap statistics, polynomial-congruence root
-counts against the Konyagin bound, and a parallel sweep over prime (power)
-moduli emitting deterministic CSV rows.
+k-periodic-point censuses, and a parallel sweep over prime (power) moduli
+emitting deterministic CSV rows.
 
 f is a function, never assumed to be a permutation; every k-iterate count
 uses function iteration.
@@ -16,10 +15,6 @@ from multiprocessing import Pool
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-
-class DegreeCapError(ValueError):
-    """The congruence degree exceeds the configured budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -151,75 +146,6 @@ def cycle_census(m: int, n: int) -> CycleCensus:
         if a != b:
             raise AssertionError(f"periodic-count routes disagree at n={n}, k={k}")
     return CycleCensus(n, m, multiplicative_order(f), counts)
-
-
-# ---------------------------------------------------------------------------
-# Gap census
-
-@dataclass(frozen=True)
-class GapReport:
-    k: int
-    count: int                  # |X cap (X - k)| without wraparound
-    bound: Fraction             # delta^2 n / 4 - 1
-    bound_ok: bool
-
-
-def gap_census(X: Iterable[int], n: int, delta) -> GapReport:
-    """Smallest shift 1 <= k < 2/delta maximizing the number of x in X with
-    x + k in X (no wraparound); requires |X| >= delta n."""
-    delta = Fraction(delta)
-    xs = sorted(set(int(x) for x in X))
-    if any(not 0 <= x < n for x in xs):
-        raise ValueError("X not inside {0..n-1}")
-    if len(xs) < delta * n:
-        raise ValueError(f"|X| = {len(xs)} below delta n = {float(delta * n)}")
-    xset = set(xs)
-    k_max = math.ceil(2 / delta) - 1
-    best_k, best = 1, -1
-    for k in range(1, k_max + 1):
-        count = sum(1 for x in xs if x + k in xset)
-        if count > best:
-            best_k, best = k, count
-    bound = delta ** 2 * n / 4 - 1
-    return GapReport(best_k, best, bound, best >= bound)
-
-
-# ---------------------------------------------------------------------------
-# Congruence roots vs the Konyagin bound
-
-@dataclass(frozen=True)
-class RictuReport:
-    n: int
-    degree: int
-    count: int
-    c_d: float
-    bound: float                # c_d * n^(1 - 1/d)
-    degenerate: bool            # the identity case l = 1, kappa_exp = 0
-    bound_ok: Optional[bool]    # None when degenerate (bound not asserted)
-
-
-def rictu_roots(n: int, m: int, k: int, l: int, kappa_exp: int,
-                *, C: float = 1.0, degree_cap: int = 10 ** 6) -> RictuReport:
-    """Brute-force count of z in {0..n-1} with
-    (z + k)^(l^(m^k)) = m^kappa_exp (z^l + k) mod n, plus the root bound
-    c_d n^(1 - 1/d) with c_d = d/e + C log^2 d."""
-    if m ** k > 64:
-        raise DegreeCapError(f"m^k = {m ** k} makes the degree astronomical")
-    degree = l ** (m ** k)
-    if degree > degree_cap:
-        raise DegreeCapError(f"degree {degree} exceeds cap {degree_cap}")
-    factor = pow(m, kappa_exp, n)
-    count = 0
-    for z in range(n):
-        lhs = pow(z + k, degree, n)
-        rhs = factor * (pow(z, l, n) + k) % n
-        if lhs == rhs:
-            count += 1
-    degenerate = l == 1 and kappa_exp == 0
-    c_d = degree / math.e + C * math.log(degree) ** 2 if degree > 1 else 1 / math.e
-    bound = c_d * n ** (1 - 1 / degree)
-    bound_ok = None if degenerate else count <= bound
-    return RictuReport(n, degree, count, c_d, bound, degenerate, bound_ok)
 
 
 # ---------------------------------------------------------------------------

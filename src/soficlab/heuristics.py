@@ -1,7 +1,7 @@
 """Exact rational recurrence P_n for the probability that a uniform random
 permutation of n points has order dividing 4, the counting bound on maps
 satisfying a local exponential law off at most an epsilon-fraction of points,
-and log-space tail-sum diagnostics for the product of the two.
+and a CSV of both in log space.
 """
 
 from __future__ import annotations
@@ -10,9 +10,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
-
-import numpy as np
+from typing import List, Tuple
 
 
 @dataclass(frozen=True)
@@ -80,72 +78,13 @@ def count_order4(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Counting bound and tail sums
-
-@dataclass(frozen=True)
-class LogBound:
-    n: int
-    eps: float
-    log_p: float            # log P_n (or of its exact value if available)
-    log_s_bound: float      # log of binom(n, m) * n!/(n-m)!, m = floor(eps n)
-    log_product: float
-
-
-@dataclass(frozen=True)
-class TailTable:
-    rows: Tuple[LogBound, ...]
-    tail_sum: float                 # sum over rows of exp(log_product)
-    eventually_decreasing: bool     # log_product decreasing over the last half
-
+# Counting bound
 
 def _log_s_bound(n: int, eps: float) -> float:
     """log of binom(n, m) * n! / (n - m)! with m = floor(eps n)."""
     m = int(eps * n)
     return (math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
             + math.lgamma(n + 1) - math.lgamma(n - m + 1))
-
-
-def s_bound_tail(N: int, N_max: int, eps: float, *, N_exact: int = 500) -> TailTable:
-    """Per-n log values of the map-count bound times P_n, and the tail sum
-    from N to N_max.  P_n is exact up to N_exact and continued in log space
-    via log P_n ~ log(P_{n-1} + P_{n-2} + P_{n-4}) - log n beyond.
-    """
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0, 1)")
-    if not 1 <= N <= N_max or N_max > 10 ** 5:
-        raise ValueError("need 1 <= N <= N_max <= 10^5")
-    exact_n = min(N_max, N_exact)
-    seq = p_sequence(exact_n)
-    log_p = [float("nan")] * (N_max + 1)
-    for n in range(1, exact_n + 1):
-        v = seq[n]
-        log_p[n] = math.log(v.numerator) - math.log(v.denominator)
-    for n in range(exact_n + 1, N_max + 1):
-        terms = [log_p[n - 1], log_p[n - 2], log_p[n - 4]]
-        top = max(terms)
-        log_p[n] = top + math.log(sum(math.exp(t - top) for t in terms)) - math.log(n)
-    rows = []
-    for n in range(N, N_max + 1):
-        ls = _log_s_bound(n, eps)
-        rows.append(LogBound(n, eps, log_p[n], ls, log_p[n] + ls))
-    tail = float(np.sum(np.exp(np.clip([r.log_product for r in rows], None, 700))))
-    # m = floor(eps n) makes the per-n values sawtooth, so the decreasing
-    # trend is judged on window maxima over the second half
-    prods = [r.log_product for r in rows]
-    half = prods[len(prods) // 2:]
-    mid = len(half) // 2
-    decreasing = (len(half) < 4 or max(half[mid:]) < max(half[:mid]))
-    # the log product behaves like (eps - 1/4) n log n + n H(eps) + O(n):
-    # it decays for eps < 1/4, but only past the turnover point where the
-    # derivative eps log n + eps + H(eps) - (1/4) log(n/4) goes negative
-    # (around n ~ 10^9 for eps = 0.2).  Assert the observed trend only when
-    # the whole window sits past that turnover.
-    if 0 < eps < 0.25:
-        h = -eps * math.log(eps) - (1 - eps) * math.log(1 - eps)
-        past_turnover = eps * math.log(N) + eps + h - 0.25 * math.log(N / 4) < 0
-        if past_turnover and len(half) >= 4 and not decreasing:
-            raise AssertionError("log product not decreasing past its turnover")
-    return TailTable(tuple(rows), tail, decreasing)
 
 
 CSV_HEADER = "n,P_n_num,P_n_den,log_Pn,log_Sn_bound,log_product"

@@ -1,8 +1,7 @@
 """Locally exponential functions on Z/nZ: defect analysis against the law
-f(x+1) = m f(x), the induced map g(x) = f^2(f^{-2}(x) + 1), the three-relator
-triviality test, p-adic fixed-point uniqueness for maps x -> c s^x, the
-degree-m congruence audit over a prime field, and a searcher for bijections
-with f^4 = id minimizing the defect set.
+f(x+1) = m f(x), the three-relator triviality test, p-adic fixed-point
+uniqueness for maps x -> c s^x, and a searcher for bijections with f^4 = id
+minimizing the defect set.
 
 All local laws are tested cyclically over Z/nZ, including the wraparound
 point x = n - 1 (compare f(0) with m f(n-1)).
@@ -21,7 +20,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .bsgroup import word_value
-from .expcycles import exp_table_by_product, segmented_sieve
 from .perm import HammingValue, Permutation, displacement, hamming, iterate
 
 
@@ -76,12 +74,6 @@ class ZnFunction:
         return cls(n, np.arange(n, dtype=np.int64))
 
 
-def running_product_map(m: int, n: int) -> ZnFunction:
-    """f(0) = 1, f(x+1) = m f(x): the locally exponential model map whose
-    defect set is the wraparound mismatch only."""
-    return ZnFunction(n, exp_table_by_product(m, n))
-
-
 # ---------------------------------------------------------------------------
 # Defect reports
 
@@ -121,14 +113,6 @@ def defect_report(f: ZnFunction, m: int) -> DefectReport:
                         Fraction(fast.size, n), Fraction(fours.size, n))
 
 
-def mezo_failures(f: ZnFunction, m: int) -> Tuple[int, ...]:
-    """Points x failing at least one of f(x+1) = m f(x) and f^3(x) = x."""
-    n = f.n
-    bad = set(_law_failures(f.image, m, n).tolist())
-    bad.update(np.flatnonzero(iterate(f.image, 3) != np.arange(n)).tolist())
-    return tuple(sorted(bad))
-
-
 def min_mezo_fraction(n: int, m: int) -> Fraction:
     """min over all bijections of Z/nZ of the fraction of points failing at
     least one of the two local laws, by exhaustion over Sym(n)."""
@@ -148,28 +132,6 @@ def min_mezo_fraction(n: int, m: int) -> Fraction:
             if best == 0:
                 break
     return Fraction(best, n)
-
-
-# ---------------------------------------------------------------------------
-# The induced map g
-
-def induce_g(f: ZnFunction) -> ZnFunction:
-    """g(x) = f^2(f^{-2}(x) + 1); a bijection whenever f is."""
-    if not f.bijective:
-        raise ValueError("f must be a bijection")
-    p = f.as_permutation()
-    f2 = p.compose(p)
-    g = f2.compose(Permutation((np.arange(f.n) + 1) % f.n, _trusted=True)).compose(f2.inverse())
-    return ZnFunction.from_permutation(g)
-
-
-def praktisch_count(g: ZnFunction, m: int) -> int:
-    """|{x : g(m x) = m^m g(x)}|, the multiplicative shadow of the additive
-    local law under the induced map."""
-    n = g.n
-    x = np.arange(n, dtype=np.int64)
-    factor = pow(m, m, n)
-    return int(np.count_nonzero(g.image[m * x % n] == factor * g.image % n))
 
 
 # ---------------------------------------------------------------------------
@@ -285,98 +247,6 @@ def padic_fixed_point(ctx: PadicContext, c: Sequence[int],
         if is_fixed != (len(brute) == 1) or (brute and brute[0] != x):
             raise AssertionError("lifting and brute force disagree")
     return PadicFixedReport(x, is_fixed, brute)
-
-
-# ---------------------------------------------------------------------------
-# Prime-power dichotomy audit
-
-@dataclass(frozen=True)
-class NorviReport:
-    p: int
-    r: int
-    m: int
-    law_defect_count: int           # |{x : f(x+1) != m f(x)}|
-    non_four_periodic_count: int    # |{x : f^4(x) != x}|
-    law_bound: float                # p^(r/4 - 1) / 2^(1/4)
-    periodic_bound: Fraction        # p^r / 2
-    dichotomy_holds: bool
-    small_regime: bool              # r < 5: outside the regime of the bound's proof
-
-
-def norvi_audit(f: ZnFunction, ctx: PadicContext) -> NorviReport:
-    """Dichotomy over n = p^r: either the local law fails often or many
-    points are not 4-periodic.  Counts are recomputed by two scans."""
-    n = ctx.q
-    if f.n != n:
-        raise ValueError(f"degree {f.n} != p^r = {n}")
-    if not f.bijective:
-        raise ValueError("f must be a bijection")
-    rep = defect_report(f, ctx.m)
-    law = len(rep.defect_set)
-    nonper = len(rep.four_periodic_failures)
-    # second, independent recomputation
-    if law != len(_law_failures_slow(f.image, ctx.m, n)):
-        raise AssertionError("law-failure recounts disagree")
-    if nonper != int(np.count_nonzero(iterate(f.image, 4) != np.arange(n))):
-        raise AssertionError("non-4-periodic recounts disagree")
-    law_bound = ctx.p ** (ctx.r / 4 - 1) / 2 ** 0.25
-    periodic_bound = Fraction(n, 2)
-    holds = law >= law_bound or nonper >= periodic_bound
-    return NorviReport(ctx.p, ctx.r, ctx.m, law, nonper, law_bound,
-                       periodic_bound, holds, ctx.r < 5)
-
-
-# ---------------------------------------------------------------------------
-# Degree-m audit over a prime field
-
-@dataclass(frozen=True)
-class DegreeMAudit:
-    p: int
-    m: int
-    multipliers: Tuple[int, ...]        # distinct c(x) = g(x) / x^m, x != 0
-    zero_image: int                     # g(0), recorded separately
-    per_triple_counts: Dict[Tuple[int, int, int], int]
-    max_per_triple: int
-    per_triple_cap: int                 # m^3
-    relator_solutions: int              # |{x : g(g(g(x)+1)+1)+1 = x}|
-
-
-def degree_m_audit(g: ZnFunction, m: int, p: int) -> DegreeMAudit:
-    """Extract the multiplier set of g against x -> x^m over Z/pZ, count the
-    roots of the composed degree-m^3 congruence for every multiplier triple
-    (each count must respect the m^3 root cap over a field), and count the
-    points actually satisfying g(g(g(x)+1)+1)+1 = x."""
-    if segmented_sieve(p, p) != [p]:
-        raise ValueError(f"{p} is not prime")
-    if m % p == 0:
-        raise ValueError("p divides m")
-    if g.n != p:
-        raise ValueError(f"degree {g.n} != p = {p}")
-    xs = np.arange(1, p, dtype=np.int64)
-    xm = np.array([pow(int(x), m, p) for x in xs], dtype=np.int64)
-    inv = np.array([pow(int(v), -1, p) for v in xm], dtype=np.int64)
-    mult = sorted(set((g.image[1:] * inv % p).tolist()))
-
-    cap = m ** 3
-    per: Dict[Tuple[int, int, int], int] = {}
-    worst = 0
-    full_x = np.arange(p, dtype=np.int64)
-    full_xm = np.array([pow(int(x), m, p) for x in full_x], dtype=np.int64)
-
-    def powm(v: np.ndarray) -> np.ndarray:
-        return full_xm[v]
-
-    for c1, c2, c3 in itertools.product(mult, repeat=3):
-        lhs = (c3 * powm((c2 * powm((c1 * full_xm + 1) % p) + 1) % p) + 1) % p
-        count = int(np.count_nonzero(lhs == full_x))
-        per[(c1, c2, c3)] = count
-        worst = max(worst, count)
-        if count > cap:
-            raise AssertionError(
-                f"triple {(c1, c2, c3)}: {count} roots exceed the cap {cap}")
-    y = (g.image[(g.image[(g.image + 1) % p] + 1) % p] + 1) % p
-    relator = int(np.count_nonzero(y == full_x))
-    return DegreeMAudit(p, m, tuple(mult), int(g.image[0]), per, worst, cap, relator)
 
 
 # ---------------------------------------------------------------------------

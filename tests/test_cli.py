@@ -263,6 +263,24 @@ class TestOtherSubcommands:
         assert "must be >= 1" in capsys.readouterr().err
         assert not (out / "heuristic.csv").exists()
 
+    @pytest.mark.parametrize("eps", ["0", "1", "2"])
+    def test_heuristic_eps_outside_unit_interval_is_usage_error(self, tmp_path, capsys, eps):
+        code, out = run(tmp_path, "heuristic", "--N", "5", "--eps", eps)
+        assert code == 1
+        assert "outside (0, 1)" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ("search-f", "--n", "11", "--m", "7", "--budget=-3"),
+        ("padic", "--m", "2", "--prime-powers", "3:2..3", "--tuples=-1"),
+    ])
+    def test_negative_count_is_usage_error(self, tmp_path, capsys, argv):
+        # "--budget=-3": argparse would read a separate "-3" as a flag
+        code, out = run(tmp_path, *argv)
+        assert code == 1
+        assert "must be >= 0" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
 
 class TestEntryPoint:
     def test_unknown_subcommand(self, tmp_path, capsys):

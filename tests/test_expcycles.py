@@ -7,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from soficlab import expcycles
 from soficlab.cli import main
-from soficlab.expcycles import (CSV_HEADER, CycleCensus, DegreeCapError,
-                                count_k_periodic, count_k_periodic_by_tables,
-                                cycle_census, exp_map, exp_table_by_product,
-                                gap_census, multiplicative_order, prime_powers,
-                                rictu_roots, run_sweep, segmented_sieve,
-                                sweep_csv)
+from soficlab.expcycles import (CSV_HEADER, CycleCensus, count_k_periodic,
+                                count_k_periodic_by_tables, cycle_census,
+                                exp_map, exp_table_by_product,
+                                multiplicative_order, prime_powers, run_sweep,
+                                segmented_sieve, sweep_csv)
 
 coprime_pairs = st.tuples(st.sampled_from([2, 3, 5, 7]),
                           st.integers(3, 2000)).filter(
@@ -110,48 +109,6 @@ class TestCensusCheck:
 
     def test_route_disagreement_exits_2(self, skewed_tables, tmp_path):
         assert main(["cycles", "--n", "101", "--m", "2", "--out", str(tmp_path)]) == 2
-
-
-class TestGapCensus:
-    def test_full_set(self):
-        rep = gap_census(range(100), 100, 1)
-        assert rep.k == 1 and rep.count == 99
-
-    def test_evens(self):
-        rep = gap_census(range(0, 100, 2), 100, Fraction(1, 2))
-        assert rep.k == 2 and rep.count == 49
-
-    def test_progression_step3_bound(self):
-        X = list(range(0, 300, 3))
-        rep = gap_census(X, 300, Fraction(1, 3))
-        assert rep.bound_ok
-        assert rep.count >= Fraction(1, 3) ** 2 * 300 / 4 - 1
-
-    def test_small_set_rejected(self):
-        with pytest.raises(ValueError):
-            gap_census([1, 2], 100, Fraction(1, 2))
-
-
-class TestRictuRoots:
-    def test_degenerate_identity(self):
-        rep = rictu_roots(101, 2, 1, 1, 0)
-        assert rep.degenerate and rep.count == 101 and rep.bound_ok is None
-
-    def test_brute_force_small(self):
-        rep = rictu_roots(101, 2, 1, 2, 1)
-        # independent recount
-        manual = sum(1 for z in range(101)
-                     if pow(z + 1, 4, 101) == 2 * (z * z + 1) % 101)
-        assert rep.count == manual
-        assert rep.count <= rep.bound
-
-    def test_count_at_most_n(self):
-        rep = rictu_roots(53, 3, 1, 2, 2)
-        assert rep.count <= 53
-
-    def test_degree_cap(self):
-        with pytest.raises(DegreeCapError):
-            rictu_roots(101, 2, 5, 3, 0)
 
 
 class TestSweep:

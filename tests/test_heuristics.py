@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from soficlab.heuristics import (CSV_HEADER, count_order4, heuristic_csv,
-                                 p_sequence, s_bound_tail)
+from soficlab.heuristics import CSV_HEADER, count_order4, heuristic_csv, p_sequence
 
 
 class TestPSequence:
@@ -49,36 +48,6 @@ class TestPSequence:
     def test_bad_N(self):
         with pytest.raises(ValueError):
             p_sequence(0)
-
-
-class TestSBoundTail:
-    def test_eps_zero_limit(self):
-        tt = s_bound_tail(5, 20, 1e-12)
-        for row in tt.rows:
-            assert row.log_s_bound == 0.0
-            assert row.log_product == row.log_p
-
-    def test_small_eps_decreasing(self):
-        tt = s_bound_tail(1000, 2000, 0.02)
-        assert tt.eventually_decreasing
-        assert tt.tail_sum < 1e-100
-
-    def test_large_window_values_finite(self):
-        tt = s_bound_tail(900, 1100, 0.2)
-        assert all(math.isfinite(r.log_product) for r in tt.rows)
-
-    def test_log_p_matches_exact(self):
-        tt = s_bound_tail(1, 50, 0.1)
-        seq = p_sequence(50)
-        for row in tt.rows:
-            expected = math.log(seq[row.n].numerator) - math.log(seq[row.n].denominator)
-            assert abs(row.log_p - expected) < 1e-12
-
-    def test_bad_ranges(self):
-        with pytest.raises(ValueError):
-            s_bound_tail(10, 5, 0.1)
-        with pytest.raises(ValueError):
-            s_bound_tail(1, 10, 1.5)
 
 
 class TestCsv:

@@ -14,12 +14,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from soficlab import localexp
 from soficlab.cli import main
-from soficlab.localexp import (DegreeMAudit, PadicContext, ZnFunction,
-                               defect_report, degree_m_audit, h3_witness,
-                               induce_g, is_four_periodic, mezo_failures,
-                               min_mezo_fraction, norvi_audit,
-                               padic_fixed_point, praktisch_count,
-                               running_product_map, search_local_exp)
+from soficlab.expcycles import exp_table_by_product
+from soficlab.localexp import (PadicContext, ZnFunction, defect_report,
+                               h3_witness, is_four_periodic, min_mezo_fraction,
+                               padic_fixed_point, search_local_exp)
 from soficlab.localexp import (SearchResult, _cycle_histogram, _defect_count,
                                _enumerate_order4, _random_order4)
 from soficlab.perm import Permutation
@@ -48,7 +46,7 @@ class TestZnFunction:
 
 class TestDefectReport:
     def test_running_product_wraparound_only(self):
-        rep = defect_report(running_product_map(2, 5), 2)
+        rep = defect_report(ZnFunction(5, exp_table_by_product(2, 5)), 2)
         assert rep.defect_set == (4,)
 
     def test_identity_defect(self):
@@ -61,7 +59,7 @@ class TestDefectReport:
         assert rep.four_periodic_failures == ()
 
     def test_fractions_exact(self):
-        rep = defect_report(running_product_map(2, 5), 2)
+        rep = defect_report(ZnFunction(5, exp_table_by_product(2, 5)), 2)
         assert rep.defect_fraction == Fraction(1, 5)
 
     def test_non_coprime_rejected(self):
@@ -77,24 +75,31 @@ class TestDefectReport:
         rep = defect_report(f, m)    # raises internally if the scans disagree
         assert 0 <= len(rep.defect_set) <= f.n
 
-
-class TestInducedMap:
-    def test_identity_induces_shift(self):
-        g = induce_g(ZnFunction.identity(7))
-        assert g.image.tolist() == [1, 2, 3, 4, 5, 6, 0]
-
-    @given(bijections)
-    @settings(max_examples=30, deadline=None)
-    def test_induced_is_bijection(self, f):
-        assert induce_g(f).bijective
-
-    def test_requires_bijection(self):
-        with pytest.raises(ValueError):
-            induce_g(ZnFunction(3, np.array([0, 0, 1])))
-
-    def test_praktisch_count_range(self):
-        g = induce_g(random_bijection(11, 1))
-        assert 0 <= praktisch_count(g, 2) <= 11
+    def test_recount_survives_optimize(self):
+        # the second defect-set scan is an explicit check, so a skewed
+        # _law_failures_slow must still fail the report under -O
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from soficlab import localexp as le
+            if not sys.flags.optimize:
+                sys.exit(3)
+            real = le._law_failures_slow
+            le._law_failures_slow = lambda image, m, n: real(image, m, n) + [n]
+            f = le.ZnFunction(27, np.random.default_rng(3).permutation(27))
+            try:
+                le.defect_report(f, 2)
+            except AssertionError as exc:
+                print(exc)
+                sys.exit(0)
+            sys.exit(1)
+        """)
+        src = os.path.dirname(os.path.dirname(localexp.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "defect-set scans disagree" in proc.stdout
 
 
 class TestH3Witness:
@@ -139,18 +144,6 @@ class TestMezoExhaustion:
         for nm, frac in self.FROZEN.items():
             assert frac > 0
 
-    def test_failure_set_matches_bruteforce(self):
-        f = random_bijection(9, 2)
-        bad = mezo_failures(f, 2)
-        manual = set()
-        for x in range(9):
-            if int(f.image[(x + 1) % 9]) != 2 * int(f.image[x]) % 9:
-                manual.add(x)
-            y = f.image[f.image[f.image[x]]]
-            if int(y) != x:
-                manual.add(x)
-        assert set(bad) == manual
-
 
 class TestPadic:
     def test_degenerate_s_one(self):
@@ -188,15 +181,10 @@ class TestPadic:
             assert ctx.s_pow(x) == ctx.s_pow(x + period)
 
 
-class TestNorviAudit:
-    def test_running_product_style_map(self):
-        # the exp-like map has law defect at the wraparound only
-        ctx = PadicContext(3, 2, 2)
-        img = exp_like_bijection(9)
-        f = ZnFunction(9, img)
-        rep = norvi_audit(f, ctx)
-        assert rep.law_defect_count == len(defect_report(f, 2).defect_set)
-        assert rep.small_regime
+class TestPrimePowerDichotomy:
+    """Over n = p^r every bijection fails the local law at least
+    p^(r/4 - 1) / 2^(1/4) times or has at least n/2 points that are not
+    4-periodic."""
 
     def test_exhaustive_n9(self):
         # vectorized dichotomy over all 9! bijections
@@ -227,93 +215,6 @@ class TestNorviAudit:
                 y = block[rows, y]
             nonper = (y != np.arange(n)).sum(axis=1)
             assert bool(((law_bad >= law_bound) | (nonper >= n / 2)).all())
-
-    def test_internal_consistency(self):
-        ctx = PadicContext(3, 3, 2)
-        f = random_bijection(27, 3)
-        rep = norvi_audit(f, ctx)
-        assert rep.dichotomy_holds
-        assert rep.periodic_bound == Fraction(27, 2)
-
-    def test_wrong_degree(self):
-        with pytest.raises(ValueError):
-            norvi_audit(random_bijection(10, 0), PadicContext(3, 2, 2))
-
-    def test_recount_survives_optimize(self):
-        # defect_report scans once with _law_failures_slow; the second call
-        # is norvi_audit's own recount, which must still run under -O
-        script = textwrap.dedent("""
-            import sys
-            import numpy as np
-            from soficlab import localexp as le
-            if not sys.flags.optimize:
-                sys.exit(3)
-            real, calls = le._law_failures_slow, []
-            def skewed(image, m, n):
-                calls.append(n)
-                out = real(image, m, n)
-                return out if len(calls) == 1 else out + [n]
-            le._law_failures_slow = skewed
-            f = le.ZnFunction(27, np.random.default_rng(3).permutation(27))
-            try:
-                le.norvi_audit(f, le.PadicContext(3, 3, 2))
-            except AssertionError as exc:
-                print(exc)
-                sys.exit(0)
-            sys.exit(1)
-        """)
-        src = os.path.dirname(os.path.dirname(localexp.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert "law-failure recounts disagree" in proc.stdout
-
-
-def exp_like_bijection(n):
-    """A bijection agreeing with x -> 2^x as far as possible (n = 9)."""
-    img = np.empty(n, dtype=np.int64)
-    used = set()
-    acc = 1
-    for x in range(n):
-        if acc in used:
-            acc = min(set(range(n)) - used)
-        img[x] = acc
-        used.add(acc)
-        acc = acc * 2 % n
-    return img
-
-
-class TestDegreeMAudit:
-    def test_pure_power_map(self):
-        p, m = 101, 2
-        g = ZnFunction(p, np.array([pow(x, m, p) for x in range(p)]))
-        audit = degree_m_audit(g, m, p)
-        assert audit.multipliers == (1,)
-        assert audit.max_per_triple <= audit.per_triple_cap
-
-    def test_k4_random_multipliers(self):
-        p, m = 101, 2
-        rng = np.random.default_rng(4)
-        cs = [1, 3, 7, 9]
-        img = np.array([(cs[rng.integers(4)] * pow(x, m, p)) % p for x in range(p)])
-        img[0] = 55
-        audit = degree_m_audit(ZnFunction(p, img), m, p)
-        assert len(audit.multipliers) <= 4
-        assert audit.max_per_triple <= m ** 3
-        assert audit.zero_image == 55
-
-    def test_relator_count_manual(self):
-        p, m = 13, 2
-        g = random_bijection(p, 5)
-        audit = degree_m_audit(g, m, p)
-        manual = sum(1 for x in range(p)
-                     if (g((g((g(x) + 1) % p) + 1) % p) + 1) % p == x)
-        assert audit.relator_solutions == manual
-
-    def test_composite_rejected(self):
-        with pytest.raises(ValueError):
-            degree_m_audit(ZnFunction.identity(10), 3, 10)
 
 
 class TestSearcher:
