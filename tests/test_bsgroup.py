@@ -87,8 +87,29 @@ class TestWords:
     def test_reduce_merges(self):
         assert reduce_word([("a1", 1), ("a1", -1), ("a2", 2)]) == (("a2", 2),)
 
+    def test_inverse_concat_cancels(self):
+        w = (("a1", 2), ("a2", -3))
+        inverse = tuple((gen, -exp) for gen, exp in reversed(w))
+        assert reduce_word(w + inverse) == ()
+
+
+def folner_rectangle(j, M, m):
+    """The Folner rectangle {a_1^i a_2^l : 0 <= i < 2j, 0 <= l < 2M m^(2j)}."""
+    return bs_rectangle(2 * j, 2 * M * m ** (2 * j), m)
+
+
+def translate_ratio(s, F):
+    """|sF symmetric-difference F| / |F|."""
+    return Fraction(len({s * g for g in F} ^ F), len(F))
+
 
 class TestFolnerSets:
+    def test_cardinality_m2(self):
+        assert len(folner_rectangle(1, 1, 2)) == 16
+
+    def test_cardinality_m3(self):
+        assert len(folner_rectangle(1, 1, 3)) == 36
+
     def test_rectangle_distinct(self):
         rect = bs_rectangle(3, 5, 2)
         assert len(rect) == 15
@@ -96,3 +117,13 @@ class TestFolnerSets:
     def test_interval(self):
         iv = a2_interval(4, 3)
         assert iv == {bs_a2(3) ** k for k in range(4)}
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_translate_defect_bound(self, j, m):
+        F = folner_rectangle(j, 1, m)
+        for s in (bs_a1(m), bs_a2(m)):
+            assert translate_ratio(s, F) <= Fraction(1, j)
+
+    def test_singleton_translate(self):
+        assert translate_ratio(bs_a2(2), frozenset({bs_identity(2)})) == 2

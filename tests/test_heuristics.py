@@ -50,6 +50,32 @@ class TestPSequence:
             p_sequence(0)
 
 
+def csv_rows(text):
+    """The data rows of a heuristic CSV as lists of fields."""
+    return [line.split(",") for line in text.splitlines()[1:]]
+
+
+class TestSBoundTail:
+    """The log S_n bound and log product columns of the heuristic CSV."""
+
+    def test_eps_zero_limit(self):
+        for row in csv_rows(heuristic_csv(20, 1e-12)):
+            assert float(row[4]) == 0.0
+            assert row[5] == row[3]
+
+    def test_large_window_values_finite(self):
+        rows = csv_rows(heuristic_csv(1100, 0.2))[899:]
+        assert all(math.isfinite(float(v)) for row in rows for v in row[3:])
+
+    def test_log_p_matches_exact(self):
+        seq = p_sequence(50)
+        for row in csv_rows(heuristic_csv(50, 0.1)):
+            p = seq[int(row[0])]
+            assert (int(row[1]), int(row[2])) == (p.numerator, p.denominator)
+            expected = math.log(p.numerator) - math.log(p.denominator)
+            assert row[3] == "%.10f" % expected
+
+
 class TestCsv:
     def test_header_and_p3(self):
         text = heuristic_csv(5, 0.2)

@@ -75,32 +75,6 @@ class TestDefectReport:
         rep = defect_report(f, m)    # raises internally if the scans disagree
         assert 0 <= len(rep.defect_set) <= f.n
 
-    def test_recount_survives_optimize(self):
-        # the second defect-set scan is an explicit check, so a skewed
-        # _law_failures_slow must still fail the report under -O
-        script = textwrap.dedent("""
-            import sys
-            import numpy as np
-            from soficlab import localexp as le
-            if not sys.flags.optimize:
-                sys.exit(3)
-            real = le._law_failures_slow
-            le._law_failures_slow = lambda image, m, n: real(image, m, n) + [n]
-            f = le.ZnFunction(27, np.random.default_rng(3).permutation(27))
-            try:
-                le.defect_report(f, 2)
-            except AssertionError as exc:
-                print(exc)
-                sys.exit(0)
-            sys.exit(1)
-        """)
-        src = os.path.dirname(os.path.dirname(localexp.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert "defect-set scans disagree" in proc.stdout
-
 
 class TestH3Witness:
     def test_g1_displacement_always_one(self):
@@ -181,10 +155,49 @@ class TestPadic:
             assert ctx.s_pow(x) == ctx.s_pow(x + period)
 
 
-class TestPrimePowerDichotomy:
-    """Over n = p^r every bijection fails the local law at least
-    p^(r/4 - 1) / 2^(1/4) times or has at least n/2 points that are not
-    4-periodic."""
+def law_bound(p, r):
+    return p ** (r / 4 - 1) / 2 ** 0.25
+
+
+def exp_like_bijection(n):
+    """A bijection agreeing with x -> 2^x as far as possible (n = 9)."""
+    img = np.empty(n, dtype=np.int64)
+    used = set()
+    acc = 1
+    for x in range(n):
+        if acc in used:
+            acc = min(set(range(n)) - used)
+        img[x] = acc
+        used.add(acc)
+        acc = acc * 2 % n
+    return img
+
+
+class TestNorviAudit:
+    """The prime-power dichotomy: over n = p^r every bijection fails the
+    local law at least p^(r/4 - 1) / 2^(1/4) times or has at least n/2
+    points that are not 4-periodic."""
+
+    def test_running_product_style_map(self):
+        # the exp-like map fails the law only where 2^x revisits a value
+        f = ZnFunction(9, exp_like_bijection(9))
+        rep = defect_report(f, 2)
+        manual = [x for x in range(9)
+                  if int(f.image[(x + 1) % 9]) != 2 * int(f.image[x]) % 9]
+        assert list(rep.defect_set) == manual == [5, 6, 8]
+        assert (len(rep.defect_set) >= law_bound(3, 2)
+                or len(rep.four_periodic_failures) >= Fraction(9, 2))
+
+    def test_internal_consistency(self):
+        f = random_bijection(27, 3)
+        rep = defect_report(f, 2)
+        law = np.count_nonzero(np.roll(f.image, -1) != 2 * f.image % 27)
+        y = np.arange(27)
+        for _ in range(4):
+            y = f.image[y]
+        nonper = np.count_nonzero(y != np.arange(27))
+        assert (len(rep.defect_set), len(rep.four_periodic_failures)) == (law, nonper)
+        assert law >= law_bound(3, 3) or nonper >= Fraction(27, 2)
 
     def test_exhaustive_n9(self):
         # vectorized dichotomy over all 9! bijections
@@ -196,8 +209,7 @@ class TestPrimePowerDichotomy:
         for _ in range(4):
             y = perms[rows, y]
         nonper = (y != np.arange(9)).sum(axis=1)
-        law_bound = p ** (r / 4 - 1) / 2 ** 0.25
-        holds = (law_bad >= law_bound) | (nonper >= 9 / 2)
+        holds = (law_bad >= law_bound(p, r)) | (nonper >= 9 / 2)
         assert bool(holds.all())
 
     def test_random_sample_n243(self):
@@ -205,7 +217,7 @@ class TestPrimePowerDichotomy:
         p, r, m = 3, 5, 2
         n = p ** r
         rng = np.random.default_rng(0)
-        law_bound = p ** (r / 4 - 1) / 2 ** 0.25
+        bound = law_bound(p, r)
         for _ in range(20):
             block = rng.random((5000, n)).argsort(axis=1)
             law_bad = (np.roll(block, -1, axis=1) != (m * block) % n).sum(axis=1)
@@ -214,7 +226,34 @@ class TestPrimePowerDichotomy:
             for _ in range(4):
                 y = block[rows, y]
             nonper = (y != np.arange(n)).sum(axis=1)
-            assert bool(((law_bad >= law_bound) | (nonper >= n / 2)).all())
+            assert bool(((law_bad >= bound) | (nonper >= n / 2)).all())
+
+    def test_recount_survives_optimize(self):
+        # the dichotomy reads its law count from defect_report, whose second
+        # scan is an explicit check: a skewed _law_failures_slow must still
+        # fail the report under -O
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from soficlab import localexp as le
+            if not sys.flags.optimize:
+                sys.exit(3)
+            real = le._law_failures_slow
+            le._law_failures_slow = lambda image, m, n: real(image, m, n) + [n]
+            f = le.ZnFunction(27, np.random.default_rng(3).permutation(27))
+            try:
+                le.defect_report(f, 2)
+            except AssertionError as exc:
+                print(exc)
+                sys.exit(0)
+            sys.exit(1)
+        """)
+        src = os.path.dirname(os.path.dirname(localexp.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "defect-set scans disagree" in proc.stdout
 
 
 class TestSearcher:
