@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Build and verify quasi-tiling certificates for the two reference models:
 the translation-only model on n = 10^3 and the amplified arithmetic model of
-BS(1,2) on n ~ 10^4."""
+BS(1,2) on n ~ 10^4.  Exits 2 when either certificate fails, as the CLI does."""
 
 import argparse
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,7 +30,7 @@ def report(tag, tiling):
     return rep
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--eps", default="1/4")
     ap.add_argument("--out", default=None)
@@ -41,18 +42,19 @@ def main() -> None:
     shapes3 = [a2_interval(w, 3) for w in widths]
     phi = interval_model(1000, 3, 40)
     t1 = quasi_tile(phi, shapes3, eps, eps, n_threshold=1000)
-    report("Z model n=1000", t1)
+    rep1 = report("Z model n=1000", t1)
 
     shapes2 = [a2_interval(w, 2) for w in widths]
     base = interval_model(101, 2, 33)
     big = amplify(base, 10_000)
     t2 = quasi_tile(big, shapes2, eps, eps, n_threshold=10_000)
-    report("amplified BS(1,2) n=10^4", t2)
+    rep2 = report("amplified BS(1,2) n=10^4", t2)
 
     if args.out:
         Path(args.out).write_text(t2.to_json() + "\n")
         print(f"certificate -> {args.out}")
+    return 0 if rep1.passed and rep2.passed else 2
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -13,14 +13,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from .bsgroup import BsElement
 from .perm import HammingValue, Permutation, hamming, orbit_order
 from .soficcheck import SoficApprox
-from .tiling import Tiling, quasi_tile
+from .tiling import level_points, quasi_tile, tile_cores
 
 
 class InsufficientSupportError(ValueError):
@@ -28,21 +28,11 @@ class InsufficientSupportError(ValueError):
 
 
 @dataclass(frozen=True)
-class ConjLevel:
-    j: int
-    pairs: Tuple[Tuple[int, int], ...]          # (c in C'_1j, rho_j(c) in C'_2j)
-    trimmed: Tuple[Tuple[BsElement, ...], ...]  # F_{j,c} per pair, sorted
-
-
-@dataclass(frozen=True)
 class Conjugator:
     tau: Permutation
     lambda1: frozenset
     lambda2: frozenset
-    levels: Tuple[ConjLevel, ...]
     eps: Fraction
-    tiling1: Tiling
-    tiling2: Tiling
 
     def support_fraction(self) -> Fraction:
         return Fraction(len(self.lambda1), self.tau.n)
@@ -57,32 +47,12 @@ class Conjugator:
         })
 
 
-def _witness_cores(t: Tiling) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Per level, ascending j: the tile points, row q holding phi(g)c for
-    the q-th center c and g in shape order, and a boolean mask of the same
-    shape marking the generators whose point avoids every tile placed
-    earlier, replaying the construction order (level k down to 1, centers
-    in selection order).  These core point sets are pairwise disjoint
-    across the whole family."""
-    points = [np.stack([t.table[g].image for g in lvl.shape])[:, list(lvl.centers)].T
-              for lvl in t.levels]
-    construction = points[::-1]
-    flat = np.concatenate([p.ravel() for p in construction])
-    widths = np.concatenate([np.full(len(p), p.shape[1]) for p in construction])
-    tile = np.repeat(np.arange(len(widths)), widths)      # construction order
-    _, first, point = np.unique(flat, return_index=True, return_inverse=True)
-    core = tile[first][point] == tile           # the first tile to reach the point
-    cores = np.split(core, np.cumsum([p.size for p in construction])[:-1])
-    return [(p, c.reshape(p.shape)) for p, c in zip(points, cores[::-1])]
-
-
 def build_conjugator(phi1: SoficApprox, phi2: SoficApprox, eps,
                      folner_seq: Sequence[Iterable[BsElement]],
-                     *, inner_eps=None, inner_kappa=None,
+                     *, inner_eps=None,
                      n_threshold: Optional[int] = None,
                      delta_prime=Fraction(1, 4),
                      support_threshold=None,
-                     maximal: bool = True,
                      order_key: Optional[BsElement] = None) -> Conjugator:
     """Quasi-tile both approximations (at eps/7 by default, per the
     analysis behind the defect bound; inner_eps overrides) and assemble tau.
@@ -91,7 +61,7 @@ def build_conjugator(phi1: SoficApprox, phi2: SoficApprox, eps,
     greedy center priority on each side.  Relabeling one approximation by a
     conjugation then relabels its whole tiling up to cycle phase, so the two
     tilings stay structurally aligned and the matched support stays large.
-    By default the tilings run in maximal packing mode for the same reason.
+    The tilings run in maximal packing mode for the same reason.
 
     Raises InsufficientSupportError when the matched supports fall below
     (1 - 4 eps / 7) n (override via support_threshold).
@@ -100,25 +70,24 @@ def build_conjugator(phi1: SoficApprox, phi2: SoficApprox, eps,
         raise ValueError(f"degrees {phi1.n} != {phi2.n}")
     eps = Fraction(eps)
     e_t = Fraction(inner_eps) if inner_eps is not None else eps / 7
-    k_t = Fraction(inner_kappa) if inner_kappa is not None else e_t
     n = phi1.n
 
     order1 = order2 = None
     if order_key is not None:
         order1 = orbit_order(phi1.table[order_key])
         order2 = orbit_order(phi2.table[order_key])
-    t1 = quasi_tile(phi1, folner_seq, e_t, k_t, n_threshold=n_threshold,
-                    delta_prime=delta_prime, maximal=maximal, center_order=order1)
-    t2 = quasi_tile(phi2, folner_seq, e_t, k_t, n_threshold=n_threshold,
-                    delta_prime=delta_prime, maximal=maximal, center_order=order2)
-    cores1 = _witness_cores(t1)
-    cores2 = _witness_cores(t2)
+    sides = []
+    for phi, order in ((phi1, order1), (phi2, order2)):
+        t = quasi_tile(phi, folner_seq, e_t, e_t, n_threshold=n_threshold,
+                       delta_prime=delta_prime, maximal=True, center_order=order)
+        points = level_points(t)
+        # cores in construction order: level k down to 1, centers as selected
+        sides.append(zip(t.levels, points, tile_cores(points[::-1])[::-1]))
 
     tau_img = np.full(n, -1, dtype=np.int64)
     lambda1: List[np.ndarray] = []
     lambda2: List[np.ndarray] = []
-    levels: List[ConjLevel] = []
-    for lvl1, lvl2, (pts1, core1), (pts2, core2) in zip(t1.levels, t2.levels, cores1, cores2):
+    for (lvl1, pts1, core1), (lvl2, pts2, core2) in zip(*sides):
         m_count = min(len(lvl1.centers), len(lvl2.centers))
         # keep the centers with the largest disjoint cores and pair them in
         # that order, so interior tiles match interior tiles
@@ -130,11 +99,6 @@ def build_conjugator(phi1: SoficApprox, phi2: SoficApprox, eps,
         tau_img[x] = y
         lambda1.append(x)
         lambda2.append(y)
-        pairs = tuple(zip(np.asarray(lvl1.centers)[q1].tolist(),
-                          np.asarray(lvl2.centers)[q2].tolist()))
-        trimmed = tuple(tuple(lvl1.shape[g] for g in np.flatnonzero(row).tolist())
-                        for row in shared)
-        levels.append(ConjLevel(lvl1.j, pairs, trimmed))
     lambda1_pts = np.concatenate(lambda1)
     lambda2_pts = np.concatenate(lambda2)
 
@@ -152,8 +116,7 @@ def build_conjugator(phi1: SoficApprox, phi2: SoficApprox, eps,
     tau_img[free1] = free2
     tau = Permutation(tau_img)
 
-    return Conjugator(tau, frozenset(lambda1_pts.tolist()), frozenset(lambda2_pts.tolist()),
-                      tuple(levels), eps, t1, t2)
+    return Conjugator(tau, frozenset(lambda1_pts.tolist()), frozenset(lambda2_pts.tolist()), eps)
 
 
 @dataclass(frozen=True)

@@ -142,6 +142,18 @@ def _measure_rho(n: int, rows: np.ndarray) -> Tuple[int, Fraction]:
     return mult, rho
 
 
+def tile_cores(blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """For tile-point arrays taken in the order given, each row a tile, a
+    mask per array marking every entry that is the first occurrence of its
+    point.  A tile's core is the points no earlier tile covers; the row sums
+    count them, and the cores of a family are pairwise disjoint."""
+    flat = np.concatenate([b.ravel() for b in blocks])
+    first = np.zeros(flat.size, dtype=bool)
+    first[np.unique(flat, return_index=True)[1]] = True
+    masks = np.split(first, np.cumsum([b.size for b in blocks])[:-1])
+    return [mask.reshape(b.shape) for b, mask in zip(blocks, masks)]
+
+
 def extract_eps_disjoint(fam: SetFamily, eps, target: Optional[int] = None) -> ExtractionResult:
     """Greedy eps-disjoint subfamily: descending set size, ties by smallest
     index; a set of size s is kept when at least ceil((1-eps) s) of its
@@ -190,11 +202,9 @@ def extract_eps_disjoint(fam: SetFamily, eps, target: Optional[int] = None) -> E
         selected = kept[::-1]
 
     chosen = rows[selected]
-    first = np.zeros(chosen.size, dtype=bool)
-    first[np.unique(chosen, return_index=True)[1]] = True
-    first = first.reshape(chosen.shape) & (chosen < n)
-    witnesses = tuple(frozenset(row[core].tolist()) for row, core in zip(chosen, first))
-    coverage = int(np.count_nonzero(first))
+    cores = tile_cores([chosen])[0] & (chosen < n)
+    witnesses = tuple(frozenset(row[core].tolist()) for row, core in zip(chosen, cores))
+    coverage = int(np.count_nonzero(cores))
     ok = coverage >= (target if target is not None else eps * (1 - rho) * n)
     return ExtractionResult(tuple(fam.indices[selected].tolist()), witnesses,
                             coverage, mult, rho, target, ok)
@@ -275,8 +285,15 @@ class Tiling:
                    levels, table, int(data["b_size"]))
 
 
-def _shape_images(phi: SoficApprox, shape: Sequence[BsElement]) -> np.ndarray:
-    return np.stack([phi.table[g].image for g in shape])
+def shape_images(table: Dict[BsElement, Permutation], shape: Sequence[BsElement]) -> np.ndarray:
+    """(|F|, n): row q is the image of the q-th key, so the tile at c is column c."""
+    return np.stack([table[g].image for g in shape])
+
+
+def level_points(t: Tiling) -> List[np.ndarray]:
+    """Per level, ascending j: a (|C_j|, |F_j|) array whose row q holds the
+    points phi(g)c of the q-th center c, g in shape order."""
+    return [shape_images(t.table, lvl.shape)[:, list(lvl.centers)].T for lvl in t.levels]
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +381,7 @@ def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]], eps,
     levels: List[TileLevel] = []
     for j in range(plan.k, 0, -1):
         shape = shapes[j - 1]
-        imgs = _shape_images(phi, shape)            # (|F_j|, n); tile(c) = imgs[:, c]
+        imgs = shape_images(phi.table, shape)
         available = b_mask & ~covered[imgs].any(axis=0)
         centers = np.flatnonzero(available)
         centers = centers[np.argsort(rank[centers], kind="stable")]
@@ -411,35 +428,18 @@ class TilingReport:
 
 def verify_tiling(t: Tiling) -> TilingReport:
     """Recheck all four conclusions from the centers and the permutation
-    table alone; nothing from the construction run is trusted."""
+    table alone; nothing from the construction run is trusted.  Tiles are
+    replayed level by level, ascending j, centers in order."""
     n = t.n
-    level_unions = []
-    injective_ok = True
-    eps_disjoint_ok = True
-    union_all: set = set()
-    for lvl in t.levels:
-        imgs = np.stack([t.table[g].image for g in lvl.shape])
-        size = imgs.shape[0]
-        lvl_union: set = set()
-        for c in lvl.centers:
-            tile = imgs[:, c]
-            tile_set = set(tile.tolist())
-            if len(tile_set) != size:
-                injective_ok = False
-            core = tile_set - union_all
-            if len(core) < (1 - t.eps) * size:
-                eps_disjoint_ok = False
-            union_all |= tile_set
-            lvl_union |= tile_set
-        level_unions.append(lvl_union)
+    blocks = level_points(t)
+    injective_ok = all((np.diff(np.sort(b, axis=1), axis=1) != 0).all() for b in blocks)
+    eps_disjoint_ok = all((core.sum(axis=1) >= ceil((1 - t.eps) * b.shape[1])).all()
+                          for b, core in zip(blocks, tile_cores(blocks)))
+    level_unions = [np.unique(b) for b in blocks]
+    union_size = len(np.unique(np.concatenate(level_unions)))
+    disjoint_ok = union_size == sum(len(u) for u in level_unions)
 
-    disjoint_ok = True
-    for a in range(len(level_unions)):
-        for b in range(a + 1, len(level_unions)):
-            if level_unions[a] & level_unions[b]:
-                disjoint_ok = False
-
-    cover_ratio = Fraction(len(union_all), n)
+    cover_ratio = Fraction(union_size, n)
     cover_ok = cover_ratio >= 1 - t.eps
 
     measures = []

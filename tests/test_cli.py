@@ -268,7 +268,7 @@ class TestOtherSubcommands:
         code, out = run(tmp_path, "heuristic", "--N", "5", "--eps", eps)
         assert code == 1
         assert "outside (0, 1)" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ("search-f", "--n", "11", "--m", "7", "--budget=-3"),
@@ -279,7 +279,7 @@ class TestOtherSubcommands:
         code, out = run(tmp_path, *argv)
         assert code == 1
         assert "must be >= 0" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestEntryPoint:

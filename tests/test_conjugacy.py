@@ -71,12 +71,6 @@ class TestBuildConjugator:
         assert len(conj.lambda1) == len(conj.lambda2)
         assert {int(conj.tau.image[x]) for x in conj.lambda1} == set(conj.lambda2)
 
-    def test_center_counts_equalized(self, phi1):
-        sigma = Permutation(np.random.default_rng(5).permutation(N))
-        conj = build(phi1, conjugated(phi1, sigma))
-        for lvl in conj.levels:
-            assert len(lvl.pairs) == len(lvl.trimmed)
-
     def test_degree_mismatch(self, phi1):
         small = ArithmeticModel(500, 499).approx_on([bs_a1(499), bs_a2(499)])
         with pytest.raises(ValueError):
@@ -94,8 +88,7 @@ class TestBuildConjugator:
 class TestConjugacyDefect:
     def test_identity_tau_zero_defect(self, phi1):
         conj = build(phi1, phi1)
-        ident = Conjugator(Permutation.identity(N), conj.lambda1, conj.lambda1,
-                           conj.levels, EPS, conj.tiling1, conj.tiling1)
+        ident = Conjugator(Permutation.identity(N), conj.lambda1, conj.lambda1, EPS)
         rep = conjugacy_defect(ident, phi1, phi1, [bs_a1(M), bs_a2(M)])
         assert rep.max_defect.numerator == 0
 
@@ -104,8 +97,7 @@ class TestConjugacyDefect:
         phi2 = conjugated(phi1, sigma)
         conj = build(phi1, phi2)
         rand = Conjugator(Permutation(np.random.default_rng(12).permutation(N)),
-                          conj.lambda1, conj.lambda2, conj.levels, EPS,
-                          conj.tiling1, conj.tiling2)
+                          conj.lambda1, conj.lambda2, EPS)
         rep = conjugacy_defect(rand, phi1, phi2, [bs_a1(M), bs_a2(M)])
         assert rep.max_defect > Fraction(1, 2)
 

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -5,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soficlab.bsgroup import BsElement, a2_interval
-from soficlab.perm import Permutation
+from soficlab.bsgroup import BsElement, a2_interval, bs_a2
+from soficlab.cli import conjugate_shapes
+from soficlab.perm import Permutation, orbit_order
 from soficlab.soficcheck import ArithmeticModel, SoficApprox, amplify
 from soficlab.tiling import (CoarseApproximationError, DegreeTooSmallError,
-                             ExtractionResult, SetFamily, TileLevel, Tiling,
-                             extract_eps_disjoint, plan_parameters, quasi_tile,
-                             verify_tiling)
+                             ExtractionResult, LevelMeasure, SetFamily, TileLevel,
+                             Tiling, TilingReport, extract_eps_disjoint, level_points,
+                             plan_parameters, quasi_tile, tile_cores, verify_tiling)
 
 WIDTHS = [2, 4, 6, 8, 12, 16, 24, 32]
 
@@ -297,3 +299,171 @@ class TestAmplifiedModel:
         tiling = quasi_tile(phi, shapes, Fraction(1, 4), Fraction(1, 4),
                             n_threshold=10_000)
         assert verify_tiling(tiling).passed
+
+
+# ---------------------------------------------------------------------------
+# The set-based verifier and the conjugator's core routine as they stood
+# before tile geometry moved into tile_cores and level_points, kept as the
+# references the array code must reproduce exactly.
+
+def oracle_verify(t: Tiling) -> TilingReport:
+    """Recheck all four conclusions from the centers and the permutation
+    table alone; nothing from the construction run is trusted."""
+    n = t.n
+    level_unions = []
+    injective_ok = True
+    eps_disjoint_ok = True
+    union_all: set = set()
+    for lvl in t.levels:
+        imgs = np.stack([t.table[g].image for g in lvl.shape])
+        size = imgs.shape[0]
+        lvl_union: set = set()
+        for c in lvl.centers:
+            tile = imgs[:, c]
+            tile_set = set(tile.tolist())
+            if len(tile_set) != size:
+                injective_ok = False
+            core = tile_set - union_all
+            if len(core) < (1 - t.eps) * size:
+                eps_disjoint_ok = False
+            union_all |= tile_set
+            lvl_union |= tile_set
+        level_unions.append(lvl_union)
+
+    disjoint_ok = True
+    for a in range(len(level_unions)):
+        for b in range(a + 1, len(level_unions)):
+            if level_unions[a] & level_unions[b]:
+                disjoint_ok = False
+
+    cover_ratio = Fraction(len(union_all), n)
+    cover_ok = cover_ratio >= 1 - t.eps
+
+    measures = []
+    for lvl, lvl_union in zip(t.levels, level_unions):
+        ratio = Fraction(len(lvl_union), n)
+        low = (1 - t.kappa) * lvl.lam
+        high = (1 + t.kappa) * lvl.lam
+        measures.append(LevelMeasure(lvl.j, ratio, low, high, low <= ratio <= high))
+    measure_ok = all(m.ok for m in measures)
+
+    passed = disjoint_ok and injective_ok and eps_disjoint_ok and cover_ok and measure_ok
+    return TilingReport(disjoint_ok, injective_ok, eps_disjoint_ok,
+                        cover_ratio, cover_ok, tuple(measures), measure_ok, passed)
+
+
+def oracle_core_masks(t: Tiling) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per level, ascending j: the tile points, row q holding phi(g)c for
+    the q-th center c and g in shape order, and a boolean mask of the same
+    shape marking the generators whose point avoids every tile placed
+    earlier, replaying the construction order (level k down to 1, centers
+    in selection order).  These core point sets are pairwise disjoint
+    across the whole family."""
+    points = [np.stack([t.table[g].image for g in lvl.shape])[:, list(lvl.centers)].T
+              for lvl in t.levels]
+    construction = points[::-1]
+    flat = np.concatenate([p.ravel() for p in construction])
+    widths = np.concatenate([np.full(len(p), p.shape[1]) for p in construction])
+    tile = np.repeat(np.arange(len(widths)), widths)      # construction order
+    _, first, point = np.unique(flat, return_index=True, return_inverse=True)
+    core = tile[first][point] == tile           # the first tile to reach the point
+    cores = np.split(core, np.cumsum([p.size for p in construction])[:-1])
+    return [(p, c.reshape(p.shape)) for p, c in zip(points, cores[::-1])]
+
+
+@functools.lru_cache(maxsize=None)
+def rectangle_tiling(n=1000):
+    """quasi_tile as build_conjugator runs it for the conjugate subcommand:
+    m = n - 1, height-2 rectangles, inner eps 1/8, maximal packing, centers
+    ranked by the orbit order of a2."""
+    m = n - 1
+    shapes = conjugate_shapes(m)
+    domain = set().union(*shapes) | {g.inverse() * h for g in shapes[-1] for h in shapes[-1]}
+    phi = ArithmeticModel(n, m).approx_on(domain | {bs_a2(m)})
+    return quasi_tile(phi, shapes, Fraction(1, 8), Fraction(1, 8), n_threshold=n,
+                      delta_prime=Fraction(3, 8), maximal=True,
+                      center_order=orbit_order(phi.table[bs_a2(m)]))
+
+
+BASES = {"z_model": functools.lru_cache(maxsize=None)(z_model_tiling),
+         "rectangle": rectangle_tiling}
+
+
+@st.composite
+def mutated_tilings(draw):
+    """A valid tiling with one to four edits: a center moved, added, dropped
+    or copied to another level, or a shape key repeated."""
+    t = BASES[draw(st.sampled_from(sorted(BASES)))]()
+    centers = [list(lvl.centers) for lvl in t.levels]
+    shapes = [lvl.shape for lvl in t.levels]
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["move", "add", "drop", "copy", "repeat"]))
+        a = draw(st.integers(0, len(centers) - 1))
+        if kind == "add":
+            centers[a].insert(draw(st.integers(0, len(centers[a]))), draw(st.integers(0, t.n - 1)))
+        elif kind == "repeat":
+            shapes[a] += (shapes[a][draw(st.integers(0, len(shapes[a]) - 1))],)
+        elif centers[a]:
+            i = draw(st.integers(0, len(centers[a]) - 1))
+            if kind == "move":
+                centers[a][i] = (centers[a][i] + draw(st.integers(-20, 20))) % t.n
+            elif kind == "drop":
+                del centers[a][i]
+            else:
+                b = draw(st.integers(0, len(centers) - 1))
+                centers[b].insert(draw(st.integers(0, len(centers[b]))), centers[a][i])
+    levels = tuple(TileLevel(lvl.j, shape, lvl.lam, tuple(cs))
+                   for lvl, shape, cs in zip(t.levels, shapes, centers))
+    return Tiling(t.n, t.eps, t.kappa, levels, t.table, t.b_size)
+
+
+class TestVerifyMatchesOracle:
+    @pytest.mark.parametrize("base", sorted(BASES))
+    def test_valid_tilings(self, base):
+        t = BASES[base]()
+        assert verify_tiling(t) == oracle_verify(t)
+
+    @given(mutated_tilings())
+    @settings(max_examples=120, deadline=None)
+    def test_mutated_tilings(self, t):
+        assert verify_tiling(t) == oracle_verify(t)
+
+    def test_empty_shape_raises_alike(self):
+        t = z_model_tiling()
+        lvl = t.levels[2]
+        levels = t.levels[:2] + (TileLevel(lvl.j, (), lvl.lam, lvl.centers),) + t.levels[3:]
+        bad = Tiling(t.n, t.eps, t.kappa, levels, t.table, t.b_size)
+        with pytest.raises(ValueError) as expected:
+            oracle_verify(bad)
+        with pytest.raises(ValueError, match=str(expected.value)):
+            verify_tiling(bad)
+
+
+class TestTileCoresMatchOracle:
+    """On quasi_tile(..., maximal=True, center_order=...) tilings every
+    center lies in B, so every tile is injective.  There the first-occurrence
+    masks equal the old cores, which marked every entry of the first tile to
+    reach a point; the two differ only on a tile that repeats a point."""
+
+    @staticmethod
+    def assert_cores_match(t):
+        points = level_points(t)
+        cores = tile_cores(points[::-1])[::-1]
+        expected = oracle_core_masks(t)
+        assert len(cores) == len(expected) == len(t.levels)
+        for pts, core, (want_pts, want_core) in zip(points, cores, expected):
+            assert np.array_equal(pts, want_pts)
+            assert np.array_equal(core, want_core)
+
+    def test_conjugate_mode_tiling(self):
+        self.assert_cores_match(rectangle_tiling())
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_z_model_random_center_order(self, seed):
+        n = 1000
+        phi = interval_model(n, 3, 40)
+        shapes = [a2_interval(w, 3) for w in WIDTHS]
+        t = quasi_tile(phi, shapes, Fraction(1, 4), Fraction(1, 4), n_threshold=n,
+                       maximal=True, center_order=np.random.default_rng(seed).permutation(n))
+        self.assert_cores_match(t)
