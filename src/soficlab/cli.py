@@ -109,16 +109,18 @@ def _content_hash(params: Dict[str, object], extra_files: Sequence[Path]) -> str
 
 
 def _write_manifest(out_dir: Path, subcommand: str, params: Dict[str, object],
-                    seed: Optional[int], started: float,
-                    config_source: str, extra_files: Sequence[Path] = ()) -> None:
+                    started: float, config_source: str, extra_files: Sequence[Path],
+                    exit_code: int, error: Optional[str]) -> None:
     _write_json(out_dir, "manifest.json", {
         "subcommand": subcommand,
         "params": dict(sorted(params.items())),
-        "seed": seed,
+        "seed": params.get("seed"),
         "config_source": config_source,
         "content_hash": _content_hash(params, extra_files),
         "wall_time_s": round(time.monotonic() - started, 3),
         "version": __version__,
+        "exit_code": exit_code,
+        "error": error,
     })
 
 
@@ -325,14 +327,15 @@ def _cmd_padic(opts, out_dir: Path) -> int:
     for r in range(r_min, r_max + 1):
         ctx = PadicContext(p, r, m)
         units = [v for v in range(1, ctx.q) if v % p != 0]
-        fixed_hits = 0
+        fixed_hits, cross_checked = 0, False
         for _ in range(tuples):
             c = tuple(rng.choice(units) for _ in range(4))
-            rep = padic_fixed_point(ctx, c, brute_force=ctx.q ** 4 <= 10 ** 6)
+            rep = padic_fixed_point(ctx, c)
             fixed_hits += int(rep.is_fixed)
+            cross_checked = rep.brute_points is not None
         results.append({"p": p, "r": r, "s": ctx.s, "tuples": tuples,
                         "genuinely_fixed": fixed_hits,
-                        "cross_checked": ctx.q ** 4 <= 10 ** 6})
+                        "cross_checked": cross_checked})
     _write_json(out_dir, "padic.json", results)
     return 0
 
@@ -438,16 +441,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cert = Path(opts["certificate"])
             if cert.is_file():
                 extra.append(cert)
-        code = _RUNNERS[args.subcommand](opts, out_dir)
-        _write_manifest(out_dir, args.subcommand, opts, opts.get("seed"),
-                        started, source, extra)
+        try:
+            code, error = _RUNNERS[args.subcommand](opts, out_dir), None
+        except UsageError:
+            raise
+        except (AssertionError, ValueError, KeyError) as exc:
+            print(f"failed: {exc}", file=sys.stderr)
+            code, error = 2, str(exc)
+        _write_manifest(out_dir, args.subcommand, opts, started, source, extra, code, error)
         return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (AssertionError, ValueError, KeyError) as exc:
-        print(f"failed: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

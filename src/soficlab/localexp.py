@@ -211,8 +211,7 @@ def _padic_step(ctx: PadicContext, c: Sequence[int],
             c[1] * ctx.s_pow(x[1]) % q, c[2] * ctx.s_pow(x[2]) % q)
 
 
-def padic_fixed_point(ctx: PadicContext, c: Sequence[int],
-                      *, brute_force: Optional[bool] = None) -> PadicFixedReport:
+def padic_fixed_point(ctx: PadicContext, c: Sequence[int]) -> PadicFixedReport:
     """The unique fixed-point candidate of G by digit lifting: mod p the
     point must be (c4, c1, c2, c3) since s^x = 1 mod p, and knowing it mod
     p^t determines each s^x, hence the point, mod p^(t+1).  Returns the
@@ -229,19 +228,14 @@ def padic_fixed_point(ctx: PadicContext, c: Sequence[int],
     is_fixed = _padic_step(ctx, c, x) == x
 
     brute: Optional[Tuple[Tuple[int, int, int, int], ...]] = None
-    if brute_force is None:
-        brute_force = ctx.q ** 4 <= 10 ** 6
-    if brute_force:
-        if ctx.q ** 4 > 10 ** 6:
-            raise ValueError(f"state space {ctx.q ** 4} exceeds 10^6")
+    if ctx.q ** 4 <= 10 ** 6:
         q = ctx.q
         spow = np.array([ctx.s_pow(v) for v in range(q)], dtype=np.int64)
         maps = [c[j] * spow % q for j in range(4)]     # maps[j][x] = c_{j+1} s^x
         x1, x2, x3, x4 = np.ix_(*(np.arange(q),) * 4)
         fixed = ((x2 == maps[0][x1]) & (x3 == maps[1][x2])
                  & (x4 == maps[2][x3]) & (x1 == maps[3][x4]))
-        pts = np.argwhere(fixed)
-        brute = tuple(tuple(int(v) for v in row) for row in pts)
+        brute = tuple(tuple(int(v) for v in row) for row in np.argwhere(fixed))
         if len(brute) > 1:
             raise AssertionError(f"multiple fixed points: {brute}")
         if is_fixed != (len(brute) == 1) or (brute and brute[0] != x):

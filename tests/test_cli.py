@@ -105,6 +105,15 @@ class TestCycles:
         code, _ = run(tmp_path, "cycles", "--m", "2", "--n", "3037000501")
         assert code == 2
 
+    def test_failed_check_leaves_manifest(self, tmp_path, capsys):
+        code, out = run(tmp_path, "cycles", "--m", "2", "--n", "3037000501")
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_code"] == 2
+        assert manifest["error"] in capsys.readouterr().err
+        assert manifest["params"] == {"m": 2, "n": 3037000501}
+        assert [f.name for f in out.iterdir()] == ["manifest.json"]
+
     def test_no_moduli(self, tmp_path):
         code, _ = run(tmp_path, "cycles", "--m", "2")
         assert code == 1
@@ -140,6 +149,14 @@ def one_level_eps_one(data):
 
 def drop_table_key(data):
     del data["table"][0]
+
+
+def empty_level_3_shape(data):
+    data["levels"][2]["shape"] = []
+
+
+def repeat_level_2_key(data):
+    data["levels"][1]["shape"].append(data["levels"][1]["shape"][0])
 
 
 class TestTileVerify:
@@ -194,6 +211,8 @@ class TestTileVerify:
         (drop_lowest_levels, "the plan for eps = 1/4 has levels 1..8"),
         (one_level_eps_one, "eps=1 outside (0, 1/4]"),
         (drop_table_key, "table has no permutation for shape key"),
+        (empty_level_3_shape, "Folner shape F_3 is empty"),
+        (repeat_level_2_key, "Folner shape F_2 repeats a key"),
     ])
     def test_verify_rejects_certificate_off_plan(self, tmp_path, mutate, reason):
         code, out = run(tmp_path, "tile", "--n", "1000")
@@ -252,6 +271,14 @@ class TestOtherSubcommands:
         assert [row["r"] for row in data] == [2, 3]
         assert all(row["cross_checked"] for row in data)
 
+    @pytest.mark.parametrize("powers, tuples", [("3:4..4", "5"), ("3:2..2", "0")])
+    def test_padic_not_cross_checked(self, tmp_path, powers, tuples):
+        # 81^4 > 10^6 states are not brute-forced; zero tuples check nothing
+        code, out = run(tmp_path, "padic", "--m", "2",
+                        "--prime-powers", powers, "--tuples", tuples)
+        assert code == 0
+        assert not json.loads((out / "padic.json").read_text())[0]["cross_checked"]
+
     def test_padic_needs_prime_powers(self, tmp_path):
         code, _ = run(tmp_path, "padic", "--m", "2")
         assert code == 1
@@ -293,6 +320,13 @@ class TestEntryPoint:
         assert manifest["subcommand"] == "heuristic"
         assert set(manifest) >= {"params", "seed", "config_source",
                                  "content_hash", "wall_time_s", "version"}
+        assert manifest["exit_code"] == 0 and manifest["error"] is None
+
+    def test_failed_certificate_manifest_has_exit_code(self, tmp_path):
+        code, out = run(tmp_path, "sofic-check", "--m", "2", "--n", "7")
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_code"] == 2 and manifest["error"] is None
 
 
 def sha256(path) -> str:

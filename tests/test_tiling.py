@@ -1,6 +1,7 @@
 import functools
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Tuple
+from math import ceil
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ from soficlab.bsgroup import BsElement, a2_interval, bs_a2
 from soficlab.cli import conjugate_shapes
 from soficlab.perm import Permutation, orbit_order
 from soficlab.soficcheck import ArithmeticModel, SoficApprox, amplify
-from soficlab.tiling import (CoarseApproximationError, DegreeTooSmallError,
-                             ExtractionResult, LevelMeasure, SetFamily, TileLevel,
-                             Tiling, TilingReport, extract_eps_disjoint, level_points,
-                             plan_parameters, quasi_tile, tile_cores, verify_tiling)
+from soficlab.tiling import (CoarseApproximationError, DegreeTooSmallError, LevelMeasure,
+                             MissingDomainError, SetFamily, TileLevel, Tiling, TilingReport,
+                             _b_mask, extract_eps_disjoint, level_points, plan_parameters,
+                             quasi_tile, tile_cores, verify_tiling)
 
 WIDTHS = [2, 4, 6, 8, 12, 16, 24, 32]
 
@@ -57,11 +58,8 @@ class TestPlanParameters:
 
 
 def family(n, sets):
-    """SetFamily from (index, frozenset) pairs, each row padded to the widest
-    set by repeating one of its elements."""
-    width = max((len(subset) for _, subset in sets), default=0)
-    rows = [sorted(subset) + [min(subset)] * (width - len(subset)) for _, subset in sets]
-    return SetFamily(n, [idx for idx, _ in sets], rows)
+    """SetFamily from (index, frozenset) pairs, all sets of one size."""
+    return SetFamily(n, [idx for idx, _ in sets], [sorted(subset) for _, subset in sets])
 
 
 # The restart-loop extraction as it stood before the array rewrite, kept as
@@ -72,24 +70,10 @@ class OracleFamily(NamedTuple):
     sets: Tuple[Tuple[int, frozenset], ...]
 
 
-def _oracle_measure_rho(fam: OracleFamily) -> Tuple[int, Fraction]:
-    count = np.zeros(fam.n, dtype=np.int64)
-    mass = 0
-    for _, subset in fam.sets:
-        mass += len(subset)
-        for x in subset:
-            count[x] += 1
-    mult = int(count.max()) if len(fam.sets) else 1
-    mult = max(mult, 1)
-    rho = max(Fraction(0), 1 - Fraction(mass, mult * fam.n))
-    return mult, rho
-
-
-def oracle_extract(fam: OracleFamily, eps, target: Optional[int] = None) -> ExtractionResult:
+def oracle_extract(fam: OracleFamily, eps, target: Optional[int] = None) -> Tuple[int, ...]:
     if not fam.sets:
         raise ValueError("empty family")
     eps = Fraction(eps)
-    mult, rho = _oracle_measure_rho(fam)
 
     order = sorted(fam.sets, key=lambda pair: (-len(pair[1]), pair[0]))
     selected: List[Tuple[int, frozenset]] = []
@@ -114,37 +98,26 @@ def oracle_extract(fam: OracleFamily, eps, target: Optional[int] = None) -> Extr
                     union = rest
                     changed = True
                     break
-
-    witnesses = []
-    seen: set = set()
-    for _, subset in selected:
-        witnesses.append(frozenset(subset - seen))
-        seen |= subset
-    coverage = len(seen)
-    ok = coverage >= (target if target is not None else eps * (1 - rho) * fam.n)
-    return ExtractionResult(tuple(idx for idx, _ in selected), tuple(witnesses),
-                            coverage, mult, rho, target, ok)
+    return tuple(idx for idx, _ in selected)
 
 
 @st.composite
-def ragged_families(draw):
-    """Rows of 1..8 entries drawn with repetition, padded to the widest row
-    by repeating their first entry."""
+def one_size_families(draw):
+    """Up to 25 rows of w distinct points each, w in 1..8, with indices
+    that may tie."""
     n = draw(st.integers(1, 40))
-    raw = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=8),
-                        min_size=1, max_size=25))
-    indices = draw(st.lists(st.integers(0, 30), min_size=len(raw), max_size=len(raw)))
-    width = max(len(row) for row in raw)
-    rows = [row + [row[0]] * (width - len(row)) for row in raw]
+    w = draw(st.integers(1, min(8, n)))
+    rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=w, max_size=w, unique=True),
+                         min_size=1, max_size=25))
+    indices = draw(st.lists(st.integers(0, 30), min_size=len(rows), max_size=len(rows)))
     return n, indices, rows
 
 
 class TestExtraction:
     def test_disjoint_family_kept_whole(self):
-        fam = family(10, ((0, frozenset({0, 1, 2})), (1, frozenset({5, 6}))))
+        fam = family(10, ((0, frozenset({0, 1, 2})), (1, frozenset({5, 6, 7}))))
         res = extract_eps_disjoint(fam, Fraction(1, 4))
         assert res.indices == (0, 1)
-        assert res.witnesses == (frozenset({0, 1, 2}), frozenset({5, 6}))
 
     def test_duplicates_collapse(self):
         fam = family(10, ((0, frozenset({0, 1})), (1, frozenset({0, 1}))))
@@ -160,28 +133,24 @@ class TestExtraction:
     def test_random_intervals_coverage(self, seed):
         rng = np.random.default_rng(seed)
         n, eps = 1000, Fraction(1, 4)
-        sets = []
-        for i in range(60):
-            start = int(rng.integers(0, n - 30))
-            width = int(rng.integers(5, 30))
-            sets.append((i, frozenset(range(start, start + width))))
-        fam = family(n, tuple(sets))
-        res = extract_eps_disjoint(fam, eps)
-        # witnesses pairwise disjoint and large
-        seen = set()
-        for (idx, _), wit in zip([sets[i] for i in res.indices], res.witnesses):
-            assert not (wit & seen)
-            seen |= wit
-        for idx, wit in zip(res.indices, res.witnesses):
-            full = dict(sets)[idx]
-            assert len(wit) >= (1 - eps) * len(full)
-        assert res.coverage >= eps * (1 - res.rho) * n
+        w = int(rng.integers(5, 30))
+        starts = rng.integers(0, n - w, size=60)
+        rows = starts[:, None] + np.arange(w)
+        res = extract_eps_disjoint(SetFamily(n, np.arange(60), rows), eps)
+        keep_at = ceil((1 - eps) * w)
+        kept = rows[list(res.indices)]
+        assert (tile_cores([kept])[0].sum(axis=1) >= keep_at).all()
+        # a rejected set has too few points free of the kept sets before it
+        for i in sorted(set(range(60)) - set(res.indices)):
+            earlier = rows[[q for q in res.indices if q < i]]
+            free = tile_cores([earlier, rows[i:i + 1]])[1].sum()
+            assert free < keep_at
 
     def test_prune_to_target_minimal(self):
         sets = tuple((i, frozenset(range(10 * i, 10 * i + 10))) for i in range(10))
         fam = family(100, sets)
         res = extract_eps_disjoint(fam, Fraction(1, 4), target=30)
-        assert res.coverage >= 30
+        assert len(set().union(*(dict(sets)[idx] for idx in res.indices))) >= 30
         # minimality: dropping any selected set breaks the target
         for drop in range(len(res.indices)):
             rest = set()
@@ -190,7 +159,7 @@ class TestExtraction:
                     rest |= dict(sets)[idx]
             assert len(rest) < 30
 
-    @given(ragged_families(),
+    @given(one_size_families(),
            st.fractions(0, 1, max_denominator=12),
            st.one_of(st.none(), st.integers(0, 45)))
     @settings(max_examples=300, deadline=None)
@@ -200,16 +169,20 @@ class TestExtraction:
             OracleFamily(n, tuple((idx, frozenset(row)) for idx, row in zip(indices, rows))),
             eps, target)
         got = extract_eps_disjoint(SetFamily(n, indices, rows), eps, target)
-        assert got == expected
+        assert got.indices == expected
 
     def test_sets_offered(self):
-        fam = SetFamily(10, (4, 7, 1), ((0, 1), (2, 2), (9, 3)))
+        fam = SetFamily(10, (4, 7, 1), ((0, 1), (2, 5), (9, 3)))
         assert len(fam.sets) == 3
 
     @pytest.mark.parametrize("rows", [((0, 10),), ((-1, 2),)])
     def test_element_outside_ground_set(self, rows):
         with pytest.raises(ValueError, match="outside the ground set"):
             SetFamily(10, (0,), rows)
+
+    def test_repeated_point_rejected(self):
+        with pytest.raises(ValueError, match="set 7 repeats a point"):
+            SetFamily(10, (4, 7, 1), ((0, 1), (2, 2), (9, 3)))
 
 
 class TestQuasiTile:
@@ -371,18 +344,24 @@ def oracle_core_masks(t: Tiling) -> List[Tuple[np.ndarray, np.ndarray]]:
     return [(p, c.reshape(p.shape)) for p, c in zip(points, cores[::-1])]
 
 
-@functools.lru_cache(maxsize=None)
-def rectangle_tiling(n=1000):
-    """quasi_tile as build_conjugator runs it for the conjugate subcommand:
-    m = n - 1, height-2 rectangles, inner eps 1/8, maximal packing, centers
-    ranked by the orbit order of a2."""
+def conjugate_mode_approx(n):
+    """The approximation the conjugate subcommand tiles, with m = n - 1 and
+    its height-2 rectangle shapes: defined on the shapes, on F_k^-1 F_k and
+    on a2."""
     m = n - 1
     shapes = conjugate_shapes(m)
     domain = set().union(*shapes) | {g.inverse() * h for g in shapes[-1] for h in shapes[-1]}
-    phi = ArithmeticModel(n, m).approx_on(domain | {bs_a2(m)})
+    return ArithmeticModel(n, m).approx_on(domain | {bs_a2(m)}), shapes
+
+
+@functools.lru_cache(maxsize=None)
+def rectangle_tiling(n=1000):
+    """quasi_tile as build_conjugator runs it for the conjugate subcommand:
+    inner eps 1/8, maximal packing, centers ranked by the orbit order of a2."""
+    phi, shapes = conjugate_mode_approx(n)
     return quasi_tile(phi, shapes, Fraction(1, 8), Fraction(1, 8), n_threshold=n,
                       delta_prime=Fraction(3, 8), maximal=True,
-                      center_order=orbit_order(phi.table[bs_a2(m)]))
+                      center_order=orbit_order(phi.table[bs_a2(n - 1)]))
 
 
 BASES = {"z_model": functools.lru_cache(maxsize=None)(z_model_tiling),
@@ -392,17 +371,14 @@ BASES = {"z_model": functools.lru_cache(maxsize=None)(z_model_tiling),
 @st.composite
 def mutated_tilings(draw):
     """A valid tiling with one to four edits: a center moved, added, dropped
-    or copied to another level, or a shape key repeated."""
+    or copied to another level."""
     t = BASES[draw(st.sampled_from(sorted(BASES)))]()
     centers = [list(lvl.centers) for lvl in t.levels]
-    shapes = [lvl.shape for lvl in t.levels]
     for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["move", "add", "drop", "copy", "repeat"]))
+        kind = draw(st.sampled_from(["move", "add", "drop", "copy"]))
         a = draw(st.integers(0, len(centers) - 1))
         if kind == "add":
             centers[a].insert(draw(st.integers(0, len(centers[a]))), draw(st.integers(0, t.n - 1)))
-        elif kind == "repeat":
-            shapes[a] += (shapes[a][draw(st.integers(0, len(shapes[a]) - 1))],)
         elif centers[a]:
             i = draw(st.integers(0, len(centers[a]) - 1))
             if kind == "move":
@@ -412,8 +388,8 @@ def mutated_tilings(draw):
             else:
                 b = draw(st.integers(0, len(centers) - 1))
                 centers[b].insert(draw(st.integers(0, len(centers[b]))), centers[a][i])
-    levels = tuple(TileLevel(lvl.j, shape, lvl.lam, tuple(cs))
-                   for lvl, shape, cs in zip(t.levels, shapes, centers))
+    levels = tuple(TileLevel(lvl.j, lvl.shape, lvl.lam, tuple(cs))
+                   for lvl, cs in zip(t.levels, centers))
     return Tiling(t.n, t.eps, t.kappa, levels, t.table, t.b_size)
 
 
@@ -429,14 +405,12 @@ class TestVerifyMatchesOracle:
         assert verify_tiling(t) == oracle_verify(t)
 
     def test_empty_shape_raises_alike(self):
+        # rejected when the certificate is built, before either verifier runs
         t = z_model_tiling()
         lvl = t.levels[2]
         levels = t.levels[:2] + (TileLevel(lvl.j, (), lvl.lam, lvl.centers),) + t.levels[3:]
-        bad = Tiling(t.n, t.eps, t.kappa, levels, t.table, t.b_size)
-        with pytest.raises(ValueError) as expected:
-            oracle_verify(bad)
-        with pytest.raises(ValueError, match=str(expected.value)):
-            verify_tiling(bad)
+        with pytest.raises(ValueError, match="Folner shape F_3 is empty"):
+            Tiling(t.n, t.eps, t.kappa, levels, t.table, t.b_size)
 
 
 class TestTileCoresMatchOracle:
@@ -467,3 +441,124 @@ class TestTileCoresMatchOracle:
         t = quasi_tile(phi, shapes, Fraction(1, 4), Fraction(1, 4), n_threshold=n,
                        maximal=True, center_order=np.random.default_rng(seed).permutation(n))
         self.assert_cores_match(t)
+
+
+class TestShapeConditions:
+    """quasi_tile and Tiling check the plan's conditions on the shapes in
+    one place."""
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda shapes: [()] + shapes[1:], "F_1 is empty"),
+        (lambda shapes: shapes[:1] + [shapes[1] + shapes[1][:1]] + shapes[2:],
+         "F_2 repeats a key"),
+        (lambda shapes: shapes[1:2] + shapes[:1] + shapes[2:], "not nested"),
+        (lambda shapes: [tuple(g for g in shapes[0] if not g.is_identity())] + shapes[1:],
+         "identity not in the first"),
+    ])
+    def test_bad_shapes_rejected_alike(self, edit, reason):
+        t = z_model_tiling()
+        shapes = edit([lvl.shape for lvl in t.levels])
+        with pytest.raises(ValueError, match=reason):
+            quasi_tile(interval_model(1000, 3, 40), shapes, t.eps, t.kappa, n_threshold=1000)
+        levels = tuple(TileLevel(lvl.j, shape, lvl.lam, lvl.centers)
+                       for lvl, shape in zip(t.levels, shapes))
+        with pytest.raises(ValueError, match=reason):
+            Tiling(t.n, t.eps, t.kappa, levels, t.table, t.b_size)
+
+
+# The per-pair B loop of quasi_tile as it stood before freeness was read off
+# the stacked F_k images, kept as the reference _b_mask must reproduce.
+
+def oracle_b_mask(phi: SoficApprox, F_k) -> np.ndarray:
+    inverses = {g: g.inverse() for g in F_k}
+    products: Dict[Tuple[BsElement, BsElement], BsElement] = {}
+    for g in F_k:
+        for h in F_k:
+            products[(g, h)] = inverses[g] * h
+    missing = {p for p in products.values() if p not in phi.table}
+    missing |= {g for g in F_k if g not in phi.table}
+    if missing:
+        raise MissingDomainError(f"approximation undefined on {len(missing)} keys of F_k^-1 F_k")
+
+    n = phi.n
+    points = np.arange(n)
+    b_mask = np.ones(n, dtype=bool)
+    for g in F_k:
+        img_g = phi.table[g].image
+        for h in F_k:
+            p = products[(g, h)]
+            img_p = phi.table[p].image
+            b_mask &= img_g[img_p] == phi.table[h].image
+            if g != h:
+                b_mask &= img_p != points
+    return b_mask
+
+
+def sorted_keys(shape):
+    return sorted(shape, key=BsElement.sort_key)
+
+
+def z_mode_approx(n, width=32):
+    return interval_model(n, 3, width), sorted_keys(a2_interval(width, 3))
+
+
+def conjugate_mode_top(n):
+    phi, shapes = conjugate_mode_approx(n)
+    return phi, sorted_keys(shapes[-1])
+
+
+class TestBMaskMatchesOracle:
+    @staticmethod
+    def assert_masks_match(phi, F_k):
+        got = _b_mask(phi, F_k)
+        assert got.dtype == bool and np.array_equal(got, oracle_b_mask(phi, F_k))
+        return got
+
+    def test_z_model(self):
+        assert self.assert_masks_match(*z_mode_approx(1000)).all()
+
+    def test_conjugate_mode(self):
+        self.assert_masks_match(*conjugate_mode_top(1000))
+
+    def test_amplified_model_identity_tail_not_free(self):
+        phi = amplify(interval_model(101, 2, 33), 10_000)
+        mask = self.assert_masks_match(phi, sorted_keys(a2_interval(32, 2)))
+        assert 0 < np.count_nonzero(mask) < len(mask)
+
+    def test_missing_key(self):
+        phi, F_k = z_mode_approx(200, width=8)
+        del phi.table[BsElement(3, 0, -7, 0)]
+        with pytest.raises(MissingDomainError, match="undefined on 1 keys"):
+            _b_mask(phi, F_k)
+
+    def test_identity_check_alone_excludes(self):
+        """phi(e) = (x y) and phi(a2^-1) = phi(a2^-1)(x y) on F_k = {e, a2}:
+        at x and y every check holds except phi(e) x = x, which only the
+        pairs (g, g) test."""
+        n, x, y = 50, 5, 20
+        phi, F_k = z_mode_approx(n, width=2)
+        swap = np.arange(n)
+        swap[[x, y]] = [y, x]
+        identity, a2_inv = BsElement(3, 0, 0, 0), BsElement(3, 0, -1, 0)
+        table = dict(phi.table)
+        table[identity] = Permutation(swap)
+        table[a2_inv] = Permutation(table[a2_inv].image[swap])
+        mask = self.assert_masks_match(SoficApprox(n, table), F_k)
+        assert not mask[[x, y]].any()
+
+    @given(st.sampled_from(["z_model", "conjugate"]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_perturbed_tables(self, base, data):
+        """Transpositions in the images of keys in F_k^-1 F_k, the identity
+        and F_k itself included."""
+        n = 200
+        phi, F_k = z_mode_approx(n, width=8) if base == "z_model" else conjugate_mode_top(n)
+        keys = sorted_keys({g.inverse() * h for g in F_k for h in F_k})
+        table = dict(phi.table)
+        for _ in range(data.draw(st.integers(1, 6))):
+            g = data.draw(st.sampled_from(keys))
+            x, y = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            img = table[g].image.copy()
+            img[[x, y]] = img[[y, x]]
+            table[g] = Permutation(img)
+        self.assert_masks_match(SoficApprox(n, table), F_k)
