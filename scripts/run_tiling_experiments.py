@@ -41,13 +41,13 @@ def main() -> int:
 
     shapes3 = [a2_interval(w, 3) for w in widths]
     phi = interval_model(1000, 3, 40)
-    t1 = quasi_tile(phi, shapes3, eps, eps, n_threshold=1000)
+    t1 = quasi_tile(phi, shapes3, eps, eps)
     rep1 = report("Z model n=1000", t1)
 
     shapes2 = [a2_interval(w, 2) for w in widths]
     base = interval_model(101, 2, 33)
     big = amplify(base, 10_000)
-    t2 = quasi_tile(big, shapes2, eps, eps, n_threshold=10_000)
+    t2 = quasi_tile(big, shapes2, eps, eps)
     rep2 = report("amplified BS(1,2) n=10^4", t2)
 
     if args.out:

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import random
 import sys
 import time
@@ -164,7 +165,9 @@ def _cmd_cycles(opts, out_dir: Path) -> int:
             raise UsageError("modulus must be >= 2")
         moduli.append(opts["n"])
     if not moduli:
-        raise UsageError("cycles needs --primes, --prime-powers or --n")
+        given = [f"{_flag(k)} {opts[k]}" for k in ("primes", "prime_powers") if opts.get(k)]
+        raise UsageError("no modulus in " + " or ".join(given) if given
+                         else "cycles needs --primes, --prime-powers or --n")
     rows = run_sweep(m, moduli, workers=opts.get("workers", 1))
     _write(out_dir, "cycles.csv", sweep_csv(rows))
     slack = opts.get("slack", 100)
@@ -188,6 +191,7 @@ def _ball(m: int, e_bound: int, num_bound: int) -> List[BsElement]:
 def _cmd_sofic_check(opts, out_dir: Path) -> int:
     m = _require(opts, "m")
     n = _require(opts, "n")
+    _check_unit(m, n)
     delta = opts.get("delta", Fraction(1, 8))
     model = ArithmeticModel(n, m)
     phi = model.approx_on(_ball(m, opts.get("exp_bound", 2), opts.get("num_bound", 8)))
@@ -202,12 +206,12 @@ def _cmd_sofic_check(opts, out_dir: Path) -> int:
     return 0 if report.passed else 2
 
 
-def interval_shapes(k: int, m: int, max_width: int = 32) -> List[frozenset]:
-    """k nested translation-interval shapes with slowly growing widths."""
+def interval_shapes(k: int, m: int) -> List[frozenset]:
+    """k nested translation-interval shapes, widths growing slowly up to 32."""
     widths: List[int] = []
     w = 2.0
     for _ in range(k):
-        widths.append(min(max_width, max(2, int(round(w)))))
+        widths.append(min(32, max(2, int(round(w)))))
         w *= 1.45
     widths = sorted(widths)
     return [a2_interval(width, m) for width in widths]
@@ -218,18 +222,27 @@ def _check_tiling_eps(eps: Fraction) -> None:
         raise UsageError(f"eps = {eps} is outside the tiling regime (0, 1/4]")
 
 
+def _check_unit(m: int, n: int) -> None:
+    """tile, conjugate, sofic-check, search-f and h3 multiply by m mod n: m must be a unit."""
+    if math.gcd(m, n) != 1:
+        raise UsageError(f"gcd({m}, {n}) != 1: m must be a unit mod n")
+
+
 def _cmd_tile(opts, out_dir: Path) -> int:
     m = opts.get("m", 3)
     n = _require(opts, "n")
     eps = opts.get("eps", Fraction(1, 4))
     kappa = opts.get("kappa", eps)
     _check_tiling_eps(eps)
+    if kappa <= 0:
+        raise UsageError(f"kappa = {kappa} must be positive")
+    _check_unit(m, n)
     plan = plan_parameters(eps, kappa)
     shapes = interval_shapes(plan.k, m)
     max_w = max(len(s) for s in shapes)
     model = ArithmeticModel(n, m)
     phi = model.approx_on([BsElement(m, 0, ell, 0) for ell in range(-max_w, max_w + 1)])
-    tiling = quasi_tile(phi, shapes, eps, kappa, n_threshold=n)
+    tiling = quasi_tile(phi, shapes, eps, kappa)
     report = verify_tiling(tiling)
     _write(out_dir, "tiling.json", tiling.to_json() + "\n")
     _write_json(out_dir, "tile_report.json", {
@@ -252,22 +265,24 @@ def conjugate_shapes(m: int) -> List[frozenset]:
     return [bs_rectangle(2, w, m) for w in widths]
 
 
+def conjugate_domain(m: int) -> Tuple[List[frozenset], set]:
+    """The conjugate shapes and the keys the conjugator reads: those, F_k^-1 F_k, a_1, a_2."""
+    shapes = conjugate_shapes(m)
+    domain = set().union(*shapes, {bs_a1(m), bs_a2(m)})
+    return shapes, domain | {g.inverse() * h for g in shapes[-1] for h in shapes[-1]}
+
+
 def _cmd_conjugate(opts, out_dir: Path) -> int:
     n = opts.get("n", 1000)
     m = opts.get("m", n - 1)
     eps = opts.get("eps", Fraction(1, 4))
     _check_tiling_eps(eps)
+    _check_unit(m, n)
     seed = opts.get("seed", 0)
-    model = ArithmeticModel(n, m)
-    shapes = conjugate_shapes(m)
-    domain = set().union(*shapes)
-    domain |= {g.inverse() * h for g in shapes[-1] for h in shapes[-1]}
-    domain |= {bs_a1(m), bs_a2(m)}
-    phi1 = model.approx_on(domain)
+    shapes, domain = conjugate_domain(m)
+    phi1 = ArithmeticModel(n, m).approx_on(domain)
     phi2 = phi1.conjugated(Permutation(np.random.default_rng(seed).permutation(n)))
-    conj = build_conjugator(phi1, phi2, eps, shapes,
-                            inner_eps=Fraction(1, 8), n_threshold=n,
-                            delta_prime=Fraction(3, 8), order_key=bs_a2(m))
+    conj = build_conjugator(phi1, phi2, eps, shapes)
     report = conjugacy_defect(conj, phi1, phi2, [bs_a1(m), bs_a2(m)])
     _write(out_dir, "conjugator.json", conj.to_json() + "\n")
     _write_json(out_dir, "conjugacy_report.json", {
@@ -283,6 +298,7 @@ def _cmd_conjugate(opts, out_dir: Path) -> int:
 def _cmd_search_f(opts, out_dir: Path) -> int:
     n = _require(opts, "n")
     m = _require(opts, "m")
+    _check_unit(m, n)
     budget = _count(opts, "budget", 200_000)
     seed = opts.get("seed", 0)
     result = search_local_exp(n, m, budget=budget, seed=seed)
@@ -293,6 +309,7 @@ def _cmd_search_f(opts, out_dir: Path) -> int:
 def _cmd_h3(opts, out_dir: Path) -> int:
     n = _require(opts, "n")
     m = _require(opts, "m")
+    _check_unit(m, n)
     payload: Dict[str, object] = {"n": n, "m": m}
     code = 0
     if n <= 8:

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .bsgroup import BsElement
+from .bsgroup import BsElement, bs_a2
 from .perm import HammingValue, Permutation, hamming, orbit_order
 from .soficcheck import SoficApprox
 from .tiling import level_points, quasi_tile, tile_cores
@@ -47,39 +47,36 @@ class Conjugator:
         })
 
 
-def build_conjugator(phi1: SoficApprox, phi2: SoficApprox, eps,
-                     folner_seq: Sequence[Iterable[BsElement]],
-                     *, inner_eps=None,
-                     n_threshold: Optional[int] = None,
-                     delta_prime=Fraction(1, 4),
-                     support_threshold=None,
-                     order_key: Optional[BsElement] = None) -> Conjugator:
-    """Quasi-tile both approximations (at eps/7 by default, per the
-    analysis behind the defect bound; inner_eps overrides) and assemble tau.
+# Both inner tilings run at INNER_EPS, so folner_seq must be the plan at
+# INNER_EPS (cli.conjugate_shapes); _check_shapes rejects any other shape list
+# with its reason.  B may miss up to DELTA_PRIME of the points.
+INNER_EPS = Fraction(1, 8)
+DELTA_PRIME = Fraction(3, 8)
 
-    order_key names a generator whose image's orbit structure sets the
+
+def build_conjugator(phi1: SoficApprox, phi2: SoficApprox, eps,
+                     folner_seq: Sequence[Iterable[BsElement]]) -> Conjugator:
+    """Quasi-tile both approximations at INNER_EPS and assemble tau.
+
+    The orbit structure of the image of a_2 (m read off the shapes) sets the
     greedy center priority on each side.  Relabeling one approximation by a
     conjugation then relabels its whole tiling up to cycle phase, so the two
     tilings stay structurally aligned and the matched support stays large.
     The tilings run in maximal packing mode for the same reason.
 
     Raises InsufficientSupportError when the matched supports fall below
-    (1 - 4 eps / 7) n (override via support_threshold).
+    (1 - 4 eps / 7) n.
     """
     if phi1.n != phi2.n:
         raise ValueError(f"degrees {phi1.n} != {phi2.n}")
     eps = Fraction(eps)
-    e_t = Fraction(inner_eps) if inner_eps is not None else eps / 7
     n = phi1.n
+    a2 = bs_a2(next(iter(folner_seq[0])).m)
 
-    order1 = order2 = None
-    if order_key is not None:
-        order1 = orbit_order(phi1.table[order_key])
-        order2 = orbit_order(phi2.table[order_key])
     sides = []
-    for phi, order in ((phi1, order1), (phi2, order2)):
-        t = quasi_tile(phi, folner_seq, e_t, e_t, n_threshold=n_threshold,
-                       delta_prime=delta_prime, maximal=True, center_order=order)
+    for phi in (phi1, phi2):
+        t = quasi_tile(phi, folner_seq, INNER_EPS, INNER_EPS, delta_prime=DELTA_PRIME,
+                       maximal=True, center_order=orbit_order(phi.table[a2]))
         points = level_points(t)
         # cores in construction order: level k down to 1, centers as selected
         sides.append(zip(t.levels, points, tile_cores(points[::-1])[::-1]))
@@ -102,11 +99,10 @@ def build_conjugator(phi1: SoficApprox, phi2: SoficApprox, eps,
     lambda1_pts = np.concatenate(lambda1)
     lambda2_pts = np.concatenate(lambda2)
 
-    if support_threshold is None:
-        support_threshold = (1 - 4 * eps / 7) * n
-    if len(lambda1_pts) < support_threshold:
+    support_bound = (1 - 4 * eps / 7) * n
+    if len(lambda1_pts) < support_bound:
         raise InsufficientSupportError(
-            f"matched support {len(lambda1_pts)}/{n} below {float(support_threshold):.1f}")
+            f"matched support {len(lambda1_pts)}/{n} below {float(support_bound):.1f}")
 
     # order-preserving extension between the complements
     free1 = np.flatnonzero(tau_img < 0)

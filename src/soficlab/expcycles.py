@@ -56,9 +56,9 @@ def _exp_table(m: int, n: int) -> np.ndarray:
     return out
 
 
-def exp_map(m: int, n: int, *, spot_checks: int = 16) -> ExpMap:
+def exp_map(m: int, n: int) -> ExpMap:
     """Tabulate x -> m^x mod n; cross-checked against square-and-multiply
-    at deterministic sample points."""
+    at 16 deterministic sample points."""
     if n < 2:
         raise ValueError("modulus must be >= 2")
     if n > MAX_MODULUS:
@@ -67,7 +67,7 @@ def exp_map(m: int, n: int, *, spot_checks: int = 16) -> ExpMap:
         raise ValueError(f"gcd({m}, {n}) != 1")
     table = _exp_table(m, n)
     rng = np.random.default_rng((m, n))
-    for x in rng.integers(0, n, size=min(spot_checks, n)):
+    for x in rng.integers(0, n, size=min(16, n)):
         if int(table[x]) != pow(m, int(x), n):
             raise AssertionError(f"tabulation mismatch at x={x}")
     table.setflags(write=False)
@@ -151,8 +151,8 @@ def cycle_census(m: int, n: int) -> CycleCensus:
 # ---------------------------------------------------------------------------
 # Sweep layer
 
-def segmented_sieve(lo: int, hi: int, *, segment: int = 1 << 16) -> List[int]:
-    """Primes in [lo, hi]."""
+def segmented_sieve(lo: int, hi: int) -> List[int]:
+    """Primes in [lo, hi], sieved in segments of 2^16."""
     if hi < 2 or hi < lo:
         return []
     lo = max(lo, 2)
@@ -164,8 +164,8 @@ def segmented_sieve(lo: int, hi: int, *, segment: int = 1 << 16) -> List[int]:
             base[p * p:: p] = False
     small = np.flatnonzero(base)
     out: List[int] = []
-    for start in range(lo, hi + 1, segment):
-        stop = min(start + segment, hi + 1)
+    for start in range(lo, hi + 1, 1 << 16):
+        stop = min(start + (1 << 16), hi + 1)
         mark = np.ones(stop - start, dtype=bool)
         for p in small:
             p = int(p)

@@ -29,11 +29,11 @@ from .perm import HammingValue, Permutation, displacement, hamming, iterate
 @dataclass(frozen=True)
 class ZnFunction:
     """A function {0..n-1} -> {0..n-1} given by its image array; the
-    ``bijective`` flag is verified at construction."""
+    ``bijective`` flag is computed at construction."""
 
     n: int
     image: np.ndarray
-    bijective: bool = field(default=False)
+    bijective: bool = field(init=False)
 
     def __post_init__(self) -> None:
         img = np.asarray(self.image, dtype=np.int64)
@@ -41,13 +41,10 @@ class ZnFunction:
             raise ValueError(f"image shape {img.shape} != ({self.n},)")
         if img.size and (img.min() < 0 or img.max() >= self.n):
             raise ValueError("image values outside {0..n-1}")
-        is_bij = bool(np.bincount(img, minlength=self.n).max() <= 1)
-        if self.bijective and not is_bij:
-            raise ValueError("flagged bijective but image is not a permutation")
         img = img.copy()
         img.setflags(write=False)
         object.__setattr__(self, "image", img)
-        object.__setattr__(self, "bijective", is_bij)
+        object.__setattr__(self, "bijective", bool(np.bincount(img, minlength=self.n).max() <= 1))
 
     def __call__(self, x: int) -> int:
         return int(self.image[x % self.n])

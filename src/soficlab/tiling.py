@@ -32,35 +32,26 @@ class CoarseApproximationError(ValueError):
     """The exactly-multiplicative-and-free set B is too small to tile from."""
 
 
-class DegreeTooSmallError(ValueError):
-    """The degree is below the admissibility threshold."""
-
-
 # ---------------------------------------------------------------------------
 # Parameter plan
 
 @dataclass(frozen=True)
 class PlanParams:
     eps: Fraction
-    kappa: Fraction          # requested
-    kappa_eff: Fraction      # reset to min(kappa, eps/2)
+    kappa: Fraction
     k: int
     lambdas: Tuple[Fraction, ...]   # lambdas[j-1] = eps (1-eps)^(k-j)
 
 
 def plan_parameters(eps, kappa) -> PlanParams:
     """k = smallest value with (1-eps)^k <= eps/2; lambda_j = eps(1-sigma_{j+1})
-    with lambda_k = eps, so lambda_j = eps(1-eps)^(k-j).
-
-    kappa is reset to eps/2 when larger, which keeps the (1-eps)-cover
-    conclusion meaningful."""
+    with lambda_k = eps, so lambda_j = eps(1-eps)^(k-j)."""
     eps = Fraction(eps)
     kappa = Fraction(kappa)
     if not 0 < eps <= Fraction(1, 4):
         raise ValueError(f"eps={eps} outside (0, 1/4]")
     if kappa <= 0:
         raise ValueError(f"kappa={kappa} must be positive")
-    kappa_eff = min(kappa, eps / 2)
     k = 1
     power = 1 - eps
     while power > eps / 2:
@@ -70,7 +61,7 @@ def plan_parameters(eps, kappa) -> PlanParams:
     sigma1 = sum(lambdas, Fraction(0))
     if not 1 - eps / 2 <= sigma1 <= 1 - eps / 4:
         raise AssertionError(f"sigma1 = {sigma1} outside [1 - eps/2, 1 - eps/4]")
-    return PlanParams(eps, kappa, kappa_eff, k, lambdas)
+    return PlanParams(eps, kappa, k, lambdas)
 
 
 def _check_shapes(shapes: Sequence[Sequence[BsElement]], plan: PlanParams) -> None:
@@ -293,8 +284,7 @@ def _b_mask(phi: SoficApprox, F_k: Sequence[BsElement]) -> np.ndarray:
 
 
 def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]], eps, kappa,
-               *, n_threshold: Optional[int] = None,
-               delta_prime=Fraction(1, 8), maximal: bool = False,
+               *, delta_prime=Fraction(1, 8), maximal: bool = False,
                center_order: Optional[Sequence[int]] = None) -> Tiling:
     """Place tiles phi(F_j)c for j = k down to 1.
 
@@ -304,8 +294,7 @@ def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]], eps,
     extracted with coverage target eps * |B_j|, pruned to minimality.
 
     folner_seq must meet the plan's shape conditions (_check_shapes): k
-    nested, non-empty shapes with the identity in the first.  n_threshold
-    overrides the default admissibility bound 64 |F_k| / (eps * kappa_eff).
+    nested, non-empty shapes with the identity in the first.
 
     maximal=True keeps the full greedy selection at every level instead of
     pruning to the eps * |B_j| coverage target.  That mode packs as much of
@@ -323,13 +312,7 @@ def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]], eps,
     shapes = [tuple(sorted(F, key=BsElement.sort_key)) for F in folner_seq]
     _check_shapes(shapes, plan)
 
-    F_k = shapes[-1]
-    if n_threshold is None:
-        n_threshold = ceil(64 * len(F_k) / (eps * plan.kappa_eff))
-    if phi.n < n_threshold:
-        raise DegreeTooSmallError(f"degree {phi.n} below threshold {n_threshold}")
-
-    b_mask = _b_mask(phi, F_k)
+    b_mask = _b_mask(phi, shapes[-1])
     n = phi.n
     rank = by_rank = np.arange(n)
     if center_order is not None:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from soficlab.bsgroup import BsElement, a2_interval, bs_a1, bs_a2
-from soficlab.cli import _ball, conjugate_shapes
+from soficlab.cli import _ball, conjugate_domain
 from soficlab.conjugacy import build_conjugator, conjugacy_defect
 from soficlab.expcycles import (count_k_periodic, count_k_periodic_by_tables,
                                 exp_map, run_sweep, segmented_sieve)
@@ -69,24 +69,20 @@ def test_03_tiling_certificates():
     # cyclic translation model on 10^3 points
     phi_z = ArithmeticModel(1000, 3).approx_on(
         [BsElement(3, 0, ell, 0) for ell in range(-40, 41)])
-    t1 = quasi_tile(phi_z, [a2_interval(w, 3) for w in widths], EPS, EPS,
-                    n_threshold=1000)
+    t1 = quasi_tile(phi_z, [a2_interval(w, 3) for w in widths], EPS, EPS)
     ok = verify_tiling(t1).passed
     # amplified base-2 arithmetic model, 101 -> 10^4 points
     base = ArithmeticModel(101, 2).approx_on(
         [BsElement(2, 0, ell, 0) for ell in range(-33, 34)])
     t2 = quasi_tile(amplify(base, 10_000), [a2_interval(w, 2) for w in widths],
-                    EPS, EPS, n_threshold=10_000)
+                    EPS, EPS)
     ok = ok and verify_tiling(t2).passed
     report(3, "quasi-tiling certificates verify", ok)
 
 
 def test_04_conjugator_quality():
     n, m = 1000, 999
-    shapes = conjugate_shapes(m)
-    domain = set().union(*shapes)
-    domain |= {g.inverse() * h for g in shapes[-1] for h in shapes[-1]}
-    domain |= {bs_a1(m), bs_a2(m)}
+    shapes, domain = conjugate_domain(m)
     phi1 = ArithmeticModel(n, m).approx_on(domain)
     ok = True
     for seed in range(10):
@@ -95,9 +91,7 @@ def test_04_conjugator_quality():
         phi2 = SoficApprox(n,
                            {g: sigma.compose(p).compose(sigma_inv)
                             for g, p in phi1.table.items()})
-        conj = build_conjugator(phi1, phi2, EPS, shapes,
-                                inner_eps=Fraction(1, 8), n_threshold=n,
-                                delta_prime=Fraction(3, 8), order_key=bs_a2(m))
+        conj = build_conjugator(phi1, phi2, EPS, shapes)
         ok = ok and sorted(conj.tau.image.tolist()) == list(range(n))
         rep = conjugacy_defect(conj, phi1, phi2, [bs_a1(m), bs_a2(m)])
         ok = ok and rep.max_defect <= EPS

@@ -1,9 +1,12 @@
+import copy
 import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from soficlab.cli import interval_shapes, load_config, main
+from soficlab.tiling import Tiling, verify_tiling
 
 
 def run(tmp_path, *argv):
@@ -114,9 +117,19 @@ class TestCycles:
         assert manifest["params"] == {"m": 2, "n": 3037000501}
         assert [f.name for f in out.iterdir()] == ["manifest.json"]
 
-    def test_no_moduli(self, tmp_path):
+    def test_no_moduli(self, tmp_path, capsys):
         code, _ = run(tmp_path, "cycles", "--m", "2")
         assert code == 1
+        assert "cycles needs --primes, --prime-powers or --n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", [
+        "--primes=24..28", "--primes=5..3", "--prime-powers=3:2..1"])
+    def test_empty_range_says_so(self, tmp_path, capsys, option):
+        code, out = run(tmp_path, "cycles", "--m", "2", option)
+        assert code == 1
+        flag, _, value = option.partition("=")
+        assert f"no modulus in {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("n", ["0", "1"])
     def test_modulus_below_two_is_usage_error(self, tmp_path, capsys, n):
@@ -238,10 +251,86 @@ class TestTileVerify:
         assert code == 1
         assert "outside the tiling regime" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kappa", ["0", "-1/4"])
+    def test_kappa_not_positive_is_usage_error(self, tmp_path, capsys, kappa):
+        code, out = run(tmp_path, "tile", "--n", "1000", f"--kappa={kappa}")
+        assert code == 1
+        assert f"kappa = {kappa} must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_interval_shapes_monotone(self):
         shapes = interval_shapes(8, 3)
         sizes = [len(s) for s in shapes]
         assert sizes == sorted(sizes) and sizes[0] >= 2 and sizes[-1] <= 32
+
+
+@pytest.fixture(scope="module")
+def tile_certificate(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tile")
+    assert main(["tile", "--n", "1000", "--out", str(out)]) == 0
+    return json.loads((out / "tiling.json").read_text())
+
+
+class TestVerifyMutatedCertificates:
+    """verify on tile --n 1000 certificates with one center moved, added,
+    dropped or copied to another level: it exits 0 exactly when
+    verify_tiling passes the certificate, and verify.json holds that
+    report's flags."""
+
+    @given(kind=st.sampled_from(["move", "add", "drop", "copy"]), level=st.integers(0, 7),
+           pick=st.integers(0, 10**6), point=st.integers(0, 999), shift=st.integers(1, 7))
+    @settings(max_examples=30, deadline=None)
+    def test_verify_agrees_with_verify_tiling(self, tile_certificate, tmp_path_factory,
+                                              kind, level, pick, point, shift):
+        data = copy.deepcopy(tile_certificate)
+        centers = data["levels"][level]["centers"]
+        i = pick % len(centers)
+        if kind == "move":
+            centers[i] = point
+        elif kind == "add":
+            centers.insert(i, point)
+        elif kind == "drop":
+            del centers[i]
+        else:
+            data["levels"][(level + shift) % 8]["centers"].insert(0, centers[i])
+        tmp = tmp_path_factory.mktemp("mutated")
+        cert = tmp / "tiling.json"
+        cert.write_text(json.dumps(data))
+        code = main(["verify", "--certificate", str(cert), "--out", str(tmp / "v")])
+        report = verify_tiling(Tiling.from_json(cert.read_text()))
+        assert code == (0 if report.passed else 2)
+        assert json.loads((tmp / "v" / "verify.json").read_text()) == {
+            "certificate": str(cert),
+            "disjoint_ok": report.disjoint_ok,
+            "injective_ok": report.injective_ok,
+            "eps_disjoint_ok": report.eps_disjoint_ok,
+            "cover_ratio": str(report.cover_ratio),
+            "measure_ok": report.measure_ok,
+            "passed": report.passed,
+        }
+
+
+class TestConjugate:
+    def test_genuine_m_fails_its_support_check(self, tmp_path, capsys):
+        code, out = run(tmp_path, "conjugate", "--n", "1000", "--m", "3")
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "matched support 714/1000 below 857.1" in manifest["error"]
+        assert manifest["error"] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("tile", "--n", "1000", "--m", "2"),
+    ("conjugate", "--n", "1000", "--m", "2"),
+    ("sofic-check", "--n", "10", "--m", "2"),
+    ("search-f", "--n", "8", "--m", "2"),
+    ("h3", "--n", "12", "--m", "2"),
+])
+def test_m_not_a_unit_is_usage_error(tmp_path, capsys, argv):
+    code, out = run(tmp_path, *argv)
+    assert code == 1
+    assert f"gcd(2, {argv[2]}) != 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestOtherSubcommands:

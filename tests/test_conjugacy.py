@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from soficlab.bsgroup import bs_a1, bs_a2, bs_rectangle
+from soficlab.bsgroup import bs_a1, bs_a2
+from soficlab.cli import conjugate_domain, conjugate_shapes
 from soficlab.conjugacy import (Conjugator, InsufficientSupportError,
                                 build_conjugator, conjugacy_defect)
 from soficlab.perm import Permutation, hamming
@@ -14,17 +15,8 @@ M = N - 1
 EPS = Fraction(1, 4)
 
 
-def rectangle_shapes(m=M):
-    widths = [2] * 3 + [3] * 3 + [4] * 3 + [6] * 3 + [8] * 3 + [12] * 3 + [16] * 3
-    return [bs_rectangle(2, w, m) for w in widths]
-
-
 def base_model(n=N, m=M):
-    shapes = rectangle_shapes(m)
-    domain = set().union(*shapes)
-    domain |= {g.inverse() * h for g in shapes[-1] for h in shapes[-1]}
-    domain |= {bs_a1(m), bs_a2(m)}
-    return ArithmeticModel(n, m).approx_on(domain)
+    return ArithmeticModel(n, m).approx_on(conjugate_domain(m)[1])
 
 
 def conjugated(phi, sigma):
@@ -35,9 +27,7 @@ def conjugated(phi, sigma):
 
 
 def build(phi1, phi2, eps=EPS):
-    return build_conjugator(phi1, phi2, eps, rectangle_shapes(),
-                            inner_eps=Fraction(1, 8), n_threshold=N,
-                            delta_prime=Fraction(3, 8), order_key=bs_a2(M))
+    return build_conjugator(phi1, phi2, eps, conjugate_shapes(M))
 
 
 @pytest.fixture(scope="module")
@@ -74,15 +64,19 @@ class TestBuildConjugator:
     def test_degree_mismatch(self, phi1):
         small = ArithmeticModel(500, 499).approx_on([bs_a1(499), bs_a2(499)])
         with pytest.raises(ValueError):
-            build_conjugator(phi1, small, EPS, rectangle_shapes())
+            build_conjugator(phi1, small, EPS, conjugate_shapes(M))
 
-    def test_insufficient_support_detected(self, phi1):
-        sigma = Permutation(np.random.default_rng(1).permutation(N))
-        with pytest.raises(InsufficientSupportError):
-            build_conjugator(phi1, conjugated(phi1, sigma), EPS,
-                             rectangle_shapes(), inner_eps=Fraction(1, 8),
-                             n_threshold=N, delta_prime=Fraction(3, 8),
-                             order_key=bs_a2(M), support_threshold=N)
+    def test_insufficient_support_detected(self):
+        # m = 3 is a genuine BS(1, 3) quotient; its matched support collapses
+        phi = base_model(m=3)
+        sigma = Permutation(np.random.default_rng(0).permutation(N))
+        with pytest.raises(InsufficientSupportError,
+                           match=r"matched support 714/1000 below 857\.1"):
+            build_conjugator(phi, conjugated(phi, sigma), EPS, conjugate_shapes(3))
+
+    def test_shapes_off_the_inner_plan_rejected(self, phi1):
+        with pytest.raises(ValueError, match="need 21 Folner shapes for eps=1/8"):
+            build_conjugator(phi1, phi1, EPS, conjugate_shapes(M)[:-1])
 
 
 class TestConjugacyDefect:

@@ -35,8 +35,6 @@ class TestZnFunction:
     def test_bijective_flag_verified(self):
         f = ZnFunction(3, np.array([0, 0, 1]))
         assert not f.bijective
-        with pytest.raises(ValueError):
-            ZnFunction(3, np.array([0, 0, 1]), bijective=True)
 
     def test_json_roundtrip(self):
         f = random_bijection(11, 0)

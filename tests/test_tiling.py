@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from soficlab.bsgroup import BsElement, a2_interval, bs_a2
-from soficlab.cli import conjugate_shapes
+from soficlab.cli import conjugate_domain
+from soficlab.conjugacy import DELTA_PRIME, INNER_EPS
 from soficlab.perm import Permutation, orbit_order
 from soficlab.soficcheck import ArithmeticModel, SoficApprox, amplify
-from soficlab.tiling import (CoarseApproximationError, DegreeTooSmallError, LevelMeasure,
+from soficlab.tiling import (CoarseApproximationError, LevelMeasure,
                              MissingDomainError, SetFamily, TileLevel, Tiling, TilingReport,
                              _b_mask, extract_eps_disjoint, level_points, plan_parameters,
                              quasi_tile, tile_cores, verify_tiling)
@@ -27,7 +28,7 @@ def interval_model(n, m, max_l):
 def z_model_tiling(n=1000, eps=Fraction(1, 4)):
     phi = interval_model(n, 3, 40)
     shapes = [a2_interval(w, 3) for w in WIDTHS]
-    return quasi_tile(phi, shapes, eps, eps, n_threshold=n)
+    return quasi_tile(phi, shapes, eps, eps)
 
 
 class TestPlanParameters:
@@ -47,10 +48,6 @@ class TestPlanParameters:
         for j in range(1, plan.k + 1):
             sigma_j = sum(plan.lambdas[j - 1:], Fraction(0))
             assert sigma_j == 1 - (1 - eps) ** (plan.k - j + 1)
-
-    def test_kappa_reset(self):
-        plan = plan_parameters(Fraction(1, 4), Fraction(1, 4))
-        assert plan.kappa_eff == Fraction(1, 8)
 
     def test_eps_out_of_range(self):
         with pytest.raises(ValueError):
@@ -195,12 +192,6 @@ class TestQuasiTile:
         tiling = z_model_tiling()
         assert tiling.b_size == 1000
 
-    def test_degree_too_small(self):
-        phi = interval_model(100, 3, 40)
-        shapes = [a2_interval(w, 3) for w in WIDTHS]
-        with pytest.raises(DegreeTooSmallError):
-            quasi_tile(phi, shapes, Fraction(1, 4), Fraction(1, 4))
-
     def test_corrupted_block_rejected(self):
         n = 1000
         phi = interval_model(n, 3, 40)
@@ -211,13 +202,12 @@ class TestQuasiTile:
         phi.table[key] = Permutation(img)
         shapes = [a2_interval(w, 3) for w in WIDTHS]
         with pytest.raises(CoarseApproximationError):
-            quasi_tile(phi, shapes, Fraction(1, 4), Fraction(1, 4), n_threshold=n)
+            quasi_tile(phi, shapes, Fraction(1, 4), Fraction(1, 4))
 
     def test_wrong_shape_count(self):
         phi = interval_model(1000, 3, 40)
         with pytest.raises(ValueError):
-            quasi_tile(phi, [a2_interval(2, 3)], Fraction(1, 4), Fraction(1, 4),
-                       n_threshold=1000)
+            quasi_tile(phi, [a2_interval(2, 3)], Fraction(1, 4), Fraction(1, 4))
 
 
 class TestVerifySoundness:
@@ -269,8 +259,7 @@ class TestAmplifiedModel:
         base = interval_model(101, 2, 33)
         phi = amplify(base, 10_000)
         shapes = [a2_interval(w, 2) for w in WIDTHS]
-        tiling = quasi_tile(phi, shapes, Fraction(1, 4), Fraction(1, 4),
-                            n_threshold=10_000)
+        tiling = quasi_tile(phi, shapes, Fraction(1, 4), Fraction(1, 4))
         assert verify_tiling(tiling).passed
 
 
@@ -346,12 +335,9 @@ def oracle_core_masks(t: Tiling) -> List[Tuple[np.ndarray, np.ndarray]]:
 
 def conjugate_mode_approx(n):
     """The approximation the conjugate subcommand tiles, with m = n - 1 and
-    its height-2 rectangle shapes: defined on the shapes, on F_k^-1 F_k and
-    on a2."""
-    m = n - 1
-    shapes = conjugate_shapes(m)
-    domain = set().union(*shapes) | {g.inverse() * h for g in shapes[-1] for h in shapes[-1]}
-    return ArithmeticModel(n, m).approx_on(domain | {bs_a2(m)}), shapes
+    its height-2 rectangle shapes."""
+    shapes, domain = conjugate_domain(n - 1)
+    return ArithmeticModel(n, n - 1).approx_on(domain), shapes
 
 
 @functools.lru_cache(maxsize=None)
@@ -359,8 +345,7 @@ def rectangle_tiling(n=1000):
     """quasi_tile as build_conjugator runs it for the conjugate subcommand:
     inner eps 1/8, maximal packing, centers ranked by the orbit order of a2."""
     phi, shapes = conjugate_mode_approx(n)
-    return quasi_tile(phi, shapes, Fraction(1, 8), Fraction(1, 8), n_threshold=n,
-                      delta_prime=Fraction(3, 8), maximal=True,
+    return quasi_tile(phi, shapes, INNER_EPS, INNER_EPS, delta_prime=DELTA_PRIME, maximal=True,
                       center_order=orbit_order(phi.table[bs_a2(n - 1)]))
 
 
@@ -438,7 +423,7 @@ class TestTileCoresMatchOracle:
         n = 1000
         phi = interval_model(n, 3, 40)
         shapes = [a2_interval(w, 3) for w in WIDTHS]
-        t = quasi_tile(phi, shapes, Fraction(1, 4), Fraction(1, 4), n_threshold=n,
+        t = quasi_tile(phi, shapes, Fraction(1, 4), Fraction(1, 4),
                        maximal=True, center_order=np.random.default_rng(seed).permutation(n))
         self.assert_cores_match(t)
 
@@ -459,7 +444,7 @@ class TestShapeConditions:
         t = z_model_tiling()
         shapes = edit([lvl.shape for lvl in t.levels])
         with pytest.raises(ValueError, match=reason):
-            quasi_tile(interval_model(1000, 3, 40), shapes, t.eps, t.kappa, n_threshold=1000)
+            quasi_tile(interval_model(1000, 3, 40), shapes, t.eps, t.kappa)
         levels = tuple(TileLevel(lvl.j, shape, lvl.lam, lvl.centers)
                        for lvl, shape in zip(t.levels, shapes))
         with pytest.raises(ValueError, match=reason):
