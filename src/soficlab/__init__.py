@@ -10,7 +10,7 @@ from .soficcheck import SoficApprox, ArithmeticModel, check_sofic, eval_word, am
 from .tiling import plan_parameters, quasi_tile, verify_tiling, Tiling
 from .conjugacy import build_conjugator, conjugacy_defect
 from .expcycles import ExpMap, exp_map, count_k_periodic, cycle_census
-from .localexp import ZnFunction, defect_report, search_local_exp
+from .localexp import defect_report, search_local_exp
 from .heuristics import p_sequence
 
 __all__ = [
@@ -20,6 +20,6 @@ __all__ = [
     "plan_parameters", "quasi_tile", "verify_tiling", "Tiling",
     "build_conjugator", "conjugacy_defect",
     "ExpMap", "exp_map", "count_k_periodic", "cycle_census",
-    "ZnFunction", "defect_report", "search_local_exp",
+    "defect_report", "search_local_exp",
     "p_sequence",
 ]

@@ -27,11 +27,11 @@ from .bsgroup import BsElement, bs_a1, bs_a2, bs_rectangle, a2_interval
 from .conjugacy import build_conjugator, conjugacy_defect
 from .expcycles import prime_powers, run_sweep, segmented_sieve, sweep_csv
 from .heuristics import heuristic_csv
-from .localexp import (PadicContext, ZnFunction, defect_report, h3_witness,
+from .localexp import (PadicContext, defect_report, h3_witness,
                        min_mezo_fraction, padic_fixed_point, search_local_exp)
 from .perm import HammingValue, Permutation
 from .soficcheck import ArithmeticModel, check_sofic
-from .tiling import Tiling, plan_parameters, quasi_tile, verify_tiling
+from .tiling import Tiling, inverse_products, plan_parameters, quasi_tile, verify_tiling
 
 
 class UsageError(ValueError):
@@ -191,7 +191,7 @@ def _ball(m: int, e_bound: int, num_bound: int) -> List[BsElement]:
 def _cmd_sofic_check(opts, out_dir: Path) -> int:
     m = _require(opts, "m")
     n = _require(opts, "n")
-    _check_unit(m, n)
+    _check_model(m, n)
     delta = opts.get("delta", Fraction(1, 8))
     model = ArithmeticModel(n, m)
     phi = model.approx_on(_ball(m, opts.get("exp_bound", 2), opts.get("num_bound", 8)))
@@ -228,6 +228,15 @@ def _check_unit(m: int, n: int) -> None:
         raise UsageError(f"gcd({m}, {n}) != 1: m must be a unit mod n")
 
 
+def _check_model(m: int, n: int) -> None:
+    """tile, conjugate and sofic-check build the model of BS(1, m) on Z/nZ."""
+    if n < 2:
+        raise UsageError(f"degree --n = {n} must be >= 2")
+    if m < 2:
+        raise UsageError(f"base --m = {m} must be >= 2")
+    _check_unit(m, n)
+
+
 def _cmd_tile(opts, out_dir: Path) -> int:
     m = opts.get("m", 3)
     n = _require(opts, "n")
@@ -236,7 +245,7 @@ def _cmd_tile(opts, out_dir: Path) -> int:
     _check_tiling_eps(eps)
     if kappa <= 0:
         raise UsageError(f"kappa = {kappa} must be positive")
-    _check_unit(m, n)
+    _check_model(m, n)
     plan = plan_parameters(eps, kappa)
     shapes = interval_shapes(plan.k, m)
     max_w = max(len(s) for s in shapes)
@@ -269,7 +278,7 @@ def conjugate_domain(m: int) -> Tuple[List[frozenset], set]:
     """The conjugate shapes and the keys the conjugator reads: those, F_k^-1 F_k, a_1, a_2."""
     shapes = conjugate_shapes(m)
     domain = set().union(*shapes, {bs_a1(m), bs_a2(m)})
-    return shapes, domain | {g.inverse() * h for g in shapes[-1] for h in shapes[-1]}
+    return shapes, domain.union(*inverse_products(shapes[-1]))
 
 
 def _cmd_conjugate(opts, out_dir: Path) -> int:
@@ -277,7 +286,7 @@ def _cmd_conjugate(opts, out_dir: Path) -> int:
     m = opts.get("m", n - 1)
     eps = opts.get("eps", Fraction(1, 4))
     _check_tiling_eps(eps)
-    _check_unit(m, n)
+    _check_model(m, n)
     seed = opts.get("seed", 0)
     shapes, domain = conjugate_domain(m)
     phi1 = ArithmeticModel(n, m).approx_on(domain)
@@ -321,7 +330,7 @@ def _cmd_h3(opts, out_dir: Path) -> int:
     else:
         seed = opts.get("seed", 0)
         rng = np.random.default_rng(seed)
-        f = ZnFunction(n, rng.permutation(n))
+        f = Permutation(rng.permutation(n))
         rep = defect_report(f, m)
         wit = h3_witness(f, m)
         payload["seed"] = seed

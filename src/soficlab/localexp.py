@@ -13,7 +13,8 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -21,54 +22,6 @@ import numpy as np
 
 from .bsgroup import word_value
 from .perm import HammingValue, Permutation, displacement, hamming, iterate
-
-
-# ---------------------------------------------------------------------------
-# Functions on Z/nZ
-
-@dataclass(frozen=True)
-class ZnFunction:
-    """A function {0..n-1} -> {0..n-1} given by its image array; the
-    ``bijective`` flag is computed at construction."""
-
-    n: int
-    image: np.ndarray
-    bijective: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        img = np.asarray(self.image, dtype=np.int64)
-        if img.shape != (self.n,):
-            raise ValueError(f"image shape {img.shape} != ({self.n},)")
-        if img.size and (img.min() < 0 or img.max() >= self.n):
-            raise ValueError("image values outside {0..n-1}")
-        img = img.copy()
-        img.setflags(write=False)
-        object.__setattr__(self, "image", img)
-        object.__setattr__(self, "bijective", bool(np.bincount(img, minlength=self.n).max() <= 1))
-
-    def __call__(self, x: int) -> int:
-        return int(self.image[x % self.n])
-
-    def as_permutation(self) -> Permutation:
-        if not self.bijective:
-            raise ValueError("not a bijection")
-        return Permutation(self.image, _trusted=True)
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "image": self.image.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ZnFunction":
-        data = json.loads(text)
-        return cls(int(data["n"]), np.array(data["image"], dtype=np.int64))
-
-    @classmethod
-    def from_permutation(cls, p: Permutation) -> "ZnFunction":
-        return cls(p.n, p.image)
-
-    @classmethod
-    def identity(cls, n: int) -> "ZnFunction":
-        return cls(n, np.arange(n, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +46,7 @@ def _law_failures_slow(image: np.ndarray, m: int, n: int) -> List[int]:
     return [x for x in range(n) if int(image[(x + 1) % n]) != m * int(image[x]) % n]
 
 
-def defect_report(f: ZnFunction, m: int) -> DefectReport:
+def defect_report(f: Permutation, m: int) -> DefectReport:
     """Full scan for both local laws; each set is computed by two
     independent routes that must agree."""
     n = f.n
@@ -142,14 +95,11 @@ class H3Report:
     g1_displacement: HammingValue       # always 1 (every point moves)
 
 
-def h3_witness(f: ZnFunction, m: int) -> H3Report:
-    """Build g_1(x) = x - 1, g_3 = f g_1 f^{-1}, g_2 = f^2 g_1 f^{-2} and
+def h3_witness(p: Permutation, m: int) -> H3Report:
+    """Build g_1(x) = x - 1, g_3 = p g_1 p^{-1}, g_2 = p^2 g_1 p^{-2} and
     measure the Hamming defect of the three cyclic conjugation relators
     w_i = a_i^{-1} a_{i+1} a_i a_{i+1}^{-m} under a_i -> g_i."""
-    if not f.bijective:
-        raise ValueError("f must be a bijection")
-    n = f.n
-    p = f.as_permutation()
+    n = p.n
     p_inv = p.inverse()
     g1 = Permutation((np.arange(n) - 1) % n, _trusted=True)
     g3 = p.compose(g1).compose(p_inv)
@@ -245,7 +195,7 @@ def padic_fixed_point(ctx: PadicContext, c: Sequence[int]) -> PadicFixedReport:
 
 @dataclass(frozen=True)
 class SearchResult:
-    f: ZnFunction
+    f: Permutation
     n: int
     m: int
     seed: int
@@ -269,10 +219,6 @@ class SearchResult:
 def is_four_periodic(image: np.ndarray) -> bool:
     f2 = image[image]
     return bool(np.array_equal(f2[f2], np.arange(image.size)))
-
-
-def _defect_count(image: np.ndarray, m: int, n: int) -> int:
-    return int(np.count_nonzero(np.roll(image, -1) != m * image % n))
 
 
 def _enumerate_order4(points: Sequence[int]):
@@ -324,13 +270,6 @@ def _random_order4(points: List[int], rng: random.Random) -> Dict[int, int]:
             b, c, d = (pts.pop(rng.randrange(len(pts))) for _ in range(3))
             out[a], out[b], out[c], out[d] = b, c, d, a
     return out
-
-
-def _cycle_histogram(image: np.ndarray) -> Dict[int, int]:
-    hist: Dict[int, int] = {}
-    for length in Permutation(image, _trusted=True).cycle_lengths():
-        hist[length] = hist.get(length, 0) + 1
-    return hist
 
 
 def _law_flags(img: List[int], m: int, n: int) -> List[bool]:
@@ -420,16 +359,15 @@ def search_local_exp(n: int, m: int, budget: int = 200_000,
                     cur[k] = v
             temp *= cooling
         budget_exhausted = True
-        if _defect_count(np.array(cur, dtype=np.int64), m, n) != cur_d:
+        if _law_failures(np.array(cur, dtype=np.int64), m, n).size != cur_d:
             raise AssertionError("running defect count does not recompute")
 
     if best_img is None:
         raise AssertionError("search kept no candidate map")
-    image = np.array(best_img, dtype=np.int64)
-    if not is_four_periodic(image):
+    f = Permutation(best_img)
+    if not is_four_periodic(f.image):
         raise AssertionError("search produced a non-4-periodic map")
-    recheck = len(defect_report(ZnFunction(n, image), m).defect_set)
-    if recheck != best:
+    if len(defect_report(f, m).defect_set) != best:
         raise AssertionError("reported defect does not recompute")
-    return SearchResult(ZnFunction(n, image), n, m, seed, budget, best,
-                        _cycle_histogram(image), exhaustive, budget_exhausted)
+    return SearchResult(f, n, m, seed, budget, best, dict(Counter(f.cycle_lengths())),
+                        exhaustive, budget_exhausted)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, List, Sequence, Union
 
 import numpy as np
 
@@ -130,41 +130,33 @@ class Permutation:
         return f"Permutation({self.image.tolist()})"
 
     def cycle_lengths(self) -> list:
-        seen = np.zeros(self.n, dtype=bool)
-        lengths = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            length = 0
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                i = int(self.image[i])
-                length += 1
-            lengths.append(length)
-        return lengths
+        return [len(cycle) for cycle in _cycles(self.image)]
 
     def fixed_point_count(self) -> int:
         return int(np.count_nonzero(self.image == np.arange(self.n)))
+
+
+def _cycles(image: np.ndarray) -> Iterator[List[int]]:
+    """The cycles of i -> image[i], each from its smallest point, in order
+    of that point."""
+    img = image.tolist()
+    seen = [False] * len(img)
+    for start in range(len(img)):
+        cycle = []
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            cycle.append(i)
+            i = img[i]
+        if cycle:
+            yield cycle
 
 
 def orbit_order(p: Permutation) -> np.ndarray:
     """All points in cycle-traversal order: repeatedly start from the
     smallest unvisited point and follow the cycle.  Relabeling p by a
     conjugation permutes this order blockwise up to cycle phase."""
-    seen = np.zeros(p.n, dtype=bool)
-    out = np.empty(p.n, dtype=np.int64)
-    pos = 0
-    for start in range(p.n):
-        if seen[start]:
-            continue
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            out[pos] = i
-            pos += 1
-            i = int(p.image[i])
-    return out
+    return np.array([i for cycle in _cycles(p.image) for i in cycle], dtype=np.int64)
 
 
 def hamming(p: Permutation, q: Permutation) -> HammingValue:

@@ -10,7 +10,6 @@ multiplicativity defect is identically zero.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -37,28 +36,11 @@ class SoficApprox:
             if not isinstance(key, BsElement):
                 raise TypeError(f"table has non-element key {key!r}")
 
-    @property
-    def domain(self):
-        return self.table.keys()
-
     def conjugated(self, sigma: Permutation) -> "SoficApprox":
         """g -> sigma phi(g) sigma^-1: the same approximation on relabelled points."""
         sigma_inv = sigma.inverse()
         return SoficApprox(self.n, {g: sigma.compose(p).compose(sigma_inv)
                                     for g, p in self.table.items()})
-
-    def to_json(self) -> str:
-        entries = [[g.to_obj(), self.table[g].image.tolist()]
-                   for g in sorted(self.table, key=BsElement.sort_key)]
-        return json.dumps({"n": self.n, "key_kind": "element", "entries": entries})
-
-    @classmethod
-    def from_json(cls, text: str) -> "SoficApprox":
-        data = json.loads(text)
-        if data.get("key_kind") != "element":
-            raise ValueError(f"unsupported key kind {data.get('key_kind')!r}")
-        table = {BsElement.from_obj(obj): Permutation(image) for obj, image in data["entries"]}
-        return cls(int(data["n"]), table)
 
 
 # ---------------------------------------------------------------------------

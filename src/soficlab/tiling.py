@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -261,12 +261,18 @@ def level_points(t: Tiling) -> List[np.ndarray]:
 # ---------------------------------------------------------------------------
 # The tiling algorithm
 
+def inverse_products(F: Collection[BsElement]) -> List[List[BsElement]]:
+    """Row i holds F[i]^-1 h for each h in F, in the order F iterates;
+    each element of F is inverted once."""
+    return [[g_inv * h for h in F] for g_inv in (g.inverse() for g in F)]
+
+
 def _b_mask(phi: SoficApprox, F_k: Sequence[BsElement]) -> np.ndarray:
     """The points x at which phi is exactly multiplicative on F_k^-1 F_k,
     phi(g) phi(g^-1 h) x = phi(h) x for all g, h in F_k, and free there,
     phi(g^-1 h) x != x for g != h.  F_k holds the identity, so the grid of
     products g^-1 h contains F_k itself."""
-    grid = [[g_inv * h for h in F_k] for g_inv in (g.inverse() for g in F_k)]
+    grid = inverse_products(F_k)
     missing = {p for row in grid for p in row} - phi.table.keys()
     if missing:
         raise MissingDomainError(f"approximation undefined on {len(missing)} keys of F_k^-1 F_k")

@@ -333,6 +333,21 @@ def test_m_not_a_unit_is_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("tile", "--n", "1"), "degree --n = 1 must be >= 2"),
+    (("tile", "--n", "0"), "degree --n = 0 must be >= 2"),
+    (("tile", "--m", "1", "--n", "1000"), "base --m = 1 must be >= 2"),
+    (("sofic-check", "--n", "1", "--m", "2"), "degree --n = 1 must be >= 2"),
+    (("sofic-check", "--n", "7", "--m", "1"), "base --m = 1 must be >= 2"),
+    (("conjugate", "--n", "2"), "base --m = 1 must be >= 2"),     # m = n - 1
+])
+def test_degree_or_base_below_two_is_usage_error(tmp_path, capsys, argv, message):
+    code, out = run(tmp_path, *argv)
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestOtherSubcommands:
     def test_search_f(self, tmp_path):
         code, out = run(tmp_path, "search-f", "--n", "5", "--m", "2")

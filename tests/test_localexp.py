@@ -15,54 +15,46 @@ from hypothesis import assume, given, settings, strategies as st
 from soficlab import localexp
 from soficlab.cli import main
 from soficlab.expcycles import exp_table_by_product
-from soficlab.localexp import (PadicContext, ZnFunction, defect_report,
+from soficlab.localexp import (PadicContext, defect_report,
                                h3_witness, is_four_periodic, min_mezo_fraction,
                                padic_fixed_point, search_local_exp)
-from soficlab.localexp import (SearchResult, _cycle_histogram, _defect_count,
-                               _enumerate_order4, _random_order4)
+from soficlab.localexp import (SearchResult, _enumerate_order4, _law_failures,
+                               _law_failures_slow, _random_order4)
 from soficlab.perm import Permutation
 
 
 def random_bijection(n, seed):
-    return ZnFunction(n, np.random.default_rng(seed).permutation(n))
+    return Permutation(np.random.default_rng(seed).permutation(n))
 
 
 bijections = st.tuples(st.integers(5, 40), st.integers(0, 2**32 - 1)).map(
     lambda t: random_bijection(*t))
 
 
-class TestZnFunction:
-    def test_bijective_flag_verified(self):
-        f = ZnFunction(3, np.array([0, 0, 1]))
-        assert not f.bijective
-
-    def test_json_roundtrip(self):
-        f = random_bijection(11, 0)
-        g = ZnFunction.from_json(f.to_json())
-        assert g.n == f.n and np.array_equal(g.image, f.image)
-
-
 class TestDefectReport:
+    # x -> 2^x mod 5 is not a bijection, so its law failures are read from
+    # both scans that defect_report compares
     def test_running_product_wraparound_only(self):
-        rep = defect_report(ZnFunction(5, exp_table_by_product(2, 5)), 2)
-        assert rep.defect_set == (4,)
+        img = exp_table_by_product(2, 5)
+        assert _law_failures(img, 2, 5).tolist() == _law_failures_slow(img, 2, 5) == [4]
 
     def test_identity_defect(self):
-        rep = defect_report(ZnFunction.identity(5), 2)
+        rep = defect_report(Permutation.identity(5), 2)
         assert len(rep.defect_set) == 4      # only x = 1 satisfies x+1 = 2x
 
     def test_four_cycle_product_no_failures(self):
         p = Permutation.from_cycles(8, [(0, 1, 2, 3), (4, 5, 6, 7)])
-        rep = defect_report(ZnFunction.from_permutation(p), 3)
+        rep = defect_report(p, 3)
         assert rep.four_periodic_failures == ()
 
     def test_fractions_exact(self):
-        rep = defect_report(ZnFunction(5, exp_table_by_product(2, 5)), 2)
-        assert rep.defect_fraction == Fraction(1, 5)
+        img = exp_table_by_product(2, 5)
+        fast, slow = _law_failures(img, 2, 5), _law_failures_slow(img, 2, 5)
+        assert Fraction(fast.size, 5) == Fraction(len(slow), 5) == Fraction(1, 5)
 
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError):
-            defect_report(ZnFunction.identity(6), 2)
+            defect_report(Permutation.identity(6), 2)
 
     @given(bijections)
     @settings(max_examples=40, deadline=None)
@@ -83,9 +75,8 @@ class TestH3Witness:
 
     @given(bijections)
     @settings(max_examples=30, deadline=None)
-    def test_conjugation_identities_exact(self, f):
-        n = f.n
-        p = f.as_permutation()
+    def test_conjugation_identities_exact(self, p):
+        n = p.n
         g1 = Permutation((np.arange(n) - 1) % n, _trusted=True)
         g3 = p.compose(g1).compose(p.inverse())
         g2 = p.compose(g3).compose(p.inverse())
@@ -178,7 +169,7 @@ class TestNorviAudit:
 
     def test_running_product_style_map(self):
         # the exp-like map fails the law only where 2^x revisits a value
-        f = ZnFunction(9, exp_like_bijection(9))
+        f = Permutation(exp_like_bijection(9))
         rep = defect_report(f, 2)
         manual = [x for x in range(9)
                   if int(f.image[(x + 1) % 9]) != 2 * int(f.image[x]) % 9]
@@ -234,11 +225,12 @@ class TestNorviAudit:
             import sys
             import numpy as np
             from soficlab import localexp as le
+            from soficlab.perm import Permutation
             if not sys.flags.optimize:
                 sys.exit(3)
             real = le._law_failures_slow
             le._law_failures_slow = lambda image, m, n: real(image, m, n) + [n]
-            f = le.ZnFunction(27, np.random.default_rng(3).permutation(27))
+            f = Permutation(np.random.default_rng(3).permutation(27))
             try:
                 le.defect_report(f, 2)
             except AssertionError as exc:
@@ -305,7 +297,7 @@ def oracle_search(n: int, m: int, budget: int = 200_000,
         evals = 0
         for assignment in _enumerate_order4(list(range(n))):
             img = np.array([assignment[x] for x in range(n)], dtype=np.int64)
-            d = _defect_count(img, m, n)
+            d = _law_failures(img, m, n).size
             if d < best or (d == best and best_img is not None
                             and img.tolist() < best_img.tolist()):
                 best, best_img = d, img
@@ -319,7 +311,7 @@ def oracle_search(n: int, m: int, budget: int = 200_000,
         cur = np.arange(n, dtype=np.int64)
         for k, v in _random_order4(list(range(n)), rng).items():
             cur[k] = v
-        cur_d = _defect_count(cur, m, n)
+        cur_d = _law_failures(cur, m, n).size
         best, best_img = cur_d, cur.copy()
         temp = max(1.0, n / 8)
         cooling = (0.01 / temp) ** (1 / max(1, budget))
@@ -336,7 +328,7 @@ def oracle_search(n: int, m: int, budget: int = 200_000,
             cand = cur.copy()
             for k, v in _random_order4(sorted(touched), rng).items():
                 cand[k] = v
-            d = _defect_count(cand, m, n)
+            d = _law_failures(cand, m, n).size
             if d <= cur_d or rng.random() < math.exp((cur_d - d) / temp):
                 cur, cur_d = cand, d
                 if d < best:
@@ -348,11 +340,14 @@ def oracle_search(n: int, m: int, budget: int = 200_000,
         raise AssertionError("search kept no candidate map")
     if not is_four_periodic(best_img):
         raise AssertionError("search produced a non-4-periodic map")
-    recheck = len(defect_report(ZnFunction(n, best_img), m).defect_set)
+    f = Permutation(best_img)
+    recheck = len(defect_report(f, m).defect_set)
     if recheck != best:
         raise AssertionError("reported defect does not recompute")
-    return SearchResult(ZnFunction(n, best_img), n, m, seed, budget, best,
-                        _cycle_histogram(best_img), exhaustive, budget_exhausted)
+    hist = {}
+    for length in f.cycle_lengths():
+        hist[length] = hist.get(length, 0) + 1
+    return SearchResult(f, n, m, seed, budget, best, hist, exhaustive, budget_exhausted)
 
 
 class TestSearcherOracle:

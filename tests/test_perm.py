@@ -114,6 +114,21 @@ class TestDisplacementOrbitOrder:
         q = sigma.compose(p).compose(sigma.inverse())
         assert sorted(p.cycle_lengths()) == sorted(q.cycle_lengths())
 
+    @given(perm_strategy)
+    def test_orbit_order_blocks_are_cycles_from_their_least_point(self, p):
+        # cut at the running sums of the cycle lengths, the orbit order is
+        # one cycle per block, entered at its smallest point, blocks in
+        # increasing order of that point
+        order = orbit_order(p).tolist()
+        cuts = np.cumsum([0] + p.cycle_lengths()).tolist()
+        assert cuts[-1] == p.n
+        blocks = [order[a:b] for a, b in zip(cuts, cuts[1:])]
+        for block in blocks:
+            assert block[0] == min(block)
+            assert [p(x) for x in block] == block[1:] + block[:1]
+        firsts = [block[0] for block in blocks]
+        assert firsts == sorted(firsts) and len(set(firsts)) == len(firsts)
+
 
 class TestValidation:
     def test_rejects_non_bijection(self):

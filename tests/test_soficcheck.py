@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -199,16 +198,3 @@ class TestAffineFixedPoints:
         phi = ArithmeticModel(n, m).approx_on([bs_a1(m), bs_a2(m)])
         predicted = affine_fixed_points(w, m, n).count
         assert predicted == eval_word(phi, w).fixed_point_count()
-
-
-class TestSerialization:
-    def test_json_roundtrip(self):
-        phi = ArithmeticModel(11, 2).approx_on(ball(2, 1, 2))
-        other = SoficApprox.from_json(phi.to_json())
-        assert other.n == phi.n and other.table == phi.table
-
-    def test_other_key_kind_rejected(self):
-        data = json.loads(ArithmeticModel(11, 2).approx_on(ball(2, 1, 2)).to_json())
-        data["key_kind"] = "word"
-        with pytest.raises(ValueError):
-            SoficApprox.from_json(json.dumps(data))

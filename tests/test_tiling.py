@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soficlab.bsgroup import BsElement, a2_interval, bs_a2
+from soficlab.bsgroup import BsElement, a2_interval, bs_a2, bs_rectangle
 from soficlab.cli import conjugate_domain
 from soficlab.conjugacy import DELTA_PRIME, INNER_EPS
 from soficlab.perm import Permutation, orbit_order
 from soficlab.soficcheck import ArithmeticModel, SoficApprox, amplify
 from soficlab.tiling import (CoarseApproximationError, LevelMeasure,
                              MissingDomainError, SetFamily, TileLevel, Tiling, TilingReport,
-                             _b_mask, extract_eps_disjoint, level_points, plan_parameters,
-                             quasi_tile, tile_cores, verify_tiling)
+                             _b_mask, extract_eps_disjoint, inverse_products, level_points,
+                             plan_parameters, quasi_tile, tile_cores, verify_tiling)
 
 WIDTHS = [2, 4, 6, 8, 12, 16, 24, 32]
 
@@ -490,6 +490,11 @@ def z_mode_approx(n, width=32):
 def conjugate_mode_top(n):
     phi, shapes = conjugate_mode_approx(n)
     return phi, sorted_keys(shapes[-1])
+
+
+@pytest.mark.parametrize("F", [sorted_keys(a2_interval(8, 3)), sorted_keys(bs_rectangle(2, 4, 5))])
+def test_inverse_products_grid(F):
+    assert inverse_products(F) == [[g.inverse() * h for h in F] for g in F]
 
 
 class TestBMaskMatchesOracle:
