@@ -2,8 +2,8 @@
 and interval shapes {a_1^i a_2^l}.
 
 An element is the affine map x -> m^e * x + num / m^d with d == 0 or
-m not dividing num; this normal form makes equality, hashing and the
-arithmetic permutation model immediate.  Convention throughout:
+m not dividing num; this normal form makes equality, hashing, integer
+products and the arithmetic permutation model immediate.  Convention:
 (g * h)(x) = g(h(x)), a_1 is x -> x/m, a_2 is x -> x + 1.
 """
 
@@ -55,13 +55,16 @@ class BsElement:
 
     def __mul__(self, other: "BsElement") -> "BsElement":
         self._check_base(other)
-        # g(h(x)) = m^(eg+eh) x + m^eg * bh + bg
-        b = Fraction(self.m) ** self.e * other.shift + self.shift
-        return _from_affine(self.m, self.e + other.e, b)
+        # g(h(x)) = m^(eg+eh) x + m^eg * bh + bg, over the common denominator m^D
+        m = self.m
+        D = max(other.d - self.e, self.d)
+        num = other.num * m ** (D + self.e - other.d) + self.num * m ** (D - self.d)
+        return _normal(m, self.e + other.e, num, D)
 
     def inverse(self) -> "BsElement":
-        b = -self.shift * Fraction(self.m) ** (-self.e)
-        return _from_affine(self.m, -self.e, b)
+        # g^-1(x) = m^-e x - num / m^(d+e)
+        D = max(self.d + self.e, 0)
+        return _normal(self.m, -self.e, -self.num * self.m ** (D - self.d - self.e), D)
 
     def __pow__(self, k: int) -> "BsElement":
         base = self if k >= 0 else self.inverse()
@@ -86,16 +89,12 @@ class BsElement:
         return cls(int(obj["m"]), int(obj["e"]), int(obj["num"]), int(obj["d"]))
 
 
-def _from_affine(m: int, e: int, b: Fraction) -> BsElement:
-    """Normalize the shift b = num / m^d with minimal d."""
-    d = 0
-    scaled = b
-    while scaled.denominator != 1:
-        scaled *= m
-        d += 1
-        if d > 10_000:
-            raise ValueError(f"shift {b} is not an m-adic rational for m={m}")
-    return BsElement(m, e, int(scaled), d)
+def _normal(m: int, e: int, num: int, d: int) -> BsElement:
+    """x -> m^e x + num / m^d with the least d."""
+    while d > 0 and num % m == 0:
+        num //= m
+        d -= 1
+    return BsElement(m, e, num, d)
 
 
 def bs_identity(m: int) -> BsElement:
@@ -161,7 +160,7 @@ def bs_rectangle(rows: int, cols: int, m: int) -> frozenset:
     out = set()
     for i in range(rows):
         for ell in range(cols):
-            out.add(_from_affine(m, -i, Fraction(ell, m ** i)))
+            out.add(_normal(m, -i, ell, i))
     return frozenset(out)
 
 

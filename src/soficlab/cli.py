@@ -228,10 +228,15 @@ def _check_unit(m: int, n: int) -> None:
         raise UsageError(f"gcd({m}, {n}) != 1: m must be a unit mod n")
 
 
-def _check_model(m: int, n: int) -> None:
-    """tile, conjugate and sofic-check build the model of BS(1, m) on Z/nZ."""
+def _check_degree(n: int) -> None:
+    """Every map is a permutation of Z/nZ, with n >= 2."""
     if n < 2:
         raise UsageError(f"degree --n = {n} must be >= 2")
+
+
+def _check_model(m: int, n: int) -> None:
+    """tile, conjugate and sofic-check build the model of BS(1, m) on Z/nZ."""
+    _check_degree(n)
     if m < 2:
         raise UsageError(f"base --m = {m} must be >= 2")
     _check_unit(m, n)
@@ -307,6 +312,7 @@ def _cmd_conjugate(opts, out_dir: Path) -> int:
 def _cmd_search_f(opts, out_dir: Path) -> int:
     n = _require(opts, "n")
     m = _require(opts, "m")
+    _check_degree(n)
     _check_unit(m, n)
     budget = _count(opts, "budget", 200_000)
     seed = opts.get("seed", 0)
@@ -318,6 +324,7 @@ def _cmd_search_f(opts, out_dir: Path) -> int:
 def _cmd_h3(opts, out_dir: Path) -> int:
     n = _require(opts, "n")
     m = _require(opts, "m")
+    _check_degree(n)
     _check_unit(m, n)
     payload: Dict[str, object] = {"n": n, "m": m}
     code = 0

@@ -104,7 +104,9 @@ class ArithmeticModel:
     """Lazy exact homomorphism psi of BS(1,m) into Sym(n), gcd(m, n) = 1.
 
     Permutations are synthesized on demand from the normal form (e, num, d)
-    and memoized; quasi-tiling runs query thousands of Folner elements.
+    and memoized; quasi-tiling runs query thousands of Folner elements, with
+    few distinct dilations m^e mod n, so each image is one table a x mod n
+    shifted by b.
     """
 
     def __init__(self, n: int, m: int):
@@ -115,6 +117,7 @@ class ArithmeticModel:
         self.n = n
         self.m = m
         self._cache: Dict[BsElement, Permutation] = {}
+        self._scaled: Dict[int, np.ndarray] = {}     # a -> a x mod n, one per dilation
 
     def permutation(self, g: BsElement) -> Permutation:
         if g.m != self.m:
@@ -122,8 +125,12 @@ class ArithmeticModel:
         perm = self._cache.get(g)
         if perm is None:
             a = pow(self.m, g.e, self.n)
+            scaled = self._scaled.get(a)
+            if scaled is None:
+                scaled = self._scaled[a] = a * np.arange(self.n, dtype=np.int64) % self.n
             b = g.num * pow(self.m, -g.d, self.n) % self.n
-            img = (a * np.arange(self.n, dtype=np.int64) - b) % self.n
+            img = scaled - b            # in (-n, n): one add of n reduces it mod n
+            np.add(img, self.n, out=img, where=img < 0)
             perm = Permutation(img, _trusted=True)
             self._cache[g] = perm
         return perm

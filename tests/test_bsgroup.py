@@ -3,14 +3,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from soficlab.bsgroup import (BaseMismatchError, BsElement, _from_affine,
+from soficlab.bsgroup import (BaseMismatchError, BsElement, _normal,
                               a2_interval, bs_a1, bs_a2, bs_identity,
                               bs_rectangle, canonical_word, evaluate_word,
                               reduce_word, word_value)
 
 
+def _affine_oracle(m, e, b):
+    """x -> m^e x + b for an m-adic rational b, normalized in Fraction
+    arithmetic: scale b by m until it is an integer."""
+    b, d = Fraction(b), 0
+    while b.denominator != 1:
+        b, d = b * m, d + 1
+    return BsElement(m, e, int(b), d)
+
+
 def _from_b(m, b):
-    return _from_affine(m, 0, Fraction(b))
+    return _affine_oracle(m, 0, b)
 
 
 elements = st.tuples(st.sampled_from([2, 3]), st.integers(-4, 4),
@@ -55,6 +64,45 @@ class TestGroupLaw:
     @given(elements)
     def test_json_obj_roundtrip(self, g):
         assert BsElement.from_obj(g.to_obj()) == g
+
+
+raw_affine = st.tuples(st.sampled_from([2, 3, 5, 1999]), st.integers(-6, 6),
+                       st.integers(-10 ** 4, 10 ** 4), st.integers(0, 6))
+POINTS = (Fraction(0), Fraction(1), Fraction(-7, 3))
+
+
+def _normalized(g):
+    return g.d == 0 or g.num % g.m != 0
+
+
+class TestIntegerNormalForm:
+    """Products, inverses and the normalizer against the Fraction route."""
+
+    @given(raw_affine)
+    def test_normal_matches_fraction_route(self, t):
+        m, e, num, d = t
+        assert _normal(m, e, num, d) == _affine_oracle(m, e, Fraction(num, m ** d))
+
+    @given(raw_affine, raw_affine)
+    def test_product_is_affine_composition(self, s, t):
+        (m, e1, num1, d1), (_, e2, num2, d2) = s, t      # one base for both
+        g = _affine_oracle(m, e1, Fraction(num1, m ** d1))
+        h = _affine_oracle(m, e2, Fraction(num2, m ** d2))
+        gh = g * h
+        assert _normalized(gh)
+        assert gh == _affine_oracle(m, e1 + e2, Fraction(m) ** e1 * h.shift + g.shift)
+        for x in POINTS:
+            assert gh.apply(x) == g.apply(h.apply(x))
+
+    @given(raw_affine)
+    def test_inverse_is_affine_inverse(self, t):
+        m, e, num, d = t
+        g = _affine_oracle(m, e, Fraction(num, m ** d))
+        gi = g.inverse()
+        assert _normalized(gi)
+        assert gi == _affine_oracle(m, -e, -g.shift * Fraction(m) ** -e)
+        for x in POINTS:
+            assert gi.apply(g.apply(x)) == x and g.apply(gi.apply(x)) == x
 
 
 class TestCanonicalWord:

@@ -340,6 +340,9 @@ def test_m_not_a_unit_is_usage_error(tmp_path, capsys, argv):
     (("sofic-check", "--n", "1", "--m", "2"), "degree --n = 1 must be >= 2"),
     (("sofic-check", "--n", "7", "--m", "1"), "base --m = 1 must be >= 2"),
     (("conjugate", "--n", "2"), "base --m = 1 must be >= 2"),     # m = n - 1
+    (("h3", "--n", "0", "--m", "1"), "degree --n = 0 must be >= 2"),
+    (("search-f", "--n", "0", "--m", "1"), "degree --n = 0 must be >= 2"),
+    (("search-f", "--n", "1", "--m", "2"), "degree --n = 1 must be >= 2"),
 ])
 def test_degree_or_base_below_two_is_usage_error(tmp_path, capsys, argv, message):
     code, out = run(tmp_path, *argv)

@@ -58,6 +58,22 @@ class TestArithmeticModel:
             b = g.num * pow(m, -g.d, n)
             assert psi.permutation(g).image.tolist() == [(a * x - b) % n for x in range(n)]
 
+    @pytest.mark.parametrize("n, m", [(7, 2), (101, 3), (1000, 999), (30011, 2)])
+    def test_image_matches_direct_formula(self, n, m):
+        """Keys with num < 0, d > 0 and e < 0 against (m^e x - num m^-d) mod n."""
+        psi = ArithmeticModel(n, m)
+        rng = np.random.default_rng(n)
+        x = np.arange(n, dtype=np.int64)
+        for _ in range(25):
+            e, d = -int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            num = -(m * int(rng.integers(0, 10 ** 4 // m)) + 1)
+            g = BsElement(m, e, num, d)
+            expected = (pow(m, e, n) * x - num * pow(m, -d, n)) % n
+            perm = psi.permutation(g)
+            assert perm.image.dtype == np.int64
+            assert perm.image.tolist() == expected.tolist()
+            assert psi.permutation(g) is perm
+
     def test_homomorphism_on_random_pairs(self):
         psi = ArithmeticModel(101, 3)
         rng = np.random.default_rng(0)
