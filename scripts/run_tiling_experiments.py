@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Build and verify quasi-tiling certificates for the two reference models:
 the translation-only model on n = 10^3 and the amplified arithmetic model of
-BS(1,2) on n ~ 10^4.  Exits 2 when either certificate fails, as the CLI does."""
+BS(1,2) on n ~ 10^4.  As the CLI does, exits 2 with `failed: ...` when
+either certificate cannot be built or fails, and 1 with `error: ...` on a bad
+--eps."""
 
 import argparse
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 
 from soficlab.bsgroup import BsElement, a2_interval
 from soficlab.soficcheck import ArithmeticModel, amplify
-from soficlab.tiling import plan_parameters, quasi_tile, verify_tiling
+from soficlab.tiling import CoarseApproximationError, plan_parameters, quasi_tile, verify_tiling
 
 WIDTHS = [2, 4, 6, 8, 12, 16, 24, 32]
 
@@ -35,19 +37,26 @@ def main() -> int:
     ap.add_argument("--eps", default="1/4")
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
-    eps = Fraction(args.eps)
-    plan = plan_parameters(eps, eps)
+    try:
+        eps = Fraction(args.eps)
+        plan = plan_parameters(eps, eps)
+    except (ValueError, ZeroDivisionError) as exc:
+        print(f"error: --eps {args.eps}: {exc}", file=sys.stderr)
+        return 1
     widths = WIDTHS[:plan.k] + [WIDTHS[-1]] * max(0, plan.k - len(WIDTHS))
 
     shapes3 = [a2_interval(w, 3) for w in widths]
     phi = interval_model(1000, 3, 40)
-    t1 = quasi_tile(phi, shapes3, eps, eps)
-    rep1 = report("Z model n=1000", t1)
-
     shapes2 = [a2_interval(w, 2) for w in widths]
     base = interval_model(101, 2, 33)
     big = amplify(base, 10_000)
-    t2 = quasi_tile(big, shapes2, eps, eps)
+    try:
+        t1 = quasi_tile(phi, shapes3, eps, eps)
+        t2 = quasi_tile(big, shapes2, eps, eps)
+    except CoarseApproximationError as exc:
+        print(f"failed: {exc}", file=sys.stderr)
+        return 2
+    rep1 = report("Z model n=1000", t1)
     rep2 = report("amplified BS(1,2) n=10^4", t2)
 
     if args.out:

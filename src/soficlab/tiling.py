@@ -142,6 +142,13 @@ def extract_eps_disjoint(fam: SetFamily, eps, target: Optional[int] = None) -> E
     only shrinks the union of the others, so a set that could not be dropped
     never becomes droppable later.  The pass therefore selects exactly what
     restarting from the latest set after every drop would.
+
+    With a target, the greedy stops at the first kept set s_q that brings
+    the union V(q+1) of s_0..s_q up to the target.  The prune of the full
+    selection would drop every later set: with all sets after s_r dropped it
+    sees only_here = V(r+1) - V(r), so it drops s_r iff V(r) >= target, true
+    for every r > q.  It thus reaches s_q in the state a prune of s_0..s_q
+    starts in, and selects the same sets.
     """
     if not len(fam.indices):
         raise ValueError("empty family")
@@ -150,21 +157,25 @@ def extract_eps_disjoint(fam: SetFamily, eps, target: Optional[int] = None) -> E
     keep_at = ceil((1 - Fraction(eps)) * width)
     union = np.zeros(fam.n, dtype=bool)
     selected: List[int] = []
+    covered = 0                 # |union|: the points of a set are distinct
     for i in np.argsort(fam.indices, kind="stable").tolist():
         row = rows[i]
-        if width - np.count_nonzero(union[row]) >= keep_at:
+        fresh = width - np.count_nonzero(union[row])
+        if fresh >= keep_at:
             selected.append(i)
             union[row] = True
+            covered += fresh
+            if target is not None and covered >= target:
+                break
 
     if target is not None:
         cover = np.bincount(rows[selected].ravel(), minlength=fam.n)
-        union_size = int(np.count_nonzero(cover))
         kept = []
         for i in reversed(selected):
             only_here = int(np.count_nonzero(cover[rows[i]] == 1))
-            if union_size - only_here >= target:
+            if covered - only_here >= target:
                 cover[rows[i]] -= 1
-                union_size -= only_here
+                covered -= only_here
             else:
                 kept.append(i)
         selected = kept[::-1]

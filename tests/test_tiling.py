@@ -168,6 +168,41 @@ class TestExtraction:
         got = extract_eps_disjoint(SetFamily(n, indices, rows), eps, target)
         assert got.indices == expected
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_tile_regime_matches_restart_loop_oracle(self, data):
+        """Interval rows under distinct ranks and a coverage target, as
+        quasi_tile offers them, where the greedy stops short of the end."""
+        n = data.draw(st.integers(2, 300))
+        w = data.draw(st.integers(2, min(27, n)))
+        starts = data.draw(st.lists(st.integers(0, n - w), min_size=40, max_size=120))
+        ranks = data.draw(st.permutations(range(len(starts))))
+        eps = data.draw(st.sampled_from([Fraction(1, 4), Fraction(1, 8)]))
+        target = data.draw(st.one_of(st.integers(0, n + 5),
+                                     st.just(ceil(eps * len(starts)))))
+        rows = [list(range(s, s + w)) for s in starts]
+        expected = oracle_extract(
+            OracleFamily(n, tuple((idx, frozenset(row)) for idx, row in zip(ranks, rows))),
+            eps, target)
+        got = extract_eps_disjoint(SetFamily(n, ranks, rows), eps, target)
+        assert got.indices == expected
+
+    # ten width-10 intervals tiling 0..99 at even indices; between each two a
+    # half-overlapping one at an odd index, which the greedy rejects
+    INTERVALS = SetFamily(100, np.arange(19), [range(s, s + 10) for s in range(0, 91, 5)])
+
+    def test_target_zero_keeps_nothing(self):
+        assert extract_eps_disjoint(self.INTERVALS, Fraction(1, 4), target=0).indices == ()
+
+    def test_target_above_greedy_union_keeps_greedy_selection(self):
+        greedy = extract_eps_disjoint(self.INTERVALS, Fraction(1, 4))
+        assert greedy.indices == tuple(range(0, 19, 2))
+        assert extract_eps_disjoint(self.INTERVALS, Fraction(1, 4), target=101) == greedy
+
+    @pytest.mark.parametrize("target", [1, 10])
+    def test_target_met_by_first_kept_set(self, target):
+        assert extract_eps_disjoint(self.INTERVALS, Fraction(1, 4), target=target).indices == (0,)
+
     def test_sets_offered(self):
         fam = SetFamily(10, (4, 7, 1), ((0, 1), (2, 5), (9, 3)))
         assert len(fam.sets) == 3
