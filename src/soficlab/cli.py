@@ -193,8 +193,10 @@ def _cmd_sofic_check(opts, out_dir: Path) -> int:
     n = _require(opts, "n")
     _check_model(m, n)
     delta = opts.get("delta", Fraction(1, 8))
+    if not 0 < delta < 1:
+        raise UsageError(f"delta = {delta} is outside (0, 1)")
     model = ArithmeticModel(n, m)
-    phi = model.approx_on(_ball(m, opts.get("exp_bound", 2), opts.get("num_bound", 8)))
+    phi = model.approx_on(_ball(m, _count(opts, "exp_bound", 2), _count(opts, "num_bound", 8)))
     report = check_sofic(phi, delta)
     _write_json(out_dir, "sofic_report.json", {
         "n": n, "m": m, "delta": delta,
@@ -280,10 +282,11 @@ def conjugate_shapes(m: int) -> List[frozenset]:
 
 
 def conjugate_domain(m: int) -> Tuple[List[frozenset], set]:
-    """The conjugate shapes and the keys the conjugator reads: those, F_k^-1 F_k, a_1, a_2."""
+    """The conjugate shapes and the keys the conjugator reads: a_1, a_2 and
+    F_k^-1 F_k, which holds every shape since they nest and F_1 holds the
+    identity."""
     shapes = conjugate_shapes(m)
-    domain = set().union(*shapes, {bs_a1(m), bs_a2(m)})
-    return shapes, domain.union(*inverse_products(shapes[-1]))
+    return shapes, {bs_a1(m), bs_a2(m)}.union(*inverse_products(shapes[-1]))
 
 
 def _cmd_conjugate(opts, out_dir: Path) -> int:
@@ -292,7 +295,7 @@ def _cmd_conjugate(opts, out_dir: Path) -> int:
     eps = opts.get("eps", Fraction(1, 4))
     _check_tiling_eps(eps)
     _check_model(m, n)
-    seed = opts.get("seed", 0)
+    seed = _count(opts, "seed", 0)
     shapes, domain = conjugate_domain(m)
     phi1 = ArithmeticModel(n, m).approx_on(domain)
     phi2 = phi1.conjugated(Permutation(np.random.default_rng(seed).permutation(n)))
@@ -335,7 +338,7 @@ def _cmd_h3(opts, out_dir: Path) -> int:
         if frac <= 0:
             code = 2
     else:
-        seed = opts.get("seed", 0)
+        seed = _count(opts, "seed", 0)
         rng = np.random.default_rng(seed)
         f = Permutation(rng.permutation(n))
         rep = defect_report(f, m)

@@ -78,8 +78,9 @@ def build_conjugator(phi1: SoficApprox, phi2: SoficApprox, eps,
         t = quasi_tile(phi, folner_seq, INNER_EPS, INNER_EPS, delta_prime=DELTA_PRIME,
                        maximal=True, center_order=orbit_order(phi.table[a2]))
         points = level_points(t)
-        # cores in construction order: level k down to 1, centers as selected
-        sides.append(zip(t.levels, points, tile_cores(points[::-1])[::-1]))
+        # levels never share a point (a level's tiles avoid every point
+        # covered before it), so cores read in ascending j are the same
+        sides.append(zip(t.levels, points, tile_cores(points)))
 
     tau_img = np.full(n, -1, dtype=np.int64)
     lambda1: List[np.ndarray] = []

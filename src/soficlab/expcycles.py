@@ -180,21 +180,14 @@ def prime_powers(p: int, r_min: int, r_max: int) -> List[int]:
     return [p ** r for r in range(r_min, r_max + 1)]
 
 
-def census_row(args: Tuple[int, int]) -> CycleCensus:
-    m, n = args
-    return cycle_census(m, n)
-
-
 def run_sweep(m: int, moduli: Sequence[int], *, workers: int = 1) -> List[CycleCensus]:
     """One census per modulus (skipping those not coprime to m), merged in
     modulus order regardless of worker scheduling."""
     todo = [(m, n) for n in sorted(set(moduli)) if n >= 2 and math.gcd(m, n) == 1]
     if workers <= 1 or len(todo) < 4:
-        rows = [census_row(t) for t in todo]
-    else:
-        with Pool(workers) as pool:
-            rows = pool.map(census_row, todo, chunksize=max(1, len(todo) // (8 * workers)))
-    return sorted(rows, key=lambda r: r.n)
+        return [cycle_census(m, n) for m, n in todo]
+    with Pool(workers) as pool:
+        return pool.starmap(cycle_census, todo, chunksize=max(1, len(todo) // (8 * workers)))
 
 
 CSV_HEADER = "n,m,order,fix1,fix2,fix3,fix4,frac3,frac4"

@@ -365,9 +365,10 @@ def search_local_exp(n: int, m: int, budget: int = 200_000,
     if best_img is None:
         raise AssertionError("search kept no candidate map")
     f = Permutation(best_img)
-    if not is_four_periodic(f.image):
+    rep = defect_report(f, m)
+    if rep.four_periodic_failures:
         raise AssertionError("search produced a non-4-periodic map")
-    if len(defect_report(f, m).defect_set) != best:
+    if len(rep.defect_set) != best:
         raise AssertionError("reported defect does not recompute")
     return SearchResult(f, n, m, seed, budget, best, dict(Counter(f.cycle_lengths())),
                         exhaustive, budget_exhausted)

@@ -85,38 +85,27 @@ def _check_shapes(shapes: Sequence[Sequence[BsElement]], plan: PlanParams) -> No
 
 @dataclass(frozen=True)
 class SetFamily:
-    """Subsets of the ground set {0..n-1}, all of one size: row i of members
-    holds the distinct points of the set whose index is indices[i]."""
+    """Subsets of the ground set {0..n-1}, all of one size: row i of sets
+    holds the distinct points of the i-th set offered."""
     n: int
-    indices: np.ndarray     # (|C|,) int
-    members: np.ndarray     # (|C|, w) int
+    sets: np.ndarray        # (|C|, w) int
 
     def __post_init__(self) -> None:
-        indices = np.asarray(self.indices, dtype=np.int64)
-        members = np.asarray(self.members, dtype=np.int64)
-        if members.size == 0:
-            members = members.reshape(len(indices), 0)
-        if indices.ndim != 1 or members.ndim != 2 or len(members) != len(indices):
-            raise ValueError(f"members of shape {members.shape} do not match "
-                             f"{indices.shape} indices")
-        rows = np.sort(members, axis=1)
+        sets = np.asarray(self.sets, dtype=np.int64)
+        if sets.ndim != 2:
+            raise ValueError(f"sets of shape {sets.shape} are not rows of one width")
+        rows = np.sort(sets, axis=1)
         outside = (rows[:, :1] < 0) | (rows[:, -1:] >= self.n)
         for bad, what in ((outside, "has an element outside the ground set"),
                           (rows[:, 1:] == rows[:, :-1], "repeats a point")):
             if bad.any():
-                raise ValueError(f"set {indices[np.argmax(bad.any(axis=1))]} {what}")
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "members", members)
-
-    @property
-    def sets(self) -> np.ndarray:
-        """One row per set offered."""
-        return self.members
+                raise ValueError(f"set {np.argmax(bad.any(axis=1))} {what}")
+        object.__setattr__(self, "sets", sets)
 
 
 @dataclass(frozen=True)
 class ExtractionResult:
-    indices: Tuple[int, ...]                # selected, in selection order
+    indices: Tuple[int, ...]                # selected row positions, in selection order
 
 
 def tile_cores(blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
@@ -132,7 +121,7 @@ def tile_cores(blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
 
 
 def extract_eps_disjoint(fam: SetFamily, eps, target: Optional[int] = None) -> ExtractionResult:
-    """Greedy eps-disjoint subfamily: by ascending index, a set is kept when
+    """Greedy eps-disjoint subfamily: row by row, a set is kept when
     ceil((1-eps) w) of its w points avoid everything already selected.
 
     With a coverage target, the selection is then pruned to minimality:
@@ -150,16 +139,15 @@ def extract_eps_disjoint(fam: SetFamily, eps, target: Optional[int] = None) -> E
     for every r > q.  It thus reaches s_q in the state a prune of s_0..s_q
     starts in, and selects the same sets.
     """
-    if not len(fam.indices):
+    if not len(fam.sets):
         raise ValueError("empty family")
-    rows = fam.members
+    rows = fam.sets
     width = rows.shape[1]
     keep_at = ceil((1 - Fraction(eps)) * width)
     union = np.zeros(fam.n, dtype=bool)
     selected: List[int] = []
     covered = 0                 # |union|: the points of a set are distinct
-    for i in np.argsort(fam.indices, kind="stable").tolist():
-        row = rows[i]
+    for i, row in enumerate(rows):
         fresh = width - np.count_nonzero(union[row])
         if fresh >= keep_at:
             selected.append(i)
@@ -179,7 +167,7 @@ def extract_eps_disjoint(fam: SetFamily, eps, target: Optional[int] = None) -> E
             else:
                 kept.append(i)
         selected = kept[::-1]
-    return ExtractionResult(tuple(fam.indices[selected].tolist()))
+    return ExtractionResult(tuple(selected))
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +306,11 @@ def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]], eps,
     the ground set as possible -- useful when the tiling feeds a conjugator
     -- but gives up the per-level measure bounds of the certificate.
 
-    center_order assigns greedy priority ranks to the points (a permutation
-    of 0..n-1, highest priority first); ties in the extraction are broken by
-    this rank instead of by raw point index.  A rank derived from the orbit
-    structure of a generator image makes the construction equivariant under
-    relabeling, which a conjugator build exploits.
+    center_order is the order in which the greedy tries the points as
+    centers (a permutation of 0..n-1, highest priority first) instead of
+    ascending point index.  An order derived from the orbit structure of a
+    generator image makes the construction equivariant under relabeling,
+    which a conjugator build exploits.
     """
     plan = plan_parameters(eps, kappa)
     eps, kappa = plan.eps, plan.kappa
@@ -331,13 +319,11 @@ def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]], eps,
 
     b_mask = _b_mask(phi, shapes[-1])
     n = phi.n
-    rank = by_rank = np.arange(n)
+    order = np.arange(n)
     if center_order is not None:
-        by_rank = np.asarray(center_order, dtype=np.int64)
-        if sorted(by_rank.tolist()) != list(range(n)):
+        order = np.asarray(center_order, dtype=np.int64)
+        if sorted(order.tolist()) != list(range(n)):
             raise ValueError("center_order must be a permutation of 0..n-1")
-        rank = np.empty(n, dtype=np.int64)
-        rank[by_rank] = np.arange(n)
     b_size = int(np.count_nonzero(b_mask))
     if b_size < (1 - Fraction(delta_prime)) * n:
         raise CoarseApproximationError(
@@ -349,17 +335,15 @@ def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]], eps,
         shape = shapes[j - 1]
         imgs = shape_images(phi.table, shape)
         available = b_mask & ~covered[imgs].any(axis=0)
-        centers = np.flatnonzero(available)
-        centers = centers[np.argsort(rank[centers], kind="stable")]
+        centers = order[available[order]]
         if not len(centers):
             if not maximal:
                 raise CoarseApproximationError(f"no available centers at level {j}")
             levels.append(TileLevel(j, shape, plan.lambdas[j - 1], ()))
             continue
         target = None if maximal else ceil(eps * len(centers))
-        result = extract_eps_disjoint(SetFamily(n, rank[centers], imgs[:, centers].T),
-                                      eps, target=target)
-        chosen = by_rank[list(result.indices)]
+        result = extract_eps_disjoint(SetFamily(n, imgs[:, centers].T), eps, target=target)
+        chosen = centers[list(result.indices)]
         covered[imgs[:, chosen]] = True
         levels.append(TileLevel(j, shape, plan.lambdas[j - 1], tuple(chosen.tolist())))
 

@@ -404,9 +404,22 @@ class TestOtherSubcommands:
         assert "outside (0, 1)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("delta", ["2", "0", "-1/8"])
+    def test_sofic_check_delta_outside_unit_interval_is_usage_error(self, tmp_path, capsys,
+                                                                     delta):
+        # "--delta=-1/8": argparse would read a separate "-1/8" as a flag
+        code, out = run(tmp_path, "sofic-check", "--m", "3", "--n", "101", f"--delta={delta}")
+        assert code == 1
+        assert "outside (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ("search-f", "--n", "11", "--m", "7", "--budget=-3"),
         ("padic", "--m", "2", "--prime-powers", "3:2..3", "--tuples=-1"),
+        ("sofic-check", "--m", "3", "--n", "101", "--exp-bound=-1"),
+        ("sofic-check", "--m", "3", "--n", "101", "--num-bound=-1"),
+        ("conjugate", "--n", "1000", "--seed=-1"),
+        ("h3", "--n", "101", "--m", "2", "--seed=-1"),
     ])
     def test_negative_count_is_usage_error(self, tmp_path, capsys, argv):
         # "--budget=-3": argparse would read a separate "-3" as a flag

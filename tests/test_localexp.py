@@ -277,6 +277,13 @@ class TestSearcher:
         assert r.budget_exhausted and not r.exhaustive
         assert is_four_periodic(r.f.image)
 
+    def test_non_four_periodic_winner_rejected(self, monkeypatch):
+        # a resampler that closes all its points into one cycle breaks f^4 = id
+        monkeypatch.setattr(localexp, "_random_order4",
+                            lambda points, rng: dict(zip(points, points[1:] + points[:1])))
+        with pytest.raises(AssertionError, match="search produced a non-4-periodic map"):
+            search_local_exp(30, 7, budget=200)
+
 
 # The searcher as it was before annealing steps updated the defect in place:
 # every step copies the map and recounts all n points.  Kept verbatim as the
