@@ -153,6 +153,7 @@ def _write_json(out_dir: Path, name: str, payload: object) -> None:
 
 def _cmd_cycles(opts, out_dir: Path) -> int:
     m = _require(opts, "m")
+    _check_base(m)
     moduli: List[int] = []
     if opts.get("primes"):
         lo, hi = _parse_range(opts["primes"])
@@ -195,8 +196,11 @@ def _cmd_sofic_check(opts, out_dir: Path) -> int:
     delta = opts.get("delta", Fraction(1, 8))
     if not 0 < delta < 1:
         raise UsageError(f"delta = {delta} is outside (0, 1)")
+    e_bound, num_bound = _count(opts, "exp_bound", 2), _count(opts, "num_bound", 8)
+    if e_bound == num_bound == 0:
+        raise UsageError("--exp-bound = 0 and --num-bound = 0 leave only the identity in the ball")
     model = ArithmeticModel(n, m)
-    phi = model.approx_on(_ball(m, _count(opts, "exp_bound", 2), _count(opts, "num_bound", 8)))
+    phi = model.approx_on(_ball(m, e_bound, num_bound))
     report = check_sofic(phi, delta)
     _write_json(out_dir, "sofic_report.json", {
         "n": n, "m": m, "delta": delta,
@@ -236,11 +240,15 @@ def _check_degree(n: int) -> None:
         raise UsageError(f"degree --n = {n} must be >= 2")
 
 
+def _check_base(m: int) -> None:
+    if m < 2:
+        raise UsageError(f"base --m = {m} must be >= 2")
+
+
 def _check_model(m: int, n: int) -> None:
     """tile, conjugate and sofic-check build the model of BS(1, m) on Z/nZ."""
     _check_degree(n)
-    if m < 2:
-        raise UsageError(f"base --m = {m} must be >= 2")
+    _check_base(m)
     _check_unit(m, n)
 
 

@@ -2,8 +2,10 @@
 k-periodic-point censuses, and a parallel sweep over prime (power) moduli
 emitting deterministic CSV rows.
 
-f is a function, never assumed to be a permutation; every k-iterate count
-uses function iteration.
+f is a function, never assumed to be a permutation.  Its periodic points lie
+in its image S = <m> = image[:ord], so the k-iterate counts run on S by two
+routes: iteration of f, and iteration of the conjugate map
+G(i) = S[i] mod ord in discrete-log coordinates.
 """
 
 from __future__ import annotations
@@ -98,27 +100,42 @@ def multiplicative_order(f: ExpMap) -> int:
 Counts = Tuple[int, int, int, int]
 
 
-def count_k_periodic(f: ExpMap, identity: Optional[np.ndarray] = None) -> Counts:
-    """|{x : f^k(x) = x}| for k = 1..4 by direct iteration y <- f(y)."""
-    if identity is None:
-        identity = np.arange(f.n, dtype=np.int64)
-    y = f.image
-    counts = [int(np.count_nonzero(y == identity))]
-    for _ in range(3):
+def count_k_periodic(f: ExpMap, order: Optional[int] = None) -> Counts:
+    """|{x : f^k(x) = x}| for k = 1..4 by direct iteration y <- f(y).
+
+    Every k-periodic point lies in the image of f, which is the subgroup
+    S = <m> = image[:order], so the iteration runs from y = S; each step
+    still gathers from the whole table."""
+    if order is None:
+        order = multiplicative_order(f)
+    s = f.image[:order]
+    y = s
+    counts = []
+    for _ in range(4):
         y = f.image[y]
-        counts.append(int(np.count_nonzero(y == identity)))
+        counts.append(int(np.count_nonzero(y == s)))
     return tuple(counts)
 
 
-def count_k_periodic_by_tables(f: ExpMap, identity: Optional[np.ndarray] = None) -> Counts:
-    """The same counts through precomposed tables f^2 = f o f, f^3 = f^2 o f
-    and f^4 = f^2 o f^2; only f^2 is composed as iteration composes it."""
-    if identity is None:
-        identity = np.arange(f.n, dtype=np.int64)
-    f1 = f.image
-    f2 = f1[f1]
-    return tuple(int(np.count_nonzero(t == identity))
-                 for t in (f1, f2, f2[f1], f2[f2]))
+def count_k_periodic_by_tables(f: ExpMap, order: Optional[int] = None) -> Counts:
+    """The same counts in discrete-log coordinates.  With S[i] = m^i,
+    f(S[i]) = m^(S[i] mod ord) = S[G(i)] for G(i) = S[i] mod ord, and S is
+    injective on {0..ord-1}, so f^k fixes S[i] exactly when G^k fixes i.
+    Reads the table below index ord only, and composes nothing that
+    count_k_periodic reads."""
+    if order is None:
+        order = multiplicative_order(f)
+    s = f.image[:order]
+    g = s // order                  # s mod ord, reduced as _exp_table reduces
+    np.multiply(g, order, out=g)
+    np.subtract(s, g, out=g)
+    i = np.arange(order, dtype=np.int64)
+    y = g
+    counts = [int(np.count_nonzero(y == i))]
+    for _ in range(3):
+        y = g[y]
+        counts.append(int(np.count_nonzero(y == i)))
+    return tuple(counts)
 
 
 @dataclass(frozen=True)
@@ -139,13 +156,13 @@ class CycleCensus:
 
 def cycle_census(m: int, n: int) -> CycleCensus:
     f = exp_map(m, n)
-    identity = np.arange(n, dtype=np.int64)
-    counts = count_k_periodic(f, identity)
-    tables = count_k_periodic_by_tables(f, identity)
+    order = multiplicative_order(f)
+    counts = count_k_periodic(f, order)
+    tables = count_k_periodic_by_tables(f, order)
     for k, (a, b) in enumerate(zip(counts, tables), start=1):
         if a != b:
             raise AssertionError(f"periodic-count routes disagree at n={n}, k={k}")
-    return CycleCensus(n, m, multiplicative_order(f), counts)
+    return CycleCensus(n, m, order, counts)
 
 
 # ---------------------------------------------------------------------------

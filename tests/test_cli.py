@@ -343,6 +343,9 @@ def test_m_not_a_unit_is_usage_error(tmp_path, capsys, argv):
     (("h3", "--n", "0", "--m", "1"), "degree --n = 0 must be >= 2"),
     (("search-f", "--n", "0", "--m", "1"), "degree --n = 0 must be >= 2"),
     (("search-f", "--n", "1", "--m", "2"), "degree --n = 1 must be >= 2"),
+    (("cycles", "--m=-2", "--n", "101"), "base --m = -2 must be >= 2"),
+    (("cycles", "--m", "0", "--n", "101"), "base --m = 0 must be >= 2"),
+    (("cycles", "--m", "1", "--n", "101"), "base --m = 1 must be >= 2"),
 ])
 def test_degree_or_base_below_two_is_usage_error(tmp_path, capsys, argv, message):
     code, out = run(tmp_path, *argv)
@@ -427,6 +430,20 @@ class TestOtherSubcommands:
         assert code == 1
         assert "must be >= 0" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_sofic_check_identity_ball_is_usage_error(self, tmp_path, capsys):
+        code, out = run(tmp_path, "sofic-check", "--m", "3", "--n", "101",
+                        "--exp-bound", "0", "--num-bound", "0")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--exp-bound = 0 and --num-bound = 0" in err
+        assert not out.exists()
+
+    def test_sofic_check_one_zero_bound_still_checks(self, tmp_path):
+        code, out = run(tmp_path, "sofic-check", "--m", "3", "--n", "101",
+                        "--exp-bound", "1", "--num-bound", "0")
+        assert code == 0
+        assert json.loads((out / "sofic_report.json").read_text())["triples_checked"] == 7
 
 
 class TestEntryPoint:

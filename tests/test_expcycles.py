@@ -14,8 +14,20 @@ from soficlab.expcycles import (CSV_HEADER, CycleCensus, count_k_periodic,
                                 segmented_sieve, sweep_csv)
 
 coprime_pairs = st.tuples(st.sampled_from([2, 3, 5, 7]),
-                          st.integers(3, 2000)).filter(
+                          st.integers(2, 3000)).filter(
     lambda t: math.gcd(t[0], t[1]) == 1)
+
+
+def full_domain_counts(f):
+    """Oracle: |{x in Z/n : f^k(x) = x}| for k = 1..4, iterating over all n
+    points rather than over the image <m>."""
+    identity = np.arange(f.n, dtype=np.int64)
+    y = f.image
+    counts = [int(np.count_nonzero(y == identity))]
+    for _ in range(3):
+        y = f.image[y]
+        counts.append(int(np.count_nonzero(y == identity)))
+    return tuple(counts)
 
 
 class TestExpMap:
@@ -83,6 +95,23 @@ class TestPeriodicCounts:
         f = exp_map(*mn)
         assert count_k_periodic(f)[k - 1] == count_k_periodic_by_tables(f)[k - 1]
 
+    @given(coprime_pairs)
+    @settings(max_examples=150, deadline=None)
+    def test_routes_on_image_match_full_domain(self, mn):
+        f = exp_map(*mn)
+        order = multiplicative_order(f)
+        expected = full_domain_counts(f)
+        assert count_k_periodic(f, order) == expected
+        assert count_k_periodic_by_tables(f, order) == expected
+
+    @pytest.mark.parametrize("m, n", [(2, 3 ** 9), (3, 5 ** 6), (2, 7 ** 5), (3, 2 ** 16),
+                                      (5, 2 ** 16), (2, 1_000_003)])
+    def test_routes_on_image_match_full_domain_fixed_moduli(self, m, n):
+        f = exp_map(m, n)
+        expected = full_domain_counts(f)
+        assert count_k_periodic(f) == expected
+        assert count_k_periodic_by_tables(f) == expected
+
     def test_census_consistency(self):
         # f(x) = x implies f^k(x) = x, and f^2(x) = x implies f^4(x) = x
         for m, n in ((2, 101), (3, 100), (2, 3**5), (5, 1009), (7, 2**10)):
@@ -109,6 +138,37 @@ class TestCensusCheck:
 
     def test_route_disagreement_exits_2(self, skewed_tables, tmp_path):
         assert main(["cycles", "--n", "101", "--m", "2", "--out", str(tmp_path)]) == 2
+
+    # ord_103(2) = 51, so <2> mod 103 has points above the order
+    M, N = 2, 103
+
+    @pytest.fixture
+    def corrupted_tail(self, monkeypatch):
+        """Make f fix one point x of <m> with x > ord(m).  The log route never
+        reads table[x], the spot check does not sample x, and the order scan
+        still finds ord(m), so only the iteration route sees the change."""
+        real = expcycles._exp_table
+        table = real(self.M, self.N)
+        order = multiplicative_order(expcycles.ExpMap(self.M, self.N, table))
+        sampled = set(np.random.default_rng((self.M, self.N)).integers(0, self.N, size=16).tolist())
+        x = next(int(x) for x in table[:order]
+                 if x > order and table[x] != x and x not in sampled)
+
+        def corrupted(m, n):
+            out = real(m, n)
+            out[x] = x
+            return out
+        monkeypatch.setattr(expcycles, "_exp_table", corrupted)
+
+    def test_tail_corruption_raises(self, corrupted_tail):
+        with pytest.raises(AssertionError, match=r"routes disagree .*k=1"):
+            cycle_census(self.M, self.N)
+
+    def test_tail_corruption_exits_2(self, corrupted_tail, tmp_path):
+        out = tmp_path / "out"
+        assert main(["cycles", "--n", str(self.N), "--m", str(self.M), "--out", str(out)]) == 2
+        assert (out / "manifest.json").is_file()
+        assert not (out / "cycles.csv").exists()
 
 
 class TestSweep:
