@@ -1,6 +1,8 @@
 """Command-line front end: one subcommand per experiment family, flat
 key=value config files with flag overrides, deterministic CSV/JSON artifacts,
-and a reproducibility manifest per run.
+and a reproducibility manifest per run.  Every usage error comes from a
+subcommand's option table (see `_resolve`); a runner gets the resolved
+options and returns its artifacts, and `main` alone writes them.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 failed assertion,
 failed certificate, or exhausted budget.
@@ -18,7 +20,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,11 +93,125 @@ def _parse_range(text: str) -> Tuple[int, int]:
 def _parse_prime_powers(text: str) -> Tuple[int, int, int]:
     head, _, rng = text.partition(":")
     try:
-        p = int(head)
-    except ValueError:
+        return (int(head), *_parse_range(rng))
+    except ValueError:   # UsageError included: the message names the whole format
         raise UsageError(f"expected p:rmin..rmax, got {text!r}")
-    r_min, r_max = _parse_range(rng)
+
+
+# ---------------------------------------------------------------------------
+# Option tables
+#
+# A table maps each option a subcommand reads to (default, check), taken in
+# order.  The default is REQUIRED, a value, or a function of the options
+# resolved before it.  The check gets the value and those options, and raises
+# UsageError or returns the value the runner sees; a rule across options sits
+# in the check of the last option it reads.
+
+REQUIRED = object()
+Check = Callable[[object, Dict[str, object]], object]
+
+
+def _check(ok: Callable[[object], bool], message: str) -> Check:
+    """Reject a value failing `ok` with `message`, the value in place of {}."""
+    def check(value, resolved):
+        if not ok(value):
+            raise UsageError(message.format(value))
+        return value
+    return check
+
+
+def _then(first: Check, second: Check) -> Check:
+    return lambda value, resolved: second(first(value, resolved), resolved)
+
+
+def _count(name: str) -> Check:
+    return _check(lambda v: v >= 0, name + " = {} must be >= 0")
+
+
+def _inside_unit_interval(name: str) -> Check:
+    return _check(lambda v: 0 < v < 1, name + " = {} is outside (0, 1)")
+
+
+def _unit(m: int, resolved: Dict[str, object]) -> int:
+    """tile, conjugate, sofic-check, search-f and h3 multiply by m mod n: m must be a unit."""
+    if math.gcd(m, resolved["n"]) != 1:
+        raise UsageError(f"gcd({m}, {resolved['n']}) != 1: m must be a unit mod n")
+    return m
+
+
+# Every map is a permutation of Z/nZ, with n >= 2; BS(1, m) needs m >= 2.
+_DEGREE = _check(lambda n: n >= 2, "degree --n = {} must be >= 2")
+_BASE = _check(lambda m: m >= 2, "base --m = {} must be >= 2")
+_TILING_EPS = _check(lambda eps: 0 < eps <= Fraction(1, 4),
+                     "eps = {} is outside the tiling regime (0, 1/4]")
+
+
+def _moduli(n: Optional[int], resolved: Dict[str, object]) -> List[int]:
+    """cycles' --n, read after --primes and --prime-powers (whose text it
+    parses), resolves to every modulus the three give; they must give one."""
+    primes, powers = resolved["primes"], resolved["prime_powers"]
+    moduli = segmented_sieve(*_parse_range(primes)) if primes else []
+    moduli += prime_powers(*_parse_prime_powers(powers)) if powers else []
+    if n is not None:
+        if n < 2:
+            raise UsageError("modulus must be >= 2")
+        moduli.append(n)
+    if not moduli:
+        given = [f"{_flag(k)} {resolved[k]}" for k in ("primes", "prime_powers") if resolved[k]]
+        raise UsageError("no modulus in " + " or ".join(given) if given
+                         else "cycles needs --primes, --prime-powers or --n")
+    return moduli
+
+
+def _padic_powers(text: str, resolved: Dict[str, object]) -> Tuple[int, int, int]:
+    """padic lifts over Z/p^r for a prime p that does not divide m and r >= 1."""
+    p, r_min, r_max = _parse_prime_powers(text)
+    if r_min < 1:
+        raise UsageError(f"rmin = {r_min} must be >= 1")
+    if segmented_sieve(p, p) != [p]:
+        raise UsageError(f"p = {p} is not prime")
+    if resolved["m"] % p == 0:
+        raise UsageError(f"p = {p} divides m = {resolved['m']}")
+    if r_max < r_min:
+        raise UsageError(f"no modulus in --prime-powers {text}")
     return p, r_min, r_max
+
+
+def _ball_not_identity(num_bound: int, resolved: Dict[str, object]) -> int:
+    """A ball holding only the identity would pass sofic-check vacuously."""
+    if resolved["exp_bound"] == num_bound == 0:
+        raise UsageError("--exp-bound = 0 and --num-bound = 0 leave only the identity in the ball")
+    return num_bound
+
+
+_SUBCOMMANDS: Dict[str, Tuple[Callable, Dict[str, Tuple[object, Optional[Check]]]]] = {}
+
+
+def _subcommand(name: str, **table: Tuple[object, Optional[Check]]):
+    """Register the decorated runner as subcommand `name` with its option table."""
+    def register(runner: Callable) -> Callable:
+        _SUBCOMMANDS[name] = (runner, table)
+        return runner
+    return register
+
+
+def _resolve(subcommand: str, given: Dict[str, object]) -> Dict[str, object]:
+    """The values a runner sees: `given` (from config and flags) through the
+    subcommand's table.  An option outside the table is a usage error."""
+    table = _SUBCOMMANDS[subcommand][1]
+    for name in given:
+        if name not in table:
+            raise UsageError(f"{subcommand} does not read {_flag(name)}")
+    resolved: Dict[str, object] = {}
+    for name, (default, check) in table.items():
+        if name in given:
+            value = given[name]
+        elif default is REQUIRED:
+            raise UsageError(f"missing required option {_flag(name)}")
+        else:
+            value = default(resolved) if callable(default) else default
+        resolved[name] = check(value, resolved) if check else value
+    return resolved
 
 
 # ---------------------------------------------------------------------------
@@ -107,22 +223,6 @@ def _content_hash(params: Dict[str, object], extra_files: Sequence[Path]) -> str
     for f in extra_files:
         h.update(f.read_bytes())
     return h.hexdigest()
-
-
-def _write_manifest(out_dir: Path, subcommand: str, params: Dict[str, object],
-                    started: float, config_source: str, extra_files: Sequence[Path],
-                    exit_code: int, error: Optional[str]) -> None:
-    _write_json(out_dir, "manifest.json", {
-        "subcommand": subcommand,
-        "params": dict(sorted(params.items())),
-        "seed": params.get("seed"),
-        "config_source": config_source,
-        "content_hash": _content_hash(params, extra_files),
-        "wall_time_s": round(time.monotonic() - started, 3),
-        "version": __version__,
-        "exit_code": exit_code,
-        "error": error,
-    })
 
 
 def _report_value(obj: object) -> object:
@@ -137,45 +237,26 @@ def _report_value(obj: object) -> object:
     raise TypeError(f"{type(obj).__name__} has no report form")
 
 
-def _write(out_dir: Path, name: str, text: str) -> None:
-    """Every artifact goes through here, so a run that writes none (a usage
-    error) leaves no directory behind."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(text)
-
-
-def _write_json(out_dir: Path, name: str, payload: object) -> None:
-    _write(out_dir, name, json.dumps(payload, indent=2, default=_report_value) + "\n")
+def _json(payload: object) -> str:
+    return json.dumps(payload, indent=2, default=_report_value) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations (each returns an exit code)
+# Subcommands: each runner takes the resolved options and returns its
+# artifacts (file name -> text) and its exit code
 
-def _cmd_cycles(opts, out_dir: Path) -> int:
-    m = _require(opts, "m")
-    _check_base(m)
-    moduli: List[int] = []
-    if opts.get("primes"):
-        lo, hi = _parse_range(opts["primes"])
-        moduli.extend(segmented_sieve(lo, hi))
-    if opts.get("prime_powers"):
-        p, r_min, r_max = _parse_prime_powers(opts["prime_powers"])
-        moduli.extend(prime_powers(p, r_min, r_max))
-    if opts.get("n") is not None:
-        if opts["n"] < 2:
-            raise UsageError("modulus must be >= 2")
-        moduli.append(opts["n"])
-    if not moduli:
-        given = [f"{_flag(k)} {opts[k]}" for k in ("primes", "prime_powers") if opts.get(k)]
-        raise UsageError("no modulus in " + " or ".join(given) if given
-                         else "cycles needs --primes, --prime-powers or --n")
-    rows = run_sweep(m, moduli, workers=opts.get("workers", 1))
-    _write(out_dir, "cycles.csv", sweep_csv(rows))
-    slack = opts.get("slack", 100)
-    _write_json(out_dir, "findings.json",
-                [{"n": r.n, "fix3": r.fixed[2], "bound": 3 * r.n // 4 + slack}
-                 for r in rows if r.fixed[2] > 3 * r.n / 4 + slack])
-    return 0
+Outcome = Tuple[Dict[str, str], int]
+
+
+@_subcommand("cycles", m=(REQUIRED, _BASE), primes=(None, None),
+             prime_powers=(None, None), n=(None, _moduli),
+             workers=(1, None), slack=(100, None))
+def _cmd_cycles(v) -> Outcome:
+    rows = run_sweep(v["m"], v["n"], workers=v["workers"])
+    slack = v["slack"]
+    return {"cycles.csv": sweep_csv(rows),
+            "findings.json": _json([{"n": r.n, "fix3": r.fixed[2], "bound": 3 * r.n // 4 + slack}
+                                    for r in rows if r.fixed[2] > 3 * r.n / 4 + slack])}, 0
 
 
 def _ball(m: int, e_bound: int, num_bound: int) -> List[BsElement]:
@@ -189,27 +270,21 @@ def _ball(m: int, e_bound: int, num_bound: int) -> List[BsElement]:
     return out
 
 
-def _cmd_sofic_check(opts, out_dir: Path) -> int:
-    m = _require(opts, "m")
-    n = _require(opts, "n")
-    _check_model(m, n)
-    delta = opts.get("delta", Fraction(1, 8))
-    if not 0 < delta < 1:
-        raise UsageError(f"delta = {delta} is outside (0, 1)")
-    e_bound, num_bound = _count(opts, "exp_bound", 2), _count(opts, "num_bound", 8)
-    if e_bound == num_bound == 0:
-        raise UsageError("--exp-bound = 0 and --num-bound = 0 leave only the identity in the ball")
-    model = ArithmeticModel(n, m)
-    phi = model.approx_on(_ball(m, e_bound, num_bound))
-    report = check_sofic(phi, delta)
-    _write_json(out_dir, "sofic_report.json", {
-        "n": n, "m": m, "delta": delta,
+@_subcommand("sofic-check", n=(REQUIRED, _DEGREE), m=(REQUIRED, _then(_BASE, _unit)),
+             delta=(Fraction(1, 8), _inside_unit_interval("delta")),
+             exp_bound=(2, _count("exp_bound")),
+             num_bound=(8, _then(_count("num_bound"), _ball_not_identity)))
+def _cmd_sofic_check(v) -> Outcome:
+    n, m = v["n"], v["m"]
+    phi = ArithmeticModel(n, m).approx_on(_ball(m, v["exp_bound"], v["num_bound"]))
+    report = check_sofic(phi, v["delta"])
+    return {"sofic_report.json": _json({
+        "n": n, "m": m, "delta": v["delta"],
         "max_defect": report.max_defect,
         "min_displacement": report.min_displacement,
         "triples_checked": report.triples_checked,
         "passed": report.passed,
-    })
-    return 0 if report.passed else 2
+    })}, 0 if report.passed else 2
 
 
 def interval_shapes(k: int, m: int) -> List[frozenset]:
@@ -223,53 +298,19 @@ def interval_shapes(k: int, m: int) -> List[frozenset]:
     return [a2_interval(width, m) for width in widths]
 
 
-def _check_tiling_eps(eps: Fraction) -> None:
-    if not 0 < eps <= Fraction(1, 4):
-        raise UsageError(f"eps = {eps} is outside the tiling regime (0, 1/4]")
-
-
-def _check_unit(m: int, n: int) -> None:
-    """tile, conjugate, sofic-check, search-f and h3 multiply by m mod n: m must be a unit."""
-    if math.gcd(m, n) != 1:
-        raise UsageError(f"gcd({m}, {n}) != 1: m must be a unit mod n")
-
-
-def _check_degree(n: int) -> None:
-    """Every map is a permutation of Z/nZ, with n >= 2."""
-    if n < 2:
-        raise UsageError(f"degree --n = {n} must be >= 2")
-
-
-def _check_base(m: int) -> None:
-    if m < 2:
-        raise UsageError(f"base --m = {m} must be >= 2")
-
-
-def _check_model(m: int, n: int) -> None:
-    """tile, conjugate and sofic-check build the model of BS(1, m) on Z/nZ."""
-    _check_degree(n)
-    _check_base(m)
-    _check_unit(m, n)
-
-
-def _cmd_tile(opts, out_dir: Path) -> int:
-    m = opts.get("m", 3)
-    n = _require(opts, "n")
-    eps = opts.get("eps", Fraction(1, 4))
-    kappa = opts.get("kappa", eps)
-    _check_tiling_eps(eps)
-    if kappa <= 0:
-        raise UsageError(f"kappa = {kappa} must be positive")
-    _check_model(m, n)
+@_subcommand("tile", eps=(Fraction(1, 4), _TILING_EPS),
+             kappa=(lambda v: v["eps"], _check(lambda k: k > 0, "kappa = {} must be positive")),
+             n=(REQUIRED, _DEGREE), m=(3, _then(_BASE, _unit)))
+def _cmd_tile(v) -> Outcome:
+    n, m, eps, kappa = v["n"], v["m"], v["eps"], v["kappa"]
     plan = plan_parameters(eps, kappa)
     shapes = interval_shapes(plan.k, m)
     max_w = max(len(s) for s in shapes)
-    model = ArithmeticModel(n, m)
-    phi = model.approx_on([BsElement(m, 0, ell, 0) for ell in range(-max_w, max_w + 1)])
+    phi = ArithmeticModel(n, m).approx_on([BsElement(m, 0, ell, 0)
+                                           for ell in range(-max_w, max_w + 1)])
     tiling = quasi_tile(phi, shapes, eps, kappa)
     report = verify_tiling(tiling)
-    _write(out_dir, "tiling.json", tiling.to_json() + "\n")
-    _write_json(out_dir, "tile_report.json", {
+    return {"tiling.json": tiling.to_json() + "\n", "tile_report.json": _json({
         "n": n, "m": m, "eps": eps, "kappa": kappa,
         "b_size": tiling.b_size,
         "disjoint_ok": report.disjoint_ok,
@@ -279,8 +320,7 @@ def _cmd_tile(opts, out_dir: Path) -> int:
         "cover_ok": report.cover_ok,
         "measures": report.measures,
         "passed": report.passed,
-    })
-    return 0 if report.passed else 2
+    })}, 0 if report.passed else 2
 
 
 def conjugate_shapes(m: int) -> List[frozenset]:
@@ -297,80 +337,58 @@ def conjugate_domain(m: int) -> Tuple[List[frozenset], set]:
     return shapes, {bs_a1(m), bs_a2(m)}.union(*inverse_products(shapes[-1]))
 
 
-def _cmd_conjugate(opts, out_dir: Path) -> int:
-    n = opts.get("n", 1000)
-    m = opts.get("m", n - 1)
-    eps = opts.get("eps", Fraction(1, 4))
-    _check_tiling_eps(eps)
-    _check_model(m, n)
-    seed = _count(opts, "seed", 0)
+@_subcommand("conjugate", eps=(Fraction(1, 4), _TILING_EPS), n=(1000, _DEGREE),
+             m=(lambda v: v["n"] - 1, _then(_BASE, _unit)), seed=(0, _count("seed")))
+def _cmd_conjugate(v) -> Outcome:
+    n, m, eps, seed = v["n"], v["m"], v["eps"], v["seed"]
     shapes, domain = conjugate_domain(m)
     phi1 = ArithmeticModel(n, m).approx_on(domain)
     phi2 = phi1.conjugated(Permutation(np.random.default_rng(seed).permutation(n)))
     conj = build_conjugator(phi1, phi2, eps, shapes)
     report = conjugacy_defect(conj, phi1, phi2, [bs_a1(m), bs_a2(m)])
-    _write(out_dir, "conjugator.json", conj.to_json() + "\n")
-    _write_json(out_dir, "conjugacy_report.json", {
+    return {"conjugator.json": conj.to_json() + "\n", "conjugacy_report.json": _json({
         "n": n, "m": m, "eps": eps, "seed": seed,
         "support_fraction": conj.support_fraction(),
         "defects": {"a1" if g == bs_a1(m) else "a2": d for g, d in report.per_key.items()},
         "max_defect": report.max_defect,
         "passed": report.passed,
-    })
-    return 0 if report.passed else 2
+    })}, 0 if report.passed else 2
 
 
-def _cmd_search_f(opts, out_dir: Path) -> int:
-    n = _require(opts, "n")
-    m = _require(opts, "m")
-    _check_degree(n)
-    _check_unit(m, n)
-    budget = _count(opts, "budget", 200_000)
-    seed = opts.get("seed", 0)
-    result = search_local_exp(n, m, budget=budget, seed=seed)
-    _write(out_dir, "search.json", result.to_json() + "\n")
-    return 2 if (result.budget_exhausted and not result.exhaustive and n <= 10) else 0
+@_subcommand("search-f", n=(REQUIRED, _DEGREE), m=(REQUIRED, _unit),
+             budget=(200_000, _count("budget")), seed=(0, None))
+def _cmd_search_f(v) -> Outcome:
+    n = v["n"]
+    result = search_local_exp(n, v["m"], budget=v["budget"], seed=v["seed"])
+    return ({"search.json": result.to_json() + "\n"},
+            2 if (result.budget_exhausted and not result.exhaustive and n <= 10) else 0)
 
 
-def _cmd_h3(opts, out_dir: Path) -> int:
-    n = _require(opts, "n")
-    m = _require(opts, "m")
-    _check_degree(n)
-    _check_unit(m, n)
-    payload: Dict[str, object] = {"n": n, "m": m}
-    code = 0
+@_subcommand("h3", n=(REQUIRED, _DEGREE), m=(REQUIRED, _unit), seed=(0, _count("seed")))
+def _cmd_h3(v) -> Outcome:
+    n, m = v["n"], v["m"]
     if n <= 8:
         frac = min_mezo_fraction(n, m)
-        payload["min_failing_fraction"] = frac
-        payload["strictly_positive"] = frac > 0
-        if frac <= 0:
-            code = 2
-    else:
-        seed = _count(opts, "seed", 0)
-        rng = np.random.default_rng(seed)
-        f = Permutation(rng.permutation(n))
-        rep = defect_report(f, m)
-        wit = h3_witness(f, m)
-        payload["seed"] = seed
-        payload["defect_fraction"] = rep.defect_fraction
-        payload["relator_defects"] = wit.w_defects
-        payload["g1_displacement"] = wit.g1_displacement
-    _write_json(out_dir, "h3.json", payload)
-    return code
+        return {"h3.json": _json({"n": n, "m": m, "min_failing_fraction": frac,
+                                  "strictly_positive": frac > 0})}, 0 if frac > 0 else 2
+    f = Permutation(np.random.default_rng(v["seed"]).permutation(n))
+    rep, wit = defect_report(f, m), h3_witness(f, m)
+    return {"h3.json": _json({"n": n, "m": m, "seed": v["seed"],
+                              "defect_fraction": rep.defect_fraction,
+                              "relator_defects": wit.w_defects,
+                              "g1_displacement": wit.g1_displacement})}, 0
 
 
-def _cmd_padic(opts, out_dir: Path) -> int:
-    m = _require(opts, "m")
-    if not opts.get("prime_powers"):
-        raise UsageError("padic needs --prime-powers p:rmin..rmax")
-    p, r_min, r_max = _parse_prime_powers(opts["prime_powers"])
-    tuples = _count(opts, "tuples", 100)
-    seed = opts.get("seed", 0)
-    rng = random.Random(seed)
+@_subcommand("padic", m=(REQUIRED, None), prime_powers=(REQUIRED, _padic_powers),
+             tuples=(100, _count("tuples")), seed=(0, None))
+def _cmd_padic(v) -> Outcome:
+    p, r_min, r_max = v["prime_powers"]
+    tuples = v["tuples"]
+    rng = random.Random(v["seed"])
     results = []
     for r in range(r_min, r_max + 1):
-        ctx = PadicContext(p, r, m)
-        units = [v for v in range(1, ctx.q) if v % p != 0]
+        ctx = PadicContext(p, r, v["m"])
+        units = [u for u in range(1, ctx.q) if u % p != 0]
         fixed_hits, cross_checked = 0, False
         for _ in range(tuples):
             c = tuple(rng.choice(units) for _ in range(4))
@@ -380,38 +398,27 @@ def _cmd_padic(opts, out_dir: Path) -> int:
         results.append({"p": p, "r": r, "s": ctx.s, "tuples": tuples,
                         "genuinely_fixed": fixed_hits,
                         "cross_checked": cross_checked})
-    _write_json(out_dir, "padic.json", results)
-    return 0
+    return {"padic.json": _json(results)}, 0
 
 
-def _cmd_heuristic(opts, out_dir: Path) -> int:
-    N = opts.get("N", opts.get("n"))
-    if N is None:
-        N = 50
-    elif N < 1:
-        raise UsageError(f"N = {N} must be >= 1")
-    eps = opts.get("eps", Fraction(1, 5))
-    if not 0 < eps < 1:
-        raise UsageError(f"eps = {eps} is outside (0, 1)")
-    _write(out_dir, "heuristic.csv", heuristic_csv(N, float(eps)))
-    return 0
+@_subcommand("heuristic", n=(None, None), N=(lambda v: 50 if v["n"] is None else v["n"],
+                                            _check(lambda N: N >= 1, "N = {} must be >= 1")),
+             eps=(Fraction(1, 5), _inside_unit_interval("eps")))
+def _cmd_heuristic(v) -> Outcome:
+    return {"heuristic.csv": heuristic_csv(v["N"], float(v["eps"]))}, 0
 
 
-def _cmd_verify(opts, out_dir: Path) -> int:
-    path = opts.get("certificate")
-    if not path:
-        raise UsageError("verify needs --certificate FILE")
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"certificate {path} not found")
+@_subcommand("verify", certificate=(REQUIRED, _check(lambda path: Path(path).is_file(),
+                                                     "certificate {} not found")))
+def _cmd_verify(v) -> Outcome:
+    p = Path(v["certificate"])
     try:
         tiling = Tiling.from_json(p.read_text())
         report = verify_tiling(tiling)
     except Exception as exc:
-        _write_json(out_dir, "verify.json",
-                    {"certificate": str(p), "error": str(exc), "passed": False})
-        return 2
-    _write_json(out_dir, "verify.json", {
+        return {"verify.json": _json({"certificate": str(p), "error": str(exc),
+                                      "passed": False})}, 2
+    return {"verify.json": _json({
         "certificate": str(p),
         "disjoint_ok": report.disjoint_ok,
         "injective_ok": report.injective_ok,
@@ -419,34 +426,7 @@ def _cmd_verify(opts, out_dir: Path) -> int:
         "cover_ratio": report.cover_ratio,
         "measure_ok": report.measure_ok,
         "passed": report.passed,
-    })
-    return 0 if report.passed else 2
-
-
-def _require(opts: Dict[str, object], key: str) -> int:
-    if opts.get(key) is None:
-        raise UsageError(f"missing required option --{key}")
-    return opts[key]
-
-
-def _count(opts: Dict[str, object], key: str, default: int) -> int:
-    value = opts.get(key, default)
-    if value < 0:
-        raise UsageError(f"{key} = {value} must be >= 0")
-    return value
-
-
-_RUNNERS = {
-    "cycles": _cmd_cycles,
-    "sofic-check": _cmd_sofic_check,
-    "tile": _cmd_tile,
-    "conjugate": _cmd_conjugate,
-    "search-f": _cmd_search_f,
-    "h3": _cmd_h3,
-    "padic": _cmd_padic,
-    "heuristic": _cmd_heuristic,
-    "verify": _cmd_verify,
-}
+    })}, 0 if report.passed else 2
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +438,7 @@ def _flag(name: str) -> str:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="soficlab")
-    parser.add_argument("subcommand", choices=_RUNNERS)
+    parser.add_argument("subcommand", choices=_SUBCOMMANDS)
     parser.add_argument("--config")
     for name in _OPTIONS:
         parser.add_argument(_flag(name), dest=name)
@@ -473,30 +453,40 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1 if exc.code else 0
     started = time.monotonic()
     try:
-        opts, source = load_config(args.config)
+        params, source = load_config(args.config)
         for name in _OPTIONS:
             text = getattr(args, name)
             if text is not None:
-                opts[name] = _parse_option(name, text, _flag(name))
+                params[name] = _parse_option(name, text, _flag(name))
         # not a recorded param: the manifest is written into the directory itself
-        out_dir = Path(opts.pop("out", "out"))
-        extra = [Path(args.config)] if args.config else []
-        if opts.get("certificate"):
-            cert = Path(opts["certificate"])
-            if cert.is_file():
-                extra.append(cert)
-        try:
-            code, error = _RUNNERS[args.subcommand](opts, out_dir), None
-        except UsageError:
-            raise
-        except (AssertionError, ValueError, KeyError) as exc:
-            print(f"failed: {exc}", file=sys.stderr)
-            code, error = 2, str(exc)
-        _write_manifest(out_dir, args.subcommand, opts, started, source, extra, code, error)
-        return code
+        out_dir = Path(params.pop("out", "out"))
+        values = _resolve(args.subcommand, params)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    try:
+        artifacts, code = _SUBCOMMANDS[args.subcommand][0](values)
+        error = None
+    except (AssertionError, ValueError, KeyError) as exc:
+        print(f"failed: {exc}", file=sys.stderr)
+        artifacts, code, error = {}, 2, str(exc)
+    extra = [Path(p) for p in (args.config, params.get("certificate")) if p]
+    artifacts["manifest.json"] = _json({
+        "subcommand": args.subcommand,
+        "params": dict(sorted(params.items())),
+        "seed": params.get("seed"),
+        "config_source": source,
+        "content_hash": _content_hash(params, extra),
+        "wall_time_s": round(time.monotonic() - started, 3),
+        "version": __version__,
+        "exit_code": code,
+        "error": error,
+    })
+    # a usage error returned above, so it leaves no directory behind
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in artifacts.items():
+        (out_dir / name).write_text(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ G(i) = S[i] mod ord in discrete-log coordinates.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
@@ -201,6 +202,7 @@ def run_sweep(m: int, moduli: Sequence[int], *, workers: int = 1) -> List[CycleC
     """One census per modulus (skipping those not coprime to m), merged in
     modulus order regardless of worker scheduling."""
     todo = [(m, n) for n in sorted(set(moduli)) if n >= 2 and math.gcd(m, n) == 1]
+    workers = min(workers, len(todo), os.cpu_count() or 1)
     if workers <= 1 or len(todo) < 4:
         return [cycle_census(m, n) for m, n in todo]
     with Pool(workers) as pool:

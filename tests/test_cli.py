@@ -1,11 +1,13 @@
 import copy
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soficlab.cli import interval_shapes, load_config, main
+from soficlab.cli import REQUIRED, _SUBCOMMANDS, interval_shapes, load_config, main
 from soficlab.tiling import Tiling, verify_tiling
 
 
@@ -354,6 +356,28 @@ def test_degree_or_base_below_two_is_usage_error(tmp_path, capsys, argv, message
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("tile", "--n", "1000", "--primes", "3..5"), "--primes"),
+    (("heuristic", "--N", "5", "--seed", "1"), "--seed"),
+    (("cycles", "--m", "2", "--n", "101", "--eps", "1/4"), "--eps"),
+    (("verify", "--certificate", "tiling.json", "--n", "1000"), "--n"),
+])
+def test_option_outside_table_is_usage_error(tmp_path, capsys, argv, flag):
+    code, out = run(tmp_path, *argv)
+    assert code == 1
+    assert f"{argv[0]} does not read {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_key_outside_table_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "cfg"
+    p.write_text("primes = 3..5\n")
+    code, out = run(tmp_path, "tile", "--n", "1000", "--config", str(p))
+    assert code == 1
+    assert "tile does not read --primes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestOtherSubcommands:
     def test_search_f(self, tmp_path):
         code, out = run(tmp_path, "search-f", "--n", "5", "--m", "2")
@@ -392,6 +416,18 @@ class TestOtherSubcommands:
     def test_padic_needs_prime_powers(self, tmp_path):
         code, _ = run(tmp_path, "padic", "--m", "2")
         assert code == 1
+
+    @pytest.mark.parametrize("m, powers, message", [
+        ("3", "3:2..3", "p = 3 divides m = 3"),
+        ("3", "4:2..3", "p = 4 is not prime"),
+        ("3", "3:0..1", "rmin = 0 must be >= 1"),
+        ("2", "3:3..2", "no modulus in --prime-powers 3:3..2"),
+    ])
+    def test_padic_bad_prime_powers_is_usage_error(self, tmp_path, capsys, m, powers, message):
+        code, out = run(tmp_path, "padic", "--m", m, "--prime-powers", powers)
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--n", "--N"])
     def test_heuristic_zero_terms_is_usage_error(self, tmp_path, capsys, flag):
@@ -464,6 +500,53 @@ class TestEntryPoint:
         assert code == 2
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["exit_code"] == 2 and manifest["error"] is None
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class TestReadmeOptionTable:
+    """README's option table lists, row by row, each subcommand's option
+    table in cli: the same options and the same defaults."""
+
+    def readme_rows(self):
+        rows = re.findall(r"^\| `([\w-]+)` \| `--([\w-]+)` \| ([^|]*?) \|",
+                          (ROOT / "README.md").read_text(), re.M)
+        return {(sub, flag.replace("-", "_")): default for sub, flag, default in rows}
+
+    @staticmethod
+    def default_text(default):
+        """A default as README writes it; None for one derived from other options."""
+        if default is REQUIRED:
+            return "required"
+        return "—" if default is None else None if callable(default) else str(default)
+
+    def test_same_options_both_ways(self):
+        table = {(sub, name) for sub, (_, opts) in _SUBCOMMANDS.items() for name in opts}
+        readme = set(self.readme_rows())
+        assert readme - table == set(), "README lists options the table lacks"
+        assert table - readme == set(), "README omits options of the table"
+
+    def test_same_defaults(self):
+        rows = self.readme_rows()
+        for sub, (_, opts) in _SUBCOMMANDS.items():
+            for name, (default, _) in opts.items():
+                want = self.default_text(default)
+                if want is None:
+                    assert rows[sub, name] not in ("required", "—", ""), (sub, name)
+                else:
+                    assert rows[sub, name] == want, (sub, name)
+
+    @pytest.mark.parametrize("doc", ["README.md", ".github/workflows/tests.yml"])
+    def test_documented_commands_read_only_table_options(self, doc):
+        # a command followed by "||" is one CI expects to fail
+        commands = re.findall(r"soficlab ([a-z0-9-]+)([^\n`]*)", (ROOT / doc).read_text())
+        assert commands
+        for sub, rest in commands:
+            if sub in _SUBCOMMANDS and "||" not in rest:
+                for flag in re.findall(r"--([\w-]+)", rest):
+                    assert flag in ("out", "config") or flag.replace("-", "_") in \
+                        _SUBCOMMANDS[sub][1], (sub, flag)
 
 
 def sha256(path) -> str:

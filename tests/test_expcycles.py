@@ -195,6 +195,32 @@ class TestSweep:
         parallel = run_sweep(3, primes, workers=4)
         assert serial == parallel
 
+    @pytest.mark.parametrize("workers, cpus, size", [
+        (5000, 4, 4), (3, 64, 3), (5000, 64, 10), (5000, None, None)])
+    def test_pool_size_is_bounded(self, monkeypatch, workers, cpus, size):
+        # the fake pool records the size asked for and starts no process;
+        # the 10 primes in 100..150 bound it too
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, args, chunksize):
+                return [fn(*a) for a in args]
+
+        monkeypatch.setattr(expcycles, "Pool", FakePool)
+        monkeypatch.setattr(expcycles.os, "cpu_count", lambda: cpus)
+        primes = segmented_sieve(100, 150)
+        assert run_sweep(3, primes, workers=workers) == run_sweep(3, primes)
+        assert sizes == ([] if size is None else [size])
+
     def test_csv_format(self):
         text = sweep_csv(run_sweep(2, [5]))
         lines = text.split("\n")
