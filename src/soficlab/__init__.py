@@ -4,9 +4,9 @@ locally-exponential bijections of Z/nZ."""
 
 __version__ = "0.1.0"
 
-from .perm import Permutation, HammingValue, hamming, periodic_points
-from .bsgroup import BsElement, bs_identity, bs_a1, bs_a2, canonical_word
-from .soficcheck import SoficApprox, ArithmeticModel, check_sofic, eval_word, amplify
+from .perm import Permutation, HammingValue, hamming
+from .bsgroup import BsElement, bs_identity, bs_a1, bs_a2
+from .soficcheck import SoficApprox, ArithmeticModel, check_sofic, amplify
 from .tiling import plan_parameters, quasi_tile, verify_tiling, Tiling
 from .conjugacy import build_conjugator, conjugacy_defect
 from .expcycles import ExpMap, exp_map, count_k_periodic, cycle_census
@@ -14,9 +14,9 @@ from .localexp import defect_report, search_local_exp
 from .heuristics import p_sequence
 
 __all__ = [
-    "Permutation", "HammingValue", "hamming", "periodic_points",
-    "BsElement", "bs_identity", "bs_a1", "bs_a2", "canonical_word",
-    "SoficApprox", "ArithmeticModel", "check_sofic", "eval_word", "amplify",
+    "Permutation", "HammingValue", "hamming",
+    "BsElement", "bs_identity", "bs_a1", "bs_a2",
+    "SoficApprox", "ArithmeticModel", "check_sofic", "amplify",
     "plan_parameters", "quasi_tile", "verify_tiling", "Tiling",
     "build_conjugator", "conjugacy_defect",
     "ExpMap", "exp_map", "count_k_periodic", "cycle_census",

@@ -1,5 +1,5 @@
-"""BS(1,m) in affine normal form, freely reduced words, and the rectangle
-and interval shapes {a_1^i a_2^l}.
+"""BS(1,m) in affine normal form, and the rectangle and interval shapes
+{a_1^i a_2^l}.
 
 An element is the affine map x -> m^e * x + num / m^d with d == 0 or
 m not dividing num; this normal form makes equality, hashing, integer
@@ -10,16 +10,10 @@ products and the arithmetic permutation model immediate.  Convention:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping, Tuple
 
 
 class BaseMismatchError(ValueError):
     """Elements over different bases m were combined."""
-
-
-Letter = Tuple[str, int]
-Word = Tuple[Letter, ...]
 
 
 @dataclass(frozen=True)
@@ -39,15 +33,8 @@ class BsElement:
         if self.d > 0 and self.num % self.m == 0:
             raise ValueError(f"not normalized: m={self.m} divides num={self.num} with d={self.d}")
 
-    @property
-    def shift(self) -> Fraction:
-        return Fraction(self.num, self.m ** self.d)
-
     def is_identity(self) -> bool:
         return self.e == 0 and self.num == 0
-
-    def apply(self, x: Fraction) -> Fraction:
-        return Fraction(self.m) ** self.e * x + self.shift
 
     def _check_base(self, other: "BsElement") -> None:
         if self.m != other.m:
@@ -109,47 +96,6 @@ def bs_a1(m: int) -> BsElement:
 def bs_a2(m: int) -> BsElement:
     """a_2: x -> x + 1."""
     return BsElement(m, 0, 1, 0)
-
-
-# ---------------------------------------------------------------------------
-# Words
-
-def reduce_word(letters: Iterable[Letter]) -> Word:
-    """Freely reduce: drop zero exponents, merge adjacent equal generators."""
-    out: list = []
-    for gen, exp in letters:
-        if exp == 0:
-            continue
-        if out and out[-1][0] == gen:
-            merged = out[-1][1] + exp
-            out.pop()
-            if merged != 0:
-                out.append((gen, merged))
-        else:
-            out.append((gen, exp))
-    return tuple(out)
-
-
-def canonical_word(g: BsElement) -> Word:
-    """a_1^d a_2^num a_1^(-e-d); evaluates back to g in the affine action."""
-    return reduce_word([("a1", g.d), ("a2", g.num), ("a1", -g.e - g.d)])
-
-
-def word_value(w: Iterable[Letter], images: Mapping, identity):
-    """Evaluate [(gen, exp), ...] left to right as images[gen] ** exp under
-    (g * h)(x) = g(h(x)).  Works for any type with * and ** (elements,
-    permutations); inverse letters use exact inverses, so w * w^-1 cancels."""
-    result = identity
-    for gen, exp in w:
-        if gen not in images:
-            raise KeyError(f"generator {gen!r} has no image")
-        result = result * (images[gen] ** exp)
-    return result
-
-
-def evaluate_word(w: Word, m: int) -> BsElement:
-    """Evaluate a word in generators a1, a2 to a normalized element."""
-    return word_value(w, {"a1": bs_a1(m), "a2": bs_a2(m)}, bs_identity(m))
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,14 @@ def _cmd_h3(v) -> Outcome:
                               "g1_displacement": wit.g1_displacement})}, 0
 
 
+def _draw_unit(rng: random.Random, q: int, p: int) -> int:
+    """A unit mod q = p^r, drawn as rng.choice would draw it from the
+    ascending list of units, without the list: the k-th unit (from 0) is
+    k + k // (p - 1) + 1."""
+    k = rng.randrange(q - q // p)
+    return k + k // (p - 1) + 1
+
+
 @_subcommand("padic", m=(REQUIRED, None), prime_powers=(REQUIRED, _padic_powers),
              tuples=(100, _count("tuples")), seed=(0, None))
 def _cmd_padic(v) -> Outcome:
@@ -388,10 +396,9 @@ def _cmd_padic(v) -> Outcome:
     results = []
     for r in range(r_min, r_max + 1):
         ctx = PadicContext(p, r, v["m"])
-        units = [u for u in range(1, ctx.q) if u % p != 0]
         fixed_hits, cross_checked = 0, False
         for _ in range(tuples):
-            c = tuple(rng.choice(units) for _ in range(4))
+            c = tuple(_draw_unit(rng, ctx.q, p) for _ in range(4))
             rep = padic_fixed_point(ctx, c)
             fixed_hits += int(rep.is_fixed)
             cross_checked = rep.brute_points is not None
@@ -474,7 +481,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     artifacts["manifest.json"] = _json({
         "subcommand": args.subcommand,
         "params": dict(sorted(params.items())),
-        "seed": params.get("seed"),
+        "seed": values.get("seed"),     # the seed that ran, default included
         "config_source": source,
         "content_hash": _content_hash(params, extra),
         "wall_time_s": round(time.monotonic() - started, 3),

@@ -77,16 +77,6 @@ def exp_map(m: int, n: int) -> ExpMap:
     return ExpMap(m, n, table)
 
 
-def exp_table_by_product(m: int, n: int) -> np.ndarray:
-    """Test oracle: running product f(x+1) = m f(x), f(0) = 1."""
-    out = np.empty(n, dtype=np.int64)
-    acc = 1
-    for x in range(n):
-        out[x] = acc
-        acc = acc * m % n
-    return out
-
-
 def multiplicative_order(f: ExpMap) -> int:
     """Smallest x > 0 with m^x = 1 mod n, straight off the table."""
     hits = np.flatnonzero(f.image[1:] == 1)

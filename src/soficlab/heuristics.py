@@ -6,7 +6,6 @@ and a CSV of both in log space.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,20 +60,6 @@ def p_sequence(N: int) -> RationalSeq:
             raise AssertionError(f"P_{n} above the degenerate bound")
         vals.append(p)
     return RationalSeq(tuple(vals))
-
-
-def count_order4(n: int) -> int:
-    """|{sigma in Sym(n) : sigma^4 = id}| by exhaustive enumeration; the
-    oracle behind n! P_n (practical for n <= 9)."""
-    if n < 1:
-        return 1
-    count = 0
-    idx = list(range(n))
-    for perm in itertools.permutations(idx):
-        p2 = [perm[perm[i]] for i in idx]
-        if all(p2[p2[i]] == i for i in idx):
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------

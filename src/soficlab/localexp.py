@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .bsgroup import word_value
 from .perm import HammingValue, Permutation, displacement, hamming, iterate
 
 
@@ -104,11 +103,9 @@ def h3_witness(p: Permutation, m: int) -> H3Report:
     g1 = Permutation((np.arange(n) - 1) % n, _trusted=True)
     g3 = p.compose(g1).compose(p_inv)
     g2 = p.compose(g3).compose(p_inv)
-    gens = {1: g1, 2: g2, 3: g3}
     ident = Permutation.identity(n)
-    defects = tuple(
-        hamming(word_value([(i, -1), (j, 1), (i, 1), (j, -m)], gens, ident), ident)
-        for i, j in ((1, 2), (2, 3), (3, 1)))
+    defects = tuple(hamming(gi.inverse().compose(gj).compose(gi).compose(gj ** -m), ident)
+                    for gi, gj in ((g1, g2), (g2, g3), (g3, g1)))
     return H3Report(n, m, defects, displacement(g1))
 
 
@@ -214,11 +211,6 @@ class SearchResult:
             "budget_exhausted": self.budget_exhausted,
             "image": self.f.image.tolist(),
         })
-
-
-def is_four_periodic(image: np.ndarray) -> bool:
-    f2 = image[image]
-    return bool(np.array_equal(f2[f2], np.arange(image.size)))
 
 
 def _enumerate_order4(points: Sequence[int]):

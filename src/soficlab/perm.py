@@ -1,11 +1,11 @@
-"""Permutations of {0..n-1}, the exact normalized Hamming metric, and
-periodic-point counting."""
+"""Permutations of {0..n-1}, the exact normalized Hamming metric, cycle
+walks, and k-fold iteration of a map of {0..n-1}."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Sequence, Union
+from typing import Iterator, List, Sequence, Union
 
 import numpy as np
 
@@ -81,14 +81,6 @@ class Permutation:
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(np.arange(n, dtype=np.int64), _trusted=True)
-
-    @classmethod
-    def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
-        img = np.arange(n, dtype=np.int64)
-        for cyc in cycles:
-            for a, b in zip(cyc, list(cyc[1:]) + [cyc[0]]):
-                img[a] = b
-        return cls(img)
 
     def __call__(self, i: int) -> int:
         return int(self.image[i])
@@ -171,17 +163,9 @@ def displacement(p: Permutation) -> HammingValue:
     return HammingValue(p.n - p.fixed_point_count(), p.n)
 
 
-def periodic_points(p: Permutation, k: int) -> int:
-    """|{i : p^k(i) = i}| via cycle decomposition: a point is k-periodic
-    iff its cycle length divides k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return sum(length for length in p.cycle_lengths() if k % length == 0)
-
-
 def iterate(image: np.ndarray, k: int) -> np.ndarray:
     """Image array of the k-fold iterate of i -> image[i], by applying the
-    map k times (the oracle that cycle-based counts are checked against)."""
+    map k times; the array need not be a permutation."""
     y = np.arange(image.size, dtype=np.int64)
     for _ in range(k):
         y = image[y]

@@ -1,6 +1,5 @@
 """Sofic approximations as data, the defect/displacement check, the exact
-arithmetic model of BS(1,m), block amplification and affine fixed-point
-prediction.
+arithmetic model of BS(1,m) and block amplification.
 
 The arithmetic model psi sends g = (e, num, d) to the permutation
 x -> m^e * x - num * m^-d  (mod n); in particular psi(a_2) = x - 1 and
@@ -17,8 +16,8 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from .bsgroup import BsElement, Word, bs_a1, bs_a2, evaluate_word, word_value
-from .perm import HammingValue, Permutation, hamming
+from .bsgroup import BsElement
+from .perm import HammingValue, Permutation, displacement, hamming
 
 
 @dataclass
@@ -83,11 +82,10 @@ def check_sofic(phi: SoficApprox, delta) -> SoficReport:
 
     min_disp: Optional[HammingValue] = None
     disp_witness = None
-    ident = np.arange(phi.n)
     for g in keys:
         if g.is_identity():
             continue
-        d = HammingValue(int(np.count_nonzero(phi.table[g].image != ident)), phi.n)
+        d = displacement(phi.table[g])
         if min_disp is None or d < min_disp:
             min_disp, disp_witness = d, g
 
@@ -140,23 +138,6 @@ class ArithmeticModel:
 
 
 # ---------------------------------------------------------------------------
-# Word evaluation
-
-def _generator_images(phi: SoficApprox) -> Dict[str, Permutation]:
-    if not phi.table:
-        raise ValueError("empty domain")
-    m = next(iter(phi.table)).m
-    return {name: phi.table[g] for name, g in (("a1", bs_a1(m)), ("a2", bs_a2(m)))
-            if g in phi.table}
-
-
-def eval_word(phi: SoficApprox, w: Word) -> Permutation:
-    """Left-to-right composition under (g*h)(x) = g(h(x)).  Inverse letters
-    use permutation inverses, so w * w^-1 cancels exactly for any phi."""
-    return word_value(w, _generator_images(phi), Permutation.identity(phi.n))
-
-
-# ---------------------------------------------------------------------------
 # Amplification
 
 def amplify(phi: SoficApprox, target_n: int) -> SoficApprox:
@@ -177,38 +158,3 @@ def amplify(phi: SoficApprox, target_n: int) -> SoficApprox:
         table[key] = Permutation(img, _trusted=True)
     return SoficApprox(target_n, table)
 
-
-# ---------------------------------------------------------------------------
-# Affine fixed-point prediction
-
-@dataclass(frozen=True)
-class AffineFixedReport:
-    a: int                 # dilation exponent of psi(w) = x -> m^a x + b
-    b_residue: int         # b mod n
-    b_exact: Fraction      # b as an m-adic rational
-    count: int             # solutions of (m^a - 1) x = -b mod n
-    word_is_identity: bool
-
-
-def affine_fixed_points(w: Word, m: int, n: int) -> AffineFixedReport:
-    """Symbolic affine data of psi(w) plus the predicted fixed-point count.
-
-    x is fixed iff (m^a - 1) x = -b mod n: all n points when m^a = 1 and
-    b = 0 mod n, otherwise gcd(m^a - 1, n) solutions when that gcd divides
-    b, otherwise none.
-    """
-    if gcd(m, n) != 1:
-        raise ValueError(f"gcd({m}, {n}) != 1")
-    # psi is a homomorphism sending (e, num, d) to x -> m^e x - num/m^d
-    elem = evaluate_word(w, m)
-    a, b = elem.e, -elem.shift
-    # reduce b = num/m^dd mod n through the inverse of m
-    num, den = b.numerator, b.denominator
-    b_res = num * pow(den, -1, n) % n
-    c = (pow(m, a, n) - 1) % n
-    if c == 0:
-        count = n if b_res == 0 else 0
-    else:
-        g = gcd(c, n)
-        count = g if (-b_res) % g == 0 else 0
-    return AffineFixedReport(a, b_res, b, count, a == 0 and b == 0)

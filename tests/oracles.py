@@ -1,0 +1,148 @@
+"""Reference implementations that the tests compare the package against.
+
+None of these runs in a subcommand: each is a slow, direct route to a value
+the package computes another way (a running product against the doubling
+exp table, exhaustive enumeration against the P_n recurrence, word
+evaluation against the arithmetic model's element table).  Tests import
+them as `from oracles import ...`; the file is not collected, since its name
+does not start with `test_`.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
+
+import numpy as np
+
+from soficlab.bsgroup import BsElement, bs_a1, bs_a2, bs_identity
+from soficlab.perm import Permutation
+from soficlab.soficcheck import SoficApprox
+
+
+# ---------------------------------------------------------------------------
+# Permutations and maps of Z/n
+
+def from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> Permutation:
+    img = np.arange(n, dtype=np.int64)
+    for cyc in cycles:
+        for a, b in zip(cyc, list(cyc[1:]) + [cyc[0]]):
+            img[a] = b
+    return Permutation(img)
+
+
+def exp_table_by_product(m: int, n: int) -> np.ndarray:
+    """Test oracle: running product f(x+1) = m f(x), f(0) = 1."""
+    out = np.empty(n, dtype=np.int64)
+    acc = 1
+    for x in range(n):
+        out[x] = acc
+        acc = acc * m % n
+    return out
+
+
+def is_four_periodic(image: np.ndarray) -> bool:
+    f2 = image[image]
+    return bool(np.array_equal(f2[f2], np.arange(image.size)))
+
+
+def count_order4(n: int) -> int:
+    """|{sigma in Sym(n) : sigma^4 = id}| by exhaustive enumeration; the
+    oracle behind n! P_n (practical for n <= 9)."""
+    if n < 1:
+        return 1
+    count = 0
+    idx = list(range(n))
+    for perm in itertools.permutations(idx):
+        p2 = [perm[perm[i]] for i in idx]
+        if all(p2[p2[i]] == i for i in idx):
+            count += 1
+    return count
+
+
+# ---------------------------------------------------------------------------
+# BS(1,m) elements as affine maps of the m-adic rationals
+
+def shift(g: BsElement) -> Fraction:
+    return Fraction(g.num, g.m ** g.d)
+
+
+def apply(g: BsElement, x: Fraction) -> Fraction:
+    return Fraction(g.m) ** g.e * x + shift(g)
+
+
+# ---------------------------------------------------------------------------
+# Words
+
+Letter = Tuple[str, int]
+Word = Tuple[Letter, ...]
+
+
+def word_value(w: Iterable[Letter], images: Mapping, identity):
+    """Evaluate [(gen, exp), ...] left to right as images[gen] ** exp under
+    (g * h)(x) = g(h(x)).  Works for any type with * and ** (elements,
+    permutations); inverse letters use exact inverses, so w * w^-1 cancels."""
+    result = identity
+    for gen, exp in w:
+        if gen not in images:
+            raise KeyError(f"generator {gen!r} has no image")
+        result = result * (images[gen] ** exp)
+    return result
+
+
+def evaluate_word(w: Word, m: int) -> BsElement:
+    """Evaluate a word in generators a1, a2 to a normalized element."""
+    return word_value(w, {"a1": bs_a1(m), "a2": bs_a2(m)}, bs_identity(m))
+
+
+def _generator_images(phi: SoficApprox) -> Dict[str, Permutation]:
+    if not phi.table:
+        raise ValueError("empty domain")
+    m = next(iter(phi.table)).m
+    return {name: phi.table[g] for name, g in (("a1", bs_a1(m)), ("a2", bs_a2(m)))
+            if g in phi.table}
+
+
+def eval_word(phi: SoficApprox, w: Word) -> Permutation:
+    """Left-to-right composition under (g*h)(x) = g(h(x)).  Inverse letters
+    use permutation inverses, so w * w^-1 cancels exactly for any phi."""
+    return word_value(w, _generator_images(phi), Permutation.identity(phi.n))
+
+
+# ---------------------------------------------------------------------------
+# Affine fixed-point prediction
+
+@dataclass(frozen=True)
+class AffineFixedReport:
+    a: int                 # dilation exponent of psi(w) = x -> m^a x + b
+    b_residue: int         # b mod n
+    b_exact: Fraction      # b as an m-adic rational
+    count: int             # solutions of (m^a - 1) x = -b mod n
+    word_is_identity: bool
+
+
+def affine_fixed_points(w: Word, m: int, n: int) -> AffineFixedReport:
+    """Symbolic affine data of psi(w) plus the predicted fixed-point count.
+
+    x is fixed iff (m^a - 1) x = -b mod n: all n points when m^a = 1 and
+    b = 0 mod n, otherwise gcd(m^a - 1, n) solutions when that gcd divides
+    b, otherwise none.
+    """
+    if gcd(m, n) != 1:
+        raise ValueError(f"gcd({m}, {n}) != 1")
+    # psi is a homomorphism sending (e, num, d) to x -> m^e x - num/m^d
+    elem = evaluate_word(w, m)
+    a, b = elem.e, -shift(elem)
+    # reduce b = num/m^dd mod n through the inverse of m
+    num, den = b.numerator, b.denominator
+    b_res = num * pow(den, -1, n) % n
+    c = (pow(m, a, n) - 1) % n
+    if c == 0:
+        count = n if b_res == 0 else 0
+    else:
+        g = gcd(c, n)
+        count = g if (-b_res) % g == 0 else 0
+    return AffineFixedReport(a, b_res, b, count, a == 0 and b == 0)

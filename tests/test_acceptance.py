@@ -8,19 +8,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import affine_fixed_points, count_order4, eval_word, is_four_periodic
 from soficlab.bsgroup import BsElement, a2_interval, bs_a1, bs_a2
 from soficlab.cli import _ball, conjugate_domain
 from soficlab.conjugacy import build_conjugator, conjugacy_defect
 from soficlab.expcycles import (count_k_periodic, count_k_periodic_by_tables,
                                 exp_map, run_sweep, segmented_sieve)
-from soficlab.heuristics import count_order4, p_sequence
-from soficlab.localexp import (PadicContext, defect_report, is_four_periodic,
+from soficlab.heuristics import p_sequence
+from soficlab.localexp import (PadicContext, defect_report,
                                min_mezo_fraction, padic_fixed_point,
                                search_local_exp)
 from soficlab.perm import Permutation
-from soficlab.soficcheck import (ArithmeticModel, SoficApprox,
-                                 affine_fixed_points, amplify, check_sofic,
-                                 eval_word)
+from soficlab.soficcheck import (ArithmeticModel, SoficApprox, amplify,
+                                 check_sofic)
 from soficlab.tiling import quasi_tile, verify_tiling
 
 EPS = Fraction(1, 4)

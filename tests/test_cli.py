@@ -1,13 +1,15 @@
 import copy
 import hashlib
 import json
+import random
 import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soficlab.cli import REQUIRED, _SUBCOMMANDS, interval_shapes, load_config, main
+from soficlab.cli import (REQUIRED, _SUBCOMMANDS, _draw_unit, interval_shapes, load_config,
+                          main)
 from soficlab.tiling import Tiling, verify_tiling
 
 
@@ -413,6 +415,15 @@ class TestOtherSubcommands:
         assert code == 0
         assert not json.loads((out / "padic.json").read_text())[0]["cross_checked"]
 
+    @pytest.mark.parametrize("p, r", [(2, 1), (2, 7), (3, 1), (3, 5), (5, 3), (7, 2), (101, 2)])
+    def test_padic_draws_units_as_choice_from_their_list(self, p, r):
+        q = p ** r
+        units = [u for u in range(1, q) if u % p]
+        for seed in range(5):
+            drawn, chosen = random.Random(seed), random.Random(seed)
+            assert ([_draw_unit(drawn, q, p) for _ in range(200)]
+                    == [chosen.choice(units) for _ in range(200)])
+
     def test_padic_needs_prime_powers(self, tmp_path):
         code, _ = run(tmp_path, "padic", "--m", "2")
         assert code == 1
@@ -494,6 +505,18 @@ class TestEntryPoint:
         assert set(manifest) >= {"params", "seed", "config_source",
                                  "content_hash", "wall_time_s", "version"}
         assert manifest["exit_code"] == 0 and manifest["error"] is None
+
+    def test_manifest_records_default_seed_that_ran(self, tmp_path):
+        code, out = run(tmp_path, "search-f", "--n", "11", "--m", "7", "--budget", "100")
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == 0
+        assert manifest["seed"] == json.loads((out / "search.json").read_text())["seed"]
+
+    def test_manifest_seed_null_without_seed_option(self, tmp_path):
+        code, out = run(tmp_path, "heuristic", "--N", "5")
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] is None
 
     def test_failed_certificate_manifest_has_exit_code(self, tmp_path):
         code, out = run(tmp_path, "sofic-check", "--m", "2", "--n", "7")

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import exp_table_by_product
 from soficlab import expcycles
 from soficlab.cli import main
 from soficlab.expcycles import (CSV_HEADER, CycleCensus, count_k_periodic,
                                 count_k_periodic_by_tables, cycle_census,
-                                exp_map, exp_table_by_product,
-                                multiplicative_order, prime_powers, run_sweep,
-                                segmented_sieve, sweep_csv)
+                                exp_map, multiplicative_order, prime_powers,
+                                run_sweep, segmented_sieve, sweep_csv)
 
 coprime_pairs = st.tuples(st.sampled_from([2, 3, 5, 7]),
                           st.integers(2, 3000)).filter(

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from soficlab.heuristics import CSV_HEADER, count_order4, heuristic_csv, p_sequence
+from oracles import count_order4
+from soficlab.heuristics import CSV_HEADER, heuristic_csv, p_sequence
 
 
 class TestPSequence:

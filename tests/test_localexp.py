@@ -12,15 +12,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from oracles import exp_table_by_product, from_cycles, is_four_periodic, word_value
 from soficlab import localexp
 from soficlab.cli import main
-from soficlab.expcycles import exp_table_by_product
 from soficlab.localexp import (PadicContext, defect_report,
-                               h3_witness, is_four_periodic, min_mezo_fraction,
+                               h3_witness, min_mezo_fraction,
                                padic_fixed_point, search_local_exp)
 from soficlab.localexp import (SearchResult, _enumerate_order4, _law_failures,
                                _law_failures_slow, _random_order4)
-from soficlab.perm import Permutation
+from soficlab.perm import Permutation, hamming
 
 
 def random_bijection(n, seed):
@@ -43,7 +43,7 @@ class TestDefectReport:
         assert len(rep.defect_set) == 4      # only x = 1 satisfies x+1 = 2x
 
     def test_four_cycle_product_no_failures(self):
-        p = Permutation.from_cycles(8, [(0, 1, 2, 3), (4, 5, 6, 7)])
+        p = from_cycles(8, [(0, 1, 2, 3), (4, 5, 6, 7)])
         rep = defect_report(p, 3)
         assert rep.four_periodic_failures == ()
 
@@ -92,6 +92,21 @@ class TestH3Witness:
         rep = defect_report(f, m)
         wit = h3_witness(f, m)
         assert wit.w_defects[2].value <= 2 * rep.defect_fraction
+
+    @given(bijections, st.sampled_from([2, 3, 7]))
+    @settings(max_examples=30, deadline=None)
+    def test_relators_match_word_evaluation(self, p, m):
+        # w_i = a_i^-1 a_{i+1} a_i a_{i+1}^-m, evaluated letter by letter
+        if math.gcd(m, p.n) != 1:
+            return
+        n = p.n
+        g1 = Permutation((np.arange(n) - 1) % n, _trusted=True)
+        g3 = p.compose(g1).compose(p.inverse())
+        g2 = p.compose(g3).compose(p.inverse())
+        gens, ident = {1: g1, 2: g2, 3: g3}, Permutation.identity(n)
+        words = [word_value([(i, -1), (j, 1), (i, 1), (j, -m)], gens, ident)
+                 for i, j in ((1, 2), (2, 3), (3, 1))]
+        assert h3_witness(p, m).w_defects == tuple(hamming(w, ident) for w in words)
 
 
 class TestMezoExhaustion:

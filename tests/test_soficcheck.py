@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soficlab.bsgroup import (BsElement, bs_a1, bs_a2, bs_identity,
-                              canonical_word, evaluate_word)
+from oracles import affine_fixed_points, eval_word, evaluate_word
+from soficlab.bsgroup import BsElement, bs_a1, bs_a2, bs_identity
 from soficlab.perm import Permutation, hamming
-from soficlab.soficcheck import (ArithmeticModel, SoficApprox, affine_fixed_points,
-                                 amplify, check_sofic,
-                                 eval_word)
+from soficlab.soficcheck import (ArithmeticModel, SoficApprox, amplify,
+                                 check_sofic)
 
 
 def ball(m, e_bound=2, num_bound=4):
