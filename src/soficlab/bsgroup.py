@@ -73,7 +73,15 @@ class BsElement:
 
     @classmethod
     def from_obj(cls, obj) -> "BsElement":
-        return cls(int(obj["m"]), int(obj["e"]), int(obj["num"]), int(obj["d"]))
+        return cls(*(json_int(obj[field], field) for field in ("m", "e", "num", "d")))
+
+
+def json_int(value, field: str) -> int:
+    """value, when it is a JSON integer; a float, a string or a bool (which
+    Python counts as an int) raises."""
+    if type(value) is not int:
+        raise ValueError(f"{field} = {value!r} is not a JSON integer")
+    return value
 
 
 def _normal(m: int, e: int, num: int, d: int) -> BsElement:

@@ -12,6 +12,7 @@ lambda_j -- are independently recheckable from the raw data.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
@@ -19,7 +20,7 @@ from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bsgroup import BsElement
+from .bsgroup import BsElement, json_int
 from .perm import Permutation
 from .soficcheck import SoficApprox
 
@@ -214,7 +215,10 @@ class Tiling:
                              f"({len(missing)} missing)")
 
     def to_json(self) -> str:
-        return json.dumps({
+        """The certificate as JSON, byte for byte json.dumps of the whole
+        object.  Every image is a permutation of 0..n-1, so it is written by
+        indexing one table of the decimal strings of 0..n-1."""
+        head = json.dumps({
             "n": self.n,
             "eps": [self.eps.numerator, self.eps.denominator],
             "kappa": [self.kappa.numerator, self.kappa.denominator],
@@ -226,24 +230,57 @@ class Tiling:
                 "shape": [g.to_obj() for g in lvl.shape],
                 "centers": list(lvl.centers),
             } for lvl in self.levels],
-            "table": [[g.to_obj(), self.table[g].image.tolist()]
-                      for g in sorted(self.table, key=BsElement.sort_key)],
         })
+        digits = np.array([str(x) for x in range(self.n)], dtype=object)
+        rows = []
+        for g in sorted(self.table, key=BsElement.sort_key):
+            image = self.table[g].image
+            # numpy would wrap a negative entry round to the end of digits
+            if not (0 <= image.min() and image.max() < self.n):
+                raise ValueError(f"permutation for {g} has an image outside [0, {self.n})")
+            rows.append(f"[{json.dumps(g.to_obj())}, [{', '.join(digits[image].tolist())}]]")
+        return f'{head[:-1]}, "table": [{", ".join(rows)}]}}'
 
     @classmethod
     def from_json(cls, text: str) -> "Tiling":
+        """Read a certificate.  Every integer field must be a JSON integer:
+        a float or a string is rejected rather than converted, and so is a
+        bool outside a table row (see _json_image)."""
         data = json.loads(text)
         if data.get("key_kind") != "element":
             raise ValueError(f"unsupported key kind {data.get('key_kind')!r}")
-        table = {BsElement.from_obj(obj): Permutation(img) for obj, img in data["table"]}
-        levels = tuple(
-            TileLevel(lvl["j"],
-                      tuple(BsElement.from_obj(obj) for obj in lvl["shape"]),
-                      Fraction(*lvl["lam"]),
-                      tuple(int(c) for c in lvl["centers"]))
-            for lvl in data["levels"])
-        return cls(int(data["n"]), Fraction(*data["eps"]), Fraction(*data["kappa"]),
-                   levels, table, int(data["b_size"]))
+        table = {BsElement.from_obj(obj): _json_image(img, obj) for obj, img in data["table"]}
+        levels = tuple(_json_level(lvl) for lvl in data["levels"])
+        return cls(json_int(data["n"], "n"), _json_fraction(data["eps"], "eps"),
+                   _json_fraction(data["kappa"], "kappa"), levels, table,
+                   json_int(data["b_size"], "b_size"))
+
+
+def _json_level(lvl) -> TileLevel:
+    j = json_int(lvl["j"], "j")
+    center = f"level {j} center"
+    return TileLevel(j, tuple(BsElement.from_obj(obj) for obj in lvl["shape"]),
+                     _json_fraction(lvl["lam"], "lam"),
+                     tuple(json_int(c, center) for c in lvl["centers"]))
+
+
+def _json_fraction(pair, field: str) -> Fraction:
+    if type(pair) is not list or len(pair) != 2:
+        raise ValueError(f"{field} = {pair!r} is not a [numerator, denominator] pair")
+    return Fraction(*(json_int(x, field) for x in pair))
+
+
+def _json_image(row, key) -> Permutation:
+    """A table row as a permutation.  array("q") takes Python ints within
+    int64 and nothing else, so a float, a string or a larger integer raises
+    where numpy's int64 cast would truncate or parse it; a bool, which
+    Python counts as an int, still reads as 0 or 1."""
+    try:
+        image = array("q", row)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"table image for {key} holds an entry that is not "
+                         f"a JSON integer ({exc})") from None
+    return Permutation(image)
 
 
 def shape_images(table: Dict[BsElement, Permutation], shape: Sequence[BsElement]) -> np.ndarray:
@@ -385,16 +422,19 @@ def verify_tiling(t: Tiling) -> TilingReport:
     injective_ok = all((np.diff(np.sort(b, axis=1), axis=1) != 0).all() for b in blocks)
     eps_disjoint_ok = all((core.sum(axis=1) >= ceil((1 - t.eps) * b.shape[1])).all()
                           for b, core in zip(blocks, tile_cores(blocks)))
-    level_unions = [np.unique(b) for b in blocks]
-    union_size = len(np.unique(np.concatenate(level_unions)))
-    disjoint_ok = union_size == sum(len(u) for u in level_unions)
+    # a level's union as a mask over the ground set: the levels are disjoint
+    # exactly when their union sizes sum to the size of the union of all
+    level_masks = [np.bincount(b.ravel(), minlength=n) > 0 for b in blocks]
+    level_sizes = [int(np.count_nonzero(mask)) for mask in level_masks]
+    union_size = int(np.count_nonzero(np.logical_or.reduce(level_masks)))
+    disjoint_ok = union_size == sum(level_sizes)
 
     cover_ratio = Fraction(union_size, n)
     cover_ok = cover_ratio >= 1 - t.eps
 
     measures = []
-    for lvl, lvl_union in zip(t.levels, level_unions):
-        ratio = Fraction(len(lvl_union), n)
+    for lvl, size in zip(t.levels, level_sizes):
+        ratio = Fraction(size, n)
         low = (1 - t.kappa) * lvl.lam
         high = (1 + t.kappa) * lvl.lam
         measures.append(LevelMeasure(lvl.j, ratio, low, high, low <= ratio <= high))

@@ -11,16 +11,18 @@ does not start with `test_`.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from soficlab.bsgroup import BsElement, bs_a1, bs_a2, bs_identity
 from soficlab.perm import Permutation
 from soficlab.soficcheck import SoficApprox
+from soficlab.tiling import Tiling, level_points
 
 
 # ---------------------------------------------------------------------------
@@ -146,3 +148,34 @@ def affine_fixed_points(w: Word, m: int, n: int) -> AffineFixedReport:
         g = gcd(c, n)
         count = g if (-b_res) % g == 0 else 0
     return AffineFixedReport(a, b_res, b, count, a == 0 and b == 0)
+
+
+# ---------------------------------------------------------------------------
+# Tiling certificates
+
+def tiling_json(t: Tiling) -> str:
+    """The certificate encoder as json.dumps of the whole object, one Python
+    int per table entry."""
+    return json.dumps({
+        "n": t.n,
+        "eps": [t.eps.numerator, t.eps.denominator],
+        "kappa": [t.kappa.numerator, t.kappa.denominator],
+        "key_kind": "element",
+        "b_size": t.b_size,
+        "levels": [{
+            "j": lvl.j,
+            "lam": [lvl.lam.numerator, lvl.lam.denominator],
+            "shape": [g.to_obj() for g in lvl.shape],
+            "centers": list(lvl.centers),
+        } for lvl in t.levels],
+        "table": [[g.to_obj(), t.table[g].image.tolist()]
+                  for g in sorted(t.table, key=BsElement.sort_key)],
+    })
+
+
+def level_union_sizes(t: Tiling) -> Tuple[List[int], int]:
+    """The number of distinct points each level's tiles cover, ascending j,
+    and the number all levels cover, by sorting the points."""
+    blocks = level_points(t)
+    level_unions = [np.unique(b) for b in blocks]
+    return [len(u) for u in level_unions], len(np.unique(np.concatenate(level_unions)))

@@ -314,6 +314,64 @@ class TestVerifyMutatedCertificates:
         }
 
 
+def set_field(*path, value):
+    """A mutation writing value at path in the certificate; a callable value
+    maps the entry it replaces."""
+    def mutate(data):
+        *parents, last = path
+        for key in parents:
+            data = data[key]
+        data[last] = value(data[last]) if callable(value) else value
+    return mutate
+
+
+FIRST_IMAGE = ("table", 0, 1)
+FIRST_LEVEL_1_CENTER = ("levels", 0, "centers", 0)
+
+
+class TestVerifyRequiresJsonIntegers:
+    """Every integer field of a certificate must be a JSON integer: a float
+    or a string is rejected, not truncated or parsed, and so is true where a
+    scalar is read."""
+
+    @pytest.mark.parametrize("mutate, field", [
+        (set_field(*FIRST_IMAGE, 5, value=lambda x: x + 0.7), "table image"),
+        (set_field(*FIRST_IMAGE, 5, value=str), "table image"),
+        (set_field(*FIRST_IMAGE, 5, value=2**63), "table image"),
+        (set_field(*FIRST_LEVEL_1_CENTER, value=lambda c: c + 0.5), "level 1 center"),
+        (set_field(*FIRST_LEVEL_1_CENTER, value=str), "level 1 center"),
+        (set_field("n", value="1000"), "n = '1000'"),
+        (set_field("n", value=True), "n = True"),
+        (set_field("b_size", value=12.9), "b_size = 12.9"),
+        (set_field("levels", 0, "j", value=1.0), "j = 1.0"),
+        (set_field("levels", 0, "shape", 0, "m", value=3.0), "m = 3.0"),
+        (set_field("table", 0, 0, "num", value="0"), "num = '0'"),
+        (set_field("eps", 0, value=1.0), "eps = 1.0"),
+        (set_field("kappa", value=[1, 4, 1]), "kappa = [1, 4, 1]"),
+        (set_field("levels", 0, "lam", 1, value=True), "lam = True"),
+    ])
+    def test_rejected(self, tile_certificate, tmp_path, mutate, field):
+        data = copy.deepcopy(tile_certificate)
+        mutate(data)
+        cert = tmp_path / "tiling.json"
+        cert.write_text(json.dumps(data))
+        code = main(["verify", "--certificate", str(cert), "--out", str(tmp_path / "v")])
+        assert code == 2
+        result = json.loads((tmp_path / "v" / "verify.json").read_text())
+        assert result["passed"] is False and field in result["error"]
+
+    def test_true_in_a_table_row_reads_as_one(self, tile_certificate, tmp_path):
+        """numpy promotes a true among integers to 1, the same value; a check
+        per entry in Python would cost more than reading the row, so this
+        one is accepted."""
+        data = copy.deepcopy(tile_certificate)
+        assert data["table"][0][1][1] == 1
+        data["table"][0][1][1] = True
+        cert = tmp_path / "tiling.json"
+        cert.write_text(json.dumps(data))
+        assert main(["verify", "--certificate", str(cert), "--out", str(tmp_path / "v")]) == 0
+
+
 class TestConjugate:
     def test_genuine_m_fails_its_support_check(self, tmp_path, capsys):
         code, out = run(tmp_path, "conjugate", "--n", "1000", "--m", "3")

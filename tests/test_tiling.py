@@ -7,6 +7,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import level_union_sizes, tiling_json
 
 from soficlab.bsgroup import BsElement, a2_interval, bs_a2, bs_rectangle
 from soficlab.cli import conjugate_domain
@@ -470,10 +471,12 @@ class TestTileCoresMatchOracle:
         self.assert_cores_match(random_order_tiling(seed))
 
 
-def random_order_tiling(seed, n=1000):
-    """A maximal z-model tiling whose centers are tried in a random order."""
-    phi = interval_model(n, 3, 40)
-    shapes = [a2_interval(w, 3) for w in WIDTHS]
+def random_order_tiling(seed, n=1000, m=3):
+    """A maximal z-model tiling whose centers are tried in a random order,
+    widths capped at n.  Below n = 32 the top level covers Z/n and the
+    levels under it stay empty."""
+    phi = interval_model(n, m, 40)
+    shapes = [a2_interval(min(w, n), m) for w in WIDTHS]
     return quasi_tile(phi, shapes, Fraction(1, 4), Fraction(1, 4),
                       maximal=True, center_order=np.random.default_rng(seed).permutation(n))
 
@@ -616,3 +619,70 @@ class TestBMaskMatchesOracle:
             img[[x, y]] = img[[y, x]]
             table[g] = Permutation(img)
         self.assert_masks_match(SoficApprox(n, table), F_k)
+
+
+# ---------------------------------------------------------------------------
+# The certificate writer against json.dumps, and the verifier's counted
+# union sizes against sorting
+
+def amplified_tiling():
+    """The amplified BS(1,2) certificate scripts/run_tiling_experiments.py
+    writes, on n = 10 000 (composite, |B| = 9999)."""
+    phi = amplify(interval_model(101, 2, 33), 10_000)
+    return quasi_tile(phi, [a2_interval(w, 2) for w in WIDTHS], Fraction(1, 4), Fraction(1, 4))
+
+
+# n crosses every decimal width boundary up to five digits; m = n + 1 is a
+# unit mod n
+WRITER_BUILDS = {f"maximal_n{n}": functools.partial(random_order_tiling, 0, n, n + 1)
+                 for n in (2, 9, 10, 11, 99, 100, 101, 1000, 10007)}
+WRITER_BUILDS.update(rectangle=rectangle_tiling, amplified=amplified_tiling,
+                     random_order=functools.partial(random_order_tiling, 0))
+
+
+class TestCertificateWriter:
+    @pytest.mark.parametrize("name", sorted(WRITER_BUILDS))
+    def test_equals_json_dumps_and_reads_back(self, name):
+        t = WRITER_BUILDS[name]()
+        text = t.to_json()
+        assert text == tiling_json(t)
+        back = Tiling.from_json(text)
+        assert back == t
+
+    def test_small_n_leaves_empty_levels(self):
+        levels = random_order_tiling(0, 10, 11).levels
+        assert [len(lvl.centers) for lvl in levels] == [0] * 7 + [1]
+
+    @pytest.mark.parametrize("entry", [-1, 10])
+    def test_image_outside_ground_set_raises(self, entry):
+        t = random_order_tiling(0, 10, 11)
+        g = max(t.table, key=BsElement.sort_key)
+        image = t.table[g].image.copy()
+        image[3] = entry
+        table = dict(t.table)
+        table[g] = Permutation(image, _trusted=True)
+        with pytest.raises(ValueError, match=r"outside \[0, 10\)"):
+            Tiling(t.n, t.eps, t.kappa, t.levels, table, t.b_size).to_json()
+
+
+class TestCountedUnionSizes:
+    @given(n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
+           copies=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
+                                     st.integers(0, 10**6)), max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_match_sorting(self, n, seed, copies):
+        """Seeded maximal tilings, with up to three centers copied to other
+        levels so that the levels can overlap."""
+        t = random_order_tiling(seed, n, n + 1)
+        centers = [list(lvl.centers) for lvl in t.levels]
+        for src, dst, pick in copies:
+            if centers[src]:
+                centers[dst].append(centers[src][pick % len(centers[src])])
+        t = Tiling(t.n, t.eps, t.kappa,
+                   tuple(TileLevel(lvl.j, lvl.shape, lvl.lam, tuple(cs))
+                         for lvl, cs in zip(t.levels, centers)), t.table, t.b_size)
+        report = verify_tiling(t)
+        sizes, union_size = level_union_sizes(t)
+        assert [m.ratio for m in report.measures] == [Fraction(s, n) for s in sizes]
+        assert report.cover_ratio == Fraction(union_size, n)
+        assert report.disjoint_ok == (union_size == sum(sizes))
