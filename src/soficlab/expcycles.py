@@ -5,7 +5,8 @@ emitting deterministic CSV rows.
 f is a function, never assumed to be a permutation.  Its periodic points lie
 in its image S = <m> = image[:ord], so the k-iterate counts run on S by two
 routes: iteration of f, and iteration of the conjugate map
-G(i) = S[i] mod ord in discrete-log coordinates.
+G(i) = S[i] mod ord in discrete-log coordinates.  A sweep runs its censuses
+through one Workspace, so no modulus allocates arrays of its own.
 """
 
 from __future__ import annotations
@@ -37,15 +38,88 @@ class ExpMap:
 MAX_MODULUS = math.isqrt(2 ** 63 - 1)
 
 
-def _exp_table(m: int, n: int) -> np.ndarray:
+class Workspace:
+    """Scratch memory that consecutive censuses share, so that a sweep has
+    its pages mapped once rather than once per modulus.
+
+    It holds three arrays, which each census lays out afresh:
+
+    - `table(n)` starts a census of modulus n and is its exp table;
+    - `scratch(size)` is four arrays of `size` < n entries in one buffer:
+      bool `flags` for comparisons, and int64 `a`, `b` and `log` for the
+      doubling quotients, a route's iterates and the log route's map G.
+      Every call returns the same memory laid out for its size, so a caller
+      writes these arrays before reading them, and holds those of one call
+      at a time;
+    - `arange(size)` is 0..size-1, kept from census to census.
+
+    No view may outlive its census.  A census of modulus n with ord(m) = o
+    touches 8 n bytes of table, at most max(4.5 n, 25 o) of scratch and
+    8 o of arange, what its arrays would take if each had an allocation of
+    its own.  The arrays have room for 2^k entries, k >= MIN_BITS, so every
+    sweep of moduli below 2^MIN_BITS (the README's 10^3..10^5 among them)
+    asks malloc for the same sizes.  glibc's malloc raises its mmap
+    threshold to the largest block freed and from then on keeps freed
+    blocks of that size mapped, so the next sweep reuses their pages
+    instead of faulting in new ones.  At that size each array also stays
+    below the 4 MiB from which numpy asks the kernel for huge pages, which
+    would count the memory a census touches in 2 MiB steps."""
+
+    MIN_BITS = 17
+
+    def __init__(self) -> None:
+        self._capacity = 0          # entries each array has room for
+        self._n = 0                 # modulus of the current census
+        self._arange_len = 0        # the arange holds 0..len-1
+
+    def table(self, n: int) -> np.ndarray:
+        if n > self._capacity:
+            capacity = self._capacity = 1 << max((n - 1).bit_length(), self.MIN_BITS)
+            self._table = np.empty(capacity, dtype=np.int64)
+            self._scratch = np.empty(25 * capacity + 8, dtype=np.uint8)
+            self._arange = np.empty(capacity, dtype=np.int64)
+            self._arange_len = 0
+        self._n = n
+        return self._table[:n]
+
+    def scratch(self, size: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        if size >= self._n:
+            raise ValueError(f"{size} scratch entries for modulus {self._n}")
+        flags = self._scratch[:size].view(np.bool_)
+        start = -(-size // 8) * 8
+        a, b, log = (self._scratch[start + 8 * size * k:start + 8 * size * (k + 1)].view(np.int64)
+                     for k in range(3))
+        return flags, a, b, log
+
+    def arange(self, size: int) -> np.ndarray:
+        """0..size-1; callers only read it.  Entries not yet written are
+        filled by doubling, view[k:k+w] = view[:w] + k, which needs no
+        temporary array."""
+        if size >= self._n:
+            raise ValueError(f"arange of {size} for modulus {self._n}")
+        view = self._arange[:size]
+        k = self._arange_len
+        if k == 0 < size:
+            view[0], k = 0, 1
+        while k < size:
+            w = min(k, size - k)
+            np.add(view[:w], k, out=view[k:k + w])
+            k += w
+        self._arange_len = max(self._arange_len, size)
+        return view
+
+
+def _exp_table(m: int, n: int, workspace: Optional[Workspace] = None) -> np.ndarray:
     """m^x mod n for all x in {0..n-1} by doubling: once out[:k] holds
     m^0..m^(k-1), out[k:2k] = out[:k] * m^k mod n.  ceil(log2 n) contiguous
     passes.  Each block is reduced as block - (block // n) * n, since integer
     division by a scalar is far cheaper in numpy than np.remainder; this is
     exact because 0 <= block < n^2 <= 2^63 - 1 for n <= MAX_MODULUS, so the
     floor quotient is the true one and no intermediate overflows."""
-    out = np.empty(n, dtype=np.int64)
-    quot = np.empty(n // 2, dtype=np.int64)
+    if workspace is None:
+        out, quot = np.empty(n, dtype=np.int64), np.empty(n // 2, dtype=np.int64)
+    else:
+        out, quot = workspace.table(n), workspace.scratch(n // 2)[1]
     out[0] = 1
     k, m_k = 1, m % n
     while k < n:
@@ -59,16 +133,24 @@ def _exp_table(m: int, n: int) -> np.ndarray:
     return out
 
 
-def exp_map(m: int, n: int) -> ExpMap:
-    """Tabulate x -> m^x mod n; cross-checked against square-and-multiply
-    at 16 deterministic sample points."""
+def exp_map(m: int, n: int, workspace: Optional[Workspace] = None) -> ExpMap:
+    """Tabulate x -> m^x mod n; every entry is checked to lie in {0..n-1},
+    and the table is cross-checked against square-and-multiply at 16
+    deterministic sample points.  Without a workspace the table is a fresh
+    array; with one it is a read-only view of the workspace's table, valid
+    until the workspace's next census."""
     if n < 2:
         raise ValueError("modulus must be >= 2")
     if n > MAX_MODULUS:
         raise ValueError(f"modulus {n} exceeds {MAX_MODULUS}: int64 products would overflow")
     if math.gcd(m, n) != 1:
         raise ValueError(f"gcd({m}, {n}) != 1")
-    table = _exp_table(m, n)
+    table = _exp_table(m, n, workspace)
+    # One pass checks 0 <= entry < n, since as uint64 a negative entry
+    # exceeds 2^63.  The count routes index by table entries without a
+    # bounds check of their own (see below), so this keeps them exact.
+    if int(table.view(np.uint64).max()) >= n:
+        raise AssertionError(f"tabulation entry outside 0..{n - 1}")
     rng = np.random.default_rng((m, n))
     for x in rng.integers(0, n, size=min(16, n)):
         if int(table[x]) != pow(m, int(x), n):
@@ -77,12 +159,14 @@ def exp_map(m: int, n: int) -> ExpMap:
     return ExpMap(m, n, table)
 
 
-def multiplicative_order(f: ExpMap) -> int:
+def multiplicative_order(f: ExpMap, workspace: Optional[Workspace] = None) -> int:
     """Smallest x > 0 with m^x = 1 mod n, straight off the table."""
-    hits = np.flatnonzero(f.image[1:] == 1)
-    if hits.size == 0:
+    flags = np.empty(f.n - 1, dtype=bool) if workspace is None else workspace.scratch(f.n - 1)[0]
+    ones = np.equal(f.image[1:], 1, out=flags)
+    first = int(ones.argmax())         # stops at the first True
+    if not ones[first]:
         raise ValueError(f"m={f.m} has no order below n={f.n}")
-    return int(hits[0]) + 1
+    return first + 1
 
 
 # ---------------------------------------------------------------------------
@@ -90,43 +174,67 @@ def multiplicative_order(f: ExpMap) -> int:
 
 Counts = Tuple[int, int, int, int]
 
+# The gathers below run np.take with mode="clip", since mode="raise" copies
+# through a fresh `out`.  No index is ever clipped: exp_map checked every
+# table entry to lie in 0..n-1, and the log route's indices are residues
+# mod ord.  ("wrap" reduces an index by repeated subtraction, so a wrong
+# one could stall the run rather than miscount.)
 
-def count_k_periodic(f: ExpMap, order: Optional[int] = None) -> Counts:
+
+def _own_workspace(n: int) -> Workspace:
+    """A workspace for one census of modulus n whose table lives elsewhere."""
+    workspace = Workspace()
+    workspace.table(n)
+    return workspace
+
+
+def _iterate_counts(table: np.ndarray, start: np.ndarray, target: np.ndarray,
+                    steps: int, workspace: Workspace) -> List[int]:
+    """|{i : y_k[i] = target[i]}| for y_k = table[y_(k-1)], y_0 = start,
+    k = 1..steps, ping-ponging y between the scratch arrays a and b."""
+    flags, *ys, _ = workspace.scratch(start.size)
+    y, counts = start, []
+    for k in range(steps):
+        y = np.take(table, y, out=ys[k % 2], mode="clip")
+        counts.append(int(np.count_nonzero(np.equal(y, target, out=flags))))
+    return counts
+
+
+def count_k_periodic(f: ExpMap, order: Optional[int] = None,
+                     workspace: Optional[Workspace] = None) -> Counts:
     """|{x : f^k(x) = x}| for k = 1..4 by direct iteration y <- f(y).
 
     Every k-periodic point lies in the image of f, which is the subgroup
     S = <m> = image[:order], so the iteration runs from y = S; each step
     still gathers from the whole table."""
+    if workspace is None:
+        workspace = _own_workspace(f.n)
     if order is None:
-        order = multiplicative_order(f)
+        order = multiplicative_order(f, workspace)
     s = f.image[:order]
-    y = s
-    counts = []
-    for _ in range(4):
-        y = f.image[y]
-        counts.append(int(np.count_nonzero(y == s)))
-    return tuple(counts)
+    return tuple(_iterate_counts(f.image, s, s, 4, workspace))
 
 
-def count_k_periodic_by_tables(f: ExpMap, order: Optional[int] = None) -> Counts:
+def count_k_periodic_by_tables(f: ExpMap, order: Optional[int] = None,
+                               workspace: Optional[Workspace] = None) -> Counts:
     """The same counts in discrete-log coordinates.  With S[i] = m^i,
     f(S[i]) = m^(S[i] mod ord) = S[G(i)] for G(i) = S[i] mod ord, and S is
     injective on {0..ord-1}, so f^k fixes S[i] exactly when G^k fixes i.
-    Reads the table below index ord only, and composes nothing that
-    count_k_periodic reads."""
+    Reads the table below index ord only, composes nothing that
+    count_k_periodic reads, and reads no scratch slot of the workspace
+    before writing it."""
+    if workspace is None:
+        workspace = _own_workspace(f.n)
     if order is None:
-        order = multiplicative_order(f)
+        order = multiplicative_order(f, workspace)
     s = f.image[:order]
-    g = s // order                  # s mod ord, reduced as _exp_table reduces
+    flags, _, _, g = workspace.scratch(order)
+    np.floor_divide(s, order, out=g)        # s mod ord, reduced as _exp_table reduces
     np.multiply(g, order, out=g)
     np.subtract(s, g, out=g)
-    i = np.arange(order, dtype=np.int64)
-    y = g
-    counts = [int(np.count_nonzero(y == i))]
-    for _ in range(3):
-        y = g[y]
-        counts.append(int(np.count_nonzero(y == i)))
-    return tuple(counts)
+    i = workspace.arange(order)
+    fixed = int(np.count_nonzero(np.equal(g, i, out=flags)))
+    return (fixed, *_iterate_counts(g, g, i, 3, workspace))
 
 
 @dataclass(frozen=True)
@@ -145,11 +253,15 @@ class CycleCensus:
         return Fraction(self.fixed[3], self.n)
 
 
-def cycle_census(m: int, n: int) -> CycleCensus:
-    f = exp_map(m, n)
-    order = multiplicative_order(f)
-    counts = count_k_periodic(f, order)
-    tables = count_k_periodic_by_tables(f, order)
+def cycle_census(m: int, n: int, workspace: Optional[Workspace] = None) -> CycleCensus:
+    """Order of m and fix1..fix4 for one modulus.  Every array of size n or
+    ord is a view of the workspace's block; the result holds none."""
+    if workspace is None:
+        workspace = Workspace()
+    f = exp_map(m, n, workspace)
+    order = multiplicative_order(f, workspace)
+    counts = count_k_periodic(f, order, workspace)
+    tables = count_k_periodic_by_tables(f, order, workspace)
     for k, (a, b) in enumerate(zip(counts, tables), start=1):
         if a != b:
             raise AssertionError(f"periodic-count routes disagree at n={n}, k={k}")
@@ -188,15 +300,25 @@ def prime_powers(p: int, r_min: int, r_max: int) -> List[int]:
     return [p ** r for r in range(r_min, r_max + 1)]
 
 
+def _census_run(m: int, moduli: Sequence[int]) -> List[CycleCensus]:
+    """Censuses of the given moduli, in order, through one workspace."""
+    workspace = Workspace()
+    return [cycle_census(m, n, workspace) for n in moduli]
+
+
 def run_sweep(m: int, moduli: Sequence[int], *, workers: int = 1) -> List[CycleCensus]:
     """One census per modulus (skipping those not coprime to m), merged in
-    modulus order regardless of worker scheduling."""
-    todo = [(m, n) for n in sorted(set(moduli)) if n >= 2 and math.gcd(m, n) == 1]
+    modulus order regardless of worker scheduling.  Serially one workspace
+    serves every modulus; a pool gets chunks of consecutive moduli, one
+    workspace each."""
+    todo = [n for n in sorted(set(moduli)) if n >= 2 and math.gcd(m, n) == 1]
     workers = min(workers, len(todo), os.cpu_count() or 1)
     if workers <= 1 or len(todo) < 4:
-        return [cycle_census(m, n) for m, n in todo]
+        return _census_run(m, todo)
+    size = max(1, len(todo) // (8 * workers))
+    chunks = [(m, todo[i:i + size]) for i in range(0, len(todo), size)]
     with Pool(workers) as pool:
-        return pool.starmap(cycle_census, todo, chunksize=max(1, len(todo) // (8 * workers)))
+        return [row for rows in pool.starmap(_census_run, chunks, chunksize=1) for row in rows]
 
 
 CSV_HEADER = "n,m,order,fix1,fix2,fix3,fix4,frac3,frac4"

@@ -1,17 +1,19 @@
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import exp_table_by_product
 from soficlab import expcycles
 from soficlab.cli import main
-from soficlab.expcycles import (CSV_HEADER, CycleCensus, count_k_periodic,
-                                count_k_periodic_by_tables, cycle_census,
-                                exp_map, multiplicative_order, prime_powers,
-                                run_sweep, segmented_sieve, sweep_csv)
+from soficlab.expcycles import (CSV_HEADER, CycleCensus, Workspace,
+                                count_k_periodic, count_k_periodic_by_tables,
+                                cycle_census, exp_map, multiplicative_order,
+                                prime_powers, run_sweep, segmented_sieve,
+                                sweep_csv)
 
 coprime_pairs = st.tuples(st.sampled_from([2, 3, 5, 7]),
                           st.integers(2, 3000)).filter(
@@ -70,6 +72,10 @@ class TestExpMap:
     def test_int64_overflowing_modulus_refused(self):
         with pytest.raises(ValueError, match="int64"):
             exp_map(2, 3_037_000_501)
+
+    def test_table_on_its_own_is_fresh_and_read_only(self):
+        table = exp_map(3, 1000).image
+        assert table.flags.owndata and not table.flags.writeable
 
     def test_multiplicative_order(self):
         f = exp_map(2, 5)
@@ -154,8 +160,8 @@ class TestCensusCheck:
         x = next(int(x) for x in table[:order]
                  if x > order and table[x] != x and x not in sampled)
 
-        def corrupted(m, n):
-            out = real(m, n)
+        def corrupted(m, n, *args):
+            out = real(m, n, *args)
             out[x] = x
             return out
         monkeypatch.setattr(expcycles, "_exp_table", corrupted)
@@ -169,6 +175,121 @@ class TestCensusCheck:
         assert main(["cycles", "--n", str(self.N), "--m", str(self.M), "--out", str(out)]) == 2
         assert (out / "manifest.json").is_file()
         assert not (out / "cycles.csv").exists()
+
+    # ord_101(2) = 100: <2> mod 101 is every unit, so no point lies above
+    # the order, and the largest unsampled point of <m> is corrupted instead
+    M2, N2 = 2, 101
+
+    @pytest.fixture(params=[-3, N2], ids=["negative", "equal-to-n"])
+    def corrupted_entry(self, request, monkeypatch):
+        """Give one point x of <m> that the spot check does not sample an
+        entry outside 0..n-1.  Unchecked, numpy reads a negative entry as an
+        index from the end and the census exits 0, and an entry n raises
+        IndexError, which leaves no manifest."""
+        real = expcycles._exp_table
+        table = real(self.M2, self.N2)
+        order = multiplicative_order(expcycles.ExpMap(self.M2, self.N2, table))
+        sampled = set(np.random.default_rng((self.M2, self.N2)).integers(0, self.N2, size=16).tolist())
+        x = max(int(x) for x in table[:order] if x not in sampled)
+
+        def corrupted(m, n, *args):
+            out = real(m, n, *args)
+            out[x] = request.param
+            return out
+        monkeypatch.setattr(expcycles, "_exp_table", corrupted)
+
+    def test_entry_out_of_range_raises(self, corrupted_entry):
+        with pytest.raises(AssertionError, match=r"entry outside 0\.\.100"):
+            cycle_census(self.M2, self.N2)
+
+    def test_entry_out_of_range_exits_2(self, corrupted_entry, tmp_path):
+        out = tmp_path / "out"
+        assert main(["cycles", "--n", str(self.N2), "--m", str(self.M2), "--out", str(out)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_code"] == 2 and "entry outside" in manifest["error"]
+        assert not (out / "cycles.csv").exists()
+
+
+def _scratch_filled(real, sentinel):
+    """count_k_periodic that, once done, overwrites all of the workspace's
+    scratch memory with a sentinel, so the log route that runs next sees
+    nothing the first route left."""
+    def route(f, order, workspace):
+        counts = real(f, order, workspace)
+        flags, *ints = workspace.scratch(f.n - 1)
+        flags.fill(True)
+        for a in ints:
+            a.fill(sentinel)
+        return counts
+    return route
+
+
+# primes, prime powers and composites, for m in {2, 3, 5, 7}; the census
+# skips none of them, so each list is drawn coprime to its m
+PRIMES = segmented_sieve(2, 3000)
+PRIME_POWERS = sorted({p ** r for p in (2, 3, 5, 7, 11, 13) for r in range(2, 8) if p ** r <= 5000})
+COMPOSITES = sorted(set(range(6, 3000)) - set(PRIMES) - set(PRIME_POWERS))
+
+
+@st.composite
+def mixed_moduli(draw):
+    m = draw(st.sampled_from([2, 3, 5, 7]))
+    pool = st.one_of(st.sampled_from(PRIMES), st.sampled_from(PRIME_POWERS),
+                     st.sampled_from(COMPOSITES)).filter(lambda n: math.gcd(m, n) == 1)
+    return m, draw(st.lists(pool, min_size=1, max_size=12))
+
+
+class TestWorkspace:
+    """One workspace serves many censuses; nothing of one modulus may reach
+    the next, and the log route may read nothing the first route wrote."""
+
+    @given(mixed_moduli())
+    @example((2, [2187, 101, 4096 - 1, 9, 3]))      # smaller moduli after larger ones
+    @example((2, [2 ** 17 + 1, 97, 2 ** 18 + 1]))   # the workspace grows between censuses
+    @settings(max_examples=60, deadline=None)
+    def test_reuse_leaks_nothing(self, m_moduli):
+        m, moduli = m_moduli
+        fresh = [cycle_census(m, n) for n in moduli]
+        workspace = Workspace()
+        assert [cycle_census(m, n, workspace) for n in moduli] == fresh
+        assert run_sweep(m, moduli) == sorted(set(fresh), key=lambda r: r.n)
+
+    @given(mixed_moduli())
+    @settings(max_examples=8, deadline=None)
+    def test_two_workers_equal_serial(self, m_moduli):
+        m, moduli = m_moduli
+        assert run_sweep(m, moduli, workers=2) == run_sweep(m, moduli)
+
+    @pytest.mark.parametrize("sentinel", [0, -1, 2 ** 40])
+    def test_log_route_reads_only_what_it_wrote(self, monkeypatch, sentinel):
+        moduli = [3 ** 7, 101, 1000, 4099, 2 ** 12 + 1]
+        fresh = [cycle_census(7, n) for n in moduli]
+        monkeypatch.setattr(expcycles, "count_k_periodic",
+                            _scratch_filled(expcycles.count_k_periodic, sentinel))
+        workspace = Workspace()
+        assert [cycle_census(7, n, workspace) for n in moduli] == fresh
+
+    def test_scratch_and_arange_stay_clear_of_the_table(self):
+        workspace = Workspace()
+        table = workspace.table(1000)
+        table[:] = -7
+        for a in workspace.scratch(999):
+            a.fill(1)
+        assert np.array_equal(workspace.arange(999), np.arange(999))
+        assert (table == -7).all()
+        # a smaller census lays the block out afresh; the arange survives it
+        workspace.table(10)[:] = 0
+        for a in workspace.scratch(9):
+            a.fill(0)
+        workspace.table(1000)
+        assert np.array_equal(workspace.arange(999), np.arange(999))
+
+    @pytest.mark.parametrize("size", [10, 11])
+    def test_scratch_beyond_the_census_modulus_refused(self, size):
+        workspace = Workspace()
+        workspace.table(10)
+        with pytest.raises(ValueError, match="modulus 10"):
+            workspace.scratch(size)
 
 
 class TestSweep:
