@@ -30,6 +30,15 @@ class ExpMap:
     n: int
     image: np.ndarray     # image[x] = m^x mod n
 
+    def __post_init__(self) -> None:
+        # The count routes gather by table entries with no bounds check of
+        # their own (see below), so every entry must lie in 0..n-1.  One
+        # pass checks both ends, since as uint64 a negative entry exceeds 2^63.
+        if self.image.dtype != np.int64 or self.image.shape != (self.n,):
+            raise ValueError(f"image must hold {self.n} int64 entries")
+        if int(self.image.view(np.uint64).max()) >= self.n:
+            raise AssertionError(f"tabulation entry outside 0..{self.n - 1}")
+
     def __call__(self, x: int) -> int:
         return int(self.image[x])
 
@@ -38,75 +47,56 @@ class ExpMap:
 MAX_MODULUS = math.isqrt(2 ** 63 - 1)
 
 
+def _check_modulus(n: int) -> None:
+    if n < 2:
+        raise ValueError("modulus must be >= 2")
+    if n > MAX_MODULUS:
+        raise ValueError(f"modulus {n} exceeds {MAX_MODULUS}: int64 products would overflow")
+
+
 class Workspace:
-    """Scratch memory that consecutive censuses share, so that a sweep has
-    its pages mapped once rather than once per modulus.
+    """Memory that the censuses of moduli up to n_max share, so that a sweep
+    has its pages mapped once rather than once per modulus.  A census of
+    modulus n lays out views of it:
 
-    It holds three arrays, which each census lays out afresh:
+    - `table(n)` starts the census and is its exp table;
+    - `scratch(size)`, for `size` < n, is a bool array `flags` for
+      comparisons and int64 arrays `a`, `b` and `log` for the doubling
+      quotients, a route's iterates and the log route's map G.  Every call
+      returns the same memory, so a caller writes these arrays before
+      reading them, and holds those of one call at a time;
+    - `arange(size)` is 0..size-1, read-only.
 
-    - `table(n)` starts a census of modulus n and is its exp table;
-    - `scratch(size)` is four arrays of `size` < n entries in one buffer:
-      bool `flags` for comparisons, and int64 `a`, `b` and `log` for the
-      doubling quotients, a route's iterates and the log route's map G.
-      Every call returns the same memory laid out for its size, so a caller
-      writes these arrays before reading them, and holds those of one call
-      at a time;
-    - `arange(size)` is 0..size-1, kept from census to census.
+    No view may outlive its census.  Only the arange, 8 n_max bytes, is
+    written up front.  The kernel maps a page of the other arrays when a
+    census first touches it, and every view starts at the front of its
+    array, so a census of modulus n with ord(m) = o touches 8 n bytes of
+    table and n + max(4 n, 24 o) of scratch."""
 
-    No view may outlive its census.  A census of modulus n with ord(m) = o
-    touches 8 n bytes of table, at most max(4.5 n, 25 o) of scratch and
-    8 o of arange, what its arrays would take if each had an allocation of
-    its own.  The arrays have room for 2^k entries, k >= MIN_BITS, so every
-    sweep of moduli below 2^MIN_BITS (the README's 10^3..10^5 among them)
-    asks malloc for the same sizes.  glibc's malloc raises its mmap
-    threshold to the largest block freed and from then on keeps freed
-    blocks of that size mapped, so the next sweep reuses their pages
-    instead of faulting in new ones.  At that size each array also stays
-    below the 4 MiB from which numpy asks the kernel for huge pages, which
-    would count the memory a census touches in 2 MiB steps."""
-
-    MIN_BITS = 17
-
-    def __init__(self) -> None:
-        self._capacity = 0          # entries each array has room for
-        self._n = 0                 # modulus of the current census
-        self._arange_len = 0        # the arange holds 0..len-1
+    def __init__(self, n_max: int) -> None:
+        _check_modulus(n_max)
+        self._table = np.empty(n_max, dtype=np.int64)
+        self._flags = np.empty(n_max - 1, dtype=np.bool_)
+        self._ints = np.empty(3 * (n_max - 1), dtype=np.int64)
+        self._arange = np.arange(n_max - 1, dtype=np.int64)
+        self._arange.setflags(write=False)
+        self._n = n_max             # modulus of the current census
 
     def table(self, n: int) -> np.ndarray:
-        if n > self._capacity:
-            capacity = self._capacity = 1 << max((n - 1).bit_length(), self.MIN_BITS)
-            self._table = np.empty(capacity, dtype=np.int64)
-            self._scratch = np.empty(25 * capacity + 8, dtype=np.uint8)
-            self._arange = np.empty(capacity, dtype=np.int64)
-            self._arange_len = 0
+        if n > self._table.size:
+            raise ValueError(f"modulus {n} for a workspace of {self._table.size}")
         self._n = n
         return self._table[:n]
 
     def scratch(self, size: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         if size >= self._n:
             raise ValueError(f"{size} scratch entries for modulus {self._n}")
-        flags = self._scratch[:size].view(np.bool_)
-        start = -(-size // 8) * 8
-        a, b, log = (self._scratch[start + 8 * size * k:start + 8 * size * (k + 1)].view(np.int64)
-                     for k in range(3))
-        return flags, a, b, log
+        return (self._flags[:size], *self._ints[:3 * size].reshape(3, size))
 
     def arange(self, size: int) -> np.ndarray:
-        """0..size-1; callers only read it.  Entries not yet written are
-        filled by doubling, view[k:k+w] = view[:w] + k, which needs no
-        temporary array."""
         if size >= self._n:
             raise ValueError(f"arange of {size} for modulus {self._n}")
-        view = self._arange[:size]
-        k = self._arange_len
-        if k == 0 < size:
-            view[0], k = 0, 1
-        while k < size:
-            w = min(k, size - k)
-            np.add(view[:w], k, out=view[k:k + w])
-            k += w
-        self._arange_len = max(self._arange_len, size)
-        return view
+        return self._arange[:size]
 
 
 def _exp_table(m: int, n: int, workspace: Optional[Workspace] = None) -> np.ndarray:
@@ -134,23 +124,15 @@ def _exp_table(m: int, n: int, workspace: Optional[Workspace] = None) -> np.ndar
 
 
 def exp_map(m: int, n: int, workspace: Optional[Workspace] = None) -> ExpMap:
-    """Tabulate x -> m^x mod n; every entry is checked to lie in {0..n-1},
-    and the table is cross-checked against square-and-multiply at 16
-    deterministic sample points.  Without a workspace the table is a fresh
-    array; with one it is a read-only view of the workspace's table, valid
-    until the workspace's next census."""
-    if n < 2:
-        raise ValueError("modulus must be >= 2")
-    if n > MAX_MODULUS:
-        raise ValueError(f"modulus {n} exceeds {MAX_MODULUS}: int64 products would overflow")
+    """Tabulate x -> m^x mod n; every entry is checked to lie in {0..n-1}
+    (by ExpMap), and the table is cross-checked against square-and-multiply
+    at 16 deterministic sample points.  Without a workspace the table is a
+    fresh array; with one it is a read-only view of the workspace's table,
+    valid until the workspace's next census."""
+    _check_modulus(n)
     if math.gcd(m, n) != 1:
         raise ValueError(f"gcd({m}, {n}) != 1")
     table = _exp_table(m, n, workspace)
-    # One pass checks 0 <= entry < n, since as uint64 a negative entry
-    # exceeds 2^63.  The count routes index by table entries without a
-    # bounds check of their own (see below), so this keeps them exact.
-    if int(table.view(np.uint64).max()) >= n:
-        raise AssertionError(f"tabulation entry outside 0..{n - 1}")
     rng = np.random.default_rng((m, n))
     for x in rng.integers(0, n, size=min(16, n)):
         if int(table[x]) != pow(m, int(x), n):
@@ -175,17 +157,10 @@ def multiplicative_order(f: ExpMap, workspace: Optional[Workspace] = None) -> in
 Counts = Tuple[int, int, int, int]
 
 # The gathers below run np.take with mode="clip", since mode="raise" copies
-# through a fresh `out`.  No index is ever clipped: exp_map checked every
+# through a fresh `out`.  No index is ever clipped: ExpMap checks every
 # table entry to lie in 0..n-1, and the log route's indices are residues
 # mod ord.  ("wrap" reduces an index by repeated subtraction, so a wrong
 # one could stall the run rather than miscount.)
-
-
-def _own_workspace(n: int) -> Workspace:
-    """A workspace for one census of modulus n whose table lives elsewhere."""
-    workspace = Workspace()
-    workspace.table(n)
-    return workspace
 
 
 def _iterate_counts(table: np.ndarray, start: np.ndarray, target: np.ndarray,
@@ -208,7 +183,7 @@ def count_k_periodic(f: ExpMap, order: Optional[int] = None,
     S = <m> = image[:order], so the iteration runs from y = S; each step
     still gathers from the whole table."""
     if workspace is None:
-        workspace = _own_workspace(f.n)
+        workspace = Workspace(f.n)
     if order is None:
         order = multiplicative_order(f, workspace)
     s = f.image[:order]
@@ -224,7 +199,7 @@ def count_k_periodic_by_tables(f: ExpMap, order: Optional[int] = None,
     count_k_periodic reads, and reads no scratch slot of the workspace
     before writing it."""
     if workspace is None:
-        workspace = _own_workspace(f.n)
+        workspace = Workspace(f.n)
     if order is None:
         order = multiplicative_order(f, workspace)
     s = f.image[:order]
@@ -255,9 +230,9 @@ class CycleCensus:
 
 def cycle_census(m: int, n: int, workspace: Optional[Workspace] = None) -> CycleCensus:
     """Order of m and fix1..fix4 for one modulus.  Every array of size n or
-    ord is a view of the workspace's block; the result holds none."""
+    ord is a view of the workspace; the result holds none."""
     if workspace is None:
-        workspace = Workspace()
+        workspace = Workspace(n)
     f = exp_map(m, n, workspace)
     order = multiplicative_order(f, workspace)
     counts = count_k_periodic(f, order, workspace)
@@ -301,8 +276,11 @@ def prime_powers(p: int, r_min: int, r_max: int) -> List[int]:
 
 
 def _census_run(m: int, moduli: Sequence[int]) -> List[CycleCensus]:
-    """Censuses of the given moduli, in order, through one workspace."""
-    workspace = Workspace()
+    """Censuses of the given moduli, in order, through one workspace sized
+    to the largest."""
+    if not moduli:
+        return []
+    workspace = Workspace(max(moduli))
     return [cycle_census(m, n, workspace) for n in moduli]
 
 

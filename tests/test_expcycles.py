@@ -202,6 +202,21 @@ class TestCensusCheck:
         with pytest.raises(AssertionError, match=r"entry outside 0\.\.100"):
             cycle_census(self.M2, self.N2)
 
+    @pytest.mark.parametrize("entry", [-3, N2])
+    def test_directly_built_map_out_of_range_refused(self, entry):
+        """The routes index without a bounds check, so an ExpMap built
+        without exp_map must not reach them with an entry outside 0..n-1."""
+        table = expcycles._exp_table(self.M2, self.N2)
+        table[50] = entry
+        with pytest.raises(AssertionError, match=r"entry outside 0\.\.100"):
+            count_k_periodic(expcycles.ExpMap(self.M2, self.N2, table))
+
+    def test_exp_map_image_must_be_int64_of_length_n(self):
+        table = expcycles._exp_table(self.M2, self.N2)
+        for image in (table[:-1], table.astype(np.int32)):
+            with pytest.raises(ValueError, match="101 int64 entries"):
+                expcycles.ExpMap(self.M2, self.N2, image)
+
     def test_entry_out_of_range_exits_2(self, corrupted_entry, tmp_path):
         out = tmp_path / "out"
         assert main(["cycles", "--n", str(self.N2), "--m", str(self.M2), "--out", str(out)]) == 2
@@ -245,12 +260,11 @@ class TestWorkspace:
 
     @given(mixed_moduli())
     @example((2, [2187, 101, 4096 - 1, 9, 3]))      # smaller moduli after larger ones
-    @example((2, [2 ** 17 + 1, 97, 2 ** 18 + 1]))   # the workspace grows between censuses
     @settings(max_examples=60, deadline=None)
     def test_reuse_leaks_nothing(self, m_moduli):
         m, moduli = m_moduli
         fresh = [cycle_census(m, n) for n in moduli]
-        workspace = Workspace()
+        workspace = Workspace(max(moduli))
         assert [cycle_census(m, n, workspace) for n in moduli] == fresh
         assert run_sweep(m, moduli) == sorted(set(fresh), key=lambda r: r.n)
 
@@ -266,30 +280,34 @@ class TestWorkspace:
         fresh = [cycle_census(7, n) for n in moduli]
         monkeypatch.setattr(expcycles, "count_k_periodic",
                             _scratch_filled(expcycles.count_k_periodic, sentinel))
-        workspace = Workspace()
+        workspace = Workspace(max(moduli))
         assert [cycle_census(7, n, workspace) for n in moduli] == fresh
 
     def test_scratch_and_arange_stay_clear_of_the_table(self):
-        workspace = Workspace()
+        workspace = Workspace(1000)
         table = workspace.table(1000)
         table[:] = -7
         for a in workspace.scratch(999):
             a.fill(1)
         assert np.array_equal(workspace.arange(999), np.arange(999))
         assert (table == -7).all()
-        # a smaller census lays the block out afresh; the arange survives it
-        workspace.table(10)[:] = 0
-        for a in workspace.scratch(9):
-            a.fill(0)
-        workspace.table(1000)
-        assert np.array_equal(workspace.arange(999), np.arange(999))
+        assert not workspace.arange(999).flags.writeable
 
     @pytest.mark.parametrize("size", [10, 11])
     def test_scratch_beyond_the_census_modulus_refused(self, size):
-        workspace = Workspace()
+        workspace = Workspace(100)
         workspace.table(10)
         with pytest.raises(ValueError, match="modulus 10"):
             workspace.scratch(size)
+
+    def test_modulus_beyond_the_workspace_refused(self):
+        with pytest.raises(ValueError, match="workspace of 100"):
+            Workspace(100).table(101)
+
+    def test_int64_overflowing_workspace_refused(self):
+        # refused before any array is allocated
+        with pytest.raises(ValueError, match="int64"):
+            Workspace(3_037_000_501)
 
 
 class TestSweep:
