@@ -45,10 +45,11 @@ def main() -> int:
         return 1
     widths = WIDTHS[:plan.k] + [WIDTHS[-1]] * max(0, plan.k - len(WIDTHS))
 
+    max_l = max(widths) - 1     # F_k^-1 F_k = {a_2^l : |l| <= max_l}
     shapes3 = [a2_interval(w, 3) for w in widths]
-    phi = interval_model(1000, 3, 40)
+    phi = interval_model(1000, 3, max_l)
     shapes2 = [a2_interval(w, 2) for w in widths]
-    base = interval_model(101, 2, 33)
+    base = interval_model(101, 2, max_l)
     big = amplify(base, 10_000)
     try:
         t1 = quasi_tile(phi, shapes3, eps, eps)

@@ -53,17 +53,6 @@ class BsElement:
         D = max(self.d + self.e, 0)
         return _normal(self.m, -self.e, -self.num * self.m ** (D - self.d - self.e), D)
 
-    def __pow__(self, k: int) -> "BsElement":
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        result = bs_identity(self.m)
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def sort_key(self):
         return (self.e, self.d, self.num)
 
@@ -90,10 +79,6 @@ def _normal(m: int, e: int, num: int, d: int) -> BsElement:
         num //= m
         d -= 1
     return BsElement(m, e, num, d)
-
-
-def bs_identity(m: int) -> BsElement:
-    return BsElement(m, 0, 0, 0)
 
 
 def bs_a1(m: int) -> BsElement:

@@ -147,19 +147,24 @@ _TILING_EPS = _check(lambda eps: 0 < eps <= Fraction(1, 4),
 
 
 def _moduli(n: Optional[int], resolved: Dict[str, object]) -> List[int]:
-    """cycles' --n, read after --primes and --prime-powers (whose text it
-    parses), resolves to every modulus the three give; they must give one."""
-    primes, powers = resolved["primes"], resolved["prime_powers"]
+    """cycles' --n, read after --m, --primes and --prime-powers (whose text
+    it parses), resolves to every modulus the three give.  One of them must
+    be a modulus the sweep runs, >= 2 and coprime to m; the sweep skips the
+    others."""
+    m, primes, powers = resolved["m"], resolved["primes"], resolved["prime_powers"]
     moduli = segmented_sieve(*_parse_range(primes)) if primes else []
     moduli += prime_powers(*_parse_prime_powers(powers)) if powers else []
     if n is not None:
         if n < 2:
             raise UsageError("modulus must be >= 2")
         moduli.append(n)
-    if not moduli:
+    if not any(k >= 2 and math.gcd(m, k) == 1 for k in moduli):
         given = [f"{_flag(k)} {resolved[k]}" for k in ("primes", "prime_powers") if resolved[k]]
-        raise UsageError("no modulus in " + " or ".join(given) if given
-                         else "cycles needs --primes, --prime-powers or --n")
+        given += [f"--n {n}"] if n is not None else []
+        if not given:
+            raise UsageError("cycles needs --primes, --prime-powers or --n")
+        skipped = f" is >= 2 and coprime to m = {m}" if moduli else ""
+        raise UsageError("no modulus in " + " or ".join(given) + skipped)
     return moduli
 
 
@@ -305,9 +310,9 @@ def _cmd_tile(v) -> Outcome:
     n, m, eps, kappa = v["n"], v["m"], v["eps"], v["kappa"]
     plan = plan_parameters(eps, kappa)
     shapes = interval_shapes(plan.k, m)
-    max_w = max(len(s) for s in shapes)
+    max_w = max(len(s) for s in shapes)     # F_k^-1 F_k = {a_2^l : |l| < max_w}
     phi = ArithmeticModel(n, m).approx_on([BsElement(m, 0, ell, 0)
-                                           for ell in range(-max_w, max_w + 1)])
+                                           for ell in range(1 - max_w, max_w)])
     tiling = quasi_tile(phi, shapes, eps, kappa)
     report = verify_tiling(tiling)
     return {"tiling.json": tiling.to_json() + "\n", "tile_report.json": _json({

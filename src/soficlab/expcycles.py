@@ -5,8 +5,9 @@ emitting deterministic CSV rows.
 f is a function, never assumed to be a permutation.  Its periodic points lie
 in its image S = <m> = image[:ord], so the k-iterate counts run on S by two
 routes: iteration of f, and iteration of the conjugate map
-G(i) = S[i] mod ord in discrete-log coordinates.  A sweep runs its censuses
-through one Workspace, so no modulus allocates arrays of its own.
+G(i) = S[i] mod ord in discrete-log coordinates.  Every array of size n or
+ord is a view of a Workspace; a sweep runs its censuses through one, so no
+modulus allocates arrays of its own.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from multiprocessing import Pool
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -99,17 +99,14 @@ class Workspace:
         return self._arange[:size]
 
 
-def _exp_table(m: int, n: int, workspace: Optional[Workspace] = None) -> np.ndarray:
+def _exp_table(m: int, n: int, workspace: Workspace) -> np.ndarray:
     """m^x mod n for all x in {0..n-1} by doubling: once out[:k] holds
     m^0..m^(k-1), out[k:2k] = out[:k] * m^k mod n.  ceil(log2 n) contiguous
     passes.  Each block is reduced as block - (block // n) * n, since integer
     division by a scalar is far cheaper in numpy than np.remainder; this is
     exact because 0 <= block < n^2 <= 2^63 - 1 for n <= MAX_MODULUS, so the
     floor quotient is the true one and no intermediate overflows."""
-    if workspace is None:
-        out, quot = np.empty(n, dtype=np.int64), np.empty(n // 2, dtype=np.int64)
-    else:
-        out, quot = workspace.table(n), workspace.scratch(n // 2)[1]
+    out, quot = workspace.table(n), workspace.scratch(n // 2)[1]
     out[0] = 1
     k, m_k = 1, m % n
     while k < n:
@@ -126,12 +123,14 @@ def _exp_table(m: int, n: int, workspace: Optional[Workspace] = None) -> np.ndar
 def exp_map(m: int, n: int, workspace: Optional[Workspace] = None) -> ExpMap:
     """Tabulate x -> m^x mod n; every entry is checked to lie in {0..n-1}
     (by ExpMap), and the table is cross-checked against square-and-multiply
-    at 16 deterministic sample points.  Without a workspace the table is a
-    fresh array; with one it is a read-only view of the workspace's table,
-    valid until the workspace's next census."""
+    at 16 deterministic sample points.  The table is a read-only view of the
+    workspace's table, valid until the workspace's next census; without a
+    workspace it is the table of a Workspace(n) of its own."""
     _check_modulus(n)
     if math.gcd(m, n) != 1:
         raise ValueError(f"gcd({m}, {n}) != 1")
+    if workspace is None:
+        workspace = Workspace(n)
     table = _exp_table(m, n, workspace)
     rng = np.random.default_rng((m, n))
     for x in rng.integers(0, n, size=min(16, n)):
@@ -143,7 +142,9 @@ def exp_map(m: int, n: int, workspace: Optional[Workspace] = None) -> ExpMap:
 
 def multiplicative_order(f: ExpMap, workspace: Optional[Workspace] = None) -> int:
     """Smallest x > 0 with m^x = 1 mod n, straight off the table."""
-    flags = np.empty(f.n - 1, dtype=bool) if workspace is None else workspace.scratch(f.n - 1)[0]
+    if workspace is None:
+        workspace = Workspace(f.n)
+    flags = workspace.scratch(f.n - 1)[0]
     ones = np.equal(f.image[1:], 1, out=flags)
     first = int(ones.argmax())         # stops at the first True
     if not ones[first]:
@@ -218,14 +219,6 @@ class CycleCensus:
     m: int
     order: int                 # multiplicative order of m mod n
     fixed: Counts              # counts for k = 1..4
-
-    @property
-    def frac3(self) -> Fraction:
-        return Fraction(self.fixed[2], self.n)
-
-    @property
-    def frac4(self) -> Fraction:
-        return Fraction(self.fixed[3], self.n)
 
 
 def cycle_census(m: int, n: int, workspace: Optional[Workspace] = None) -> CycleCensus:
@@ -303,10 +296,12 @@ CSV_HEADER = "n,m,order,fix1,fix2,fix3,fix4,frac3,frac4"
 
 
 def sweep_csv(rows: Iterable[CycleCensus]) -> str:
-    """Deterministic CSV: fixed column order, 10-digit decimals, LF endings."""
+    """Deterministic CSV: fixed column order, 10-digit decimals, LF endings.
+    frac3 and frac4 are fix3 / n and fix4 / n, int divisions that CPython
+    rounds correctly, as float(Fraction(fix, n)) is."""
     lines = [CSV_HEADER]
     for r in rows:
         lines.append("%d,%d,%d,%d,%d,%d,%d,%.10f,%.10f" % (
             r.n, r.m, r.order, r.fixed[0], r.fixed[1], r.fixed[2], r.fixed[3],
-            float(r.frac3), float(r.frac4)))
+            r.fixed[2] / r.n, r.fixed[3] / r.n))
     return "\n".join(lines) + "\n"

@@ -41,10 +41,6 @@ def _law_failures(image: np.ndarray, m: int, n: int) -> np.ndarray:
     return np.flatnonzero(shifted != m * image % n)
 
 
-def _law_failures_slow(image: np.ndarray, m: int, n: int) -> List[int]:
-    return [x for x in range(n) if int(image[(x + 1) % n]) != m * int(image[x]) % n]
-
-
 def defect_report(f: Permutation, m: int) -> DefectReport:
     """Full scan for both local laws; each set is computed by two
     independent routes that must agree."""
@@ -52,7 +48,8 @@ def defect_report(f: Permutation, m: int) -> DefectReport:
     if math.gcd(m, n) != 1:
         raise ValueError(f"gcd({m}, {n}) != 1")
     fast = _law_failures(f.image, m, n)
-    if fast.tolist() != _law_failures_slow(f.image, m, n):
+    flags = _law_flags(f.image.tolist(), m, n)
+    if fast.tolist() != [x for x, bad in enumerate(flags) if bad]:
         raise AssertionError("defect-set scans disagree")
     fours = np.flatnonzero(iterate(f.image, 4) != np.arange(n))
     f2 = f.image[f.image]

@@ -101,10 +101,10 @@ def check_sofic(phi: SoficApprox, delta) -> SoficReport:
 class ArithmeticModel:
     """Lazy exact homomorphism psi of BS(1,m) into Sym(n), gcd(m, n) = 1.
 
-    Permutations are synthesized on demand from the normal form (e, num, d)
-    and memoized; quasi-tiling runs query thousands of Folner elements, with
-    few distinct dilations m^e mod n, so each image is one table a x mod n
-    shifted by b.
+    Each call synthesizes g's permutation from its normal form (e, num, d):
+    the table a x mod n for a = m^e, shifted by b.  Only that table is kept,
+    one per dilation: a run's domains hold few dilations, while approx_on
+    asks for each key once, so a memo per key would never be hit.
     """
 
     def __init__(self, n: int, m: int):
@@ -114,24 +114,19 @@ class ArithmeticModel:
             raise ValueError(f"gcd({m}, {n}) != 1")
         self.n = n
         self.m = m
-        self._cache: Dict[BsElement, Permutation] = {}
         self._scaled: Dict[int, np.ndarray] = {}     # a -> a x mod n, one per dilation
 
     def permutation(self, g: BsElement) -> Permutation:
         if g.m != self.m:
             raise ValueError(f"element base {g.m} != model base {self.m}")
-        perm = self._cache.get(g)
-        if perm is None:
-            a = pow(self.m, g.e, self.n)
-            scaled = self._scaled.get(a)
-            if scaled is None:
-                scaled = self._scaled[a] = a * np.arange(self.n, dtype=np.int64) % self.n
-            b = g.num * pow(self.m, -g.d, self.n) % self.n
-            img = scaled - b            # in (-n, n): one add of n reduces it mod n
-            np.add(img, self.n, out=img, where=img < 0)
-            perm = Permutation(img, _trusted=True)
-            self._cache[g] = perm
-        return perm
+        a = pow(self.m, g.e, self.n)
+        scaled = self._scaled.get(a)
+        if scaled is None:
+            scaled = self._scaled[a] = a * np.arange(self.n, dtype=np.int64) % self.n
+        b = g.num * pow(self.m, -g.d, self.n) % self.n
+        img = scaled - b            # in (-n, n): one add of n reduces it mod n
+        np.add(img, self.n, out=img, where=img < 0)
+        return Permutation(img, _trusted=True)
 
     def approx_on(self, S: Iterable[BsElement]) -> SoficApprox:
         return SoficApprox(self.n, {g: self.permutation(g) for g in S})

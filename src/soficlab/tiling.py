@@ -245,11 +245,17 @@ class Tiling:
     def from_json(cls, text: str) -> "Tiling":
         """Read a certificate.  Every integer field must be a JSON integer:
         a float or a string is rejected rather than converted, and so is a
-        bool outside a table row (see _json_image)."""
+        bool outside a table row (see _json_image).  A key listed twice is
+        rejected too, whichever of its images would verify."""
         data = json.loads(text)
         if data.get("key_kind") != "element":
             raise ValueError(f"unsupported key kind {data.get('key_kind')!r}")
-        table = {BsElement.from_obj(obj): _json_image(img, obj) for obj, img in data["table"]}
+        table: Dict[BsElement, Permutation] = {}
+        for obj, img in data["table"]:
+            g = BsElement.from_obj(obj)
+            if g in table:
+                raise ValueError(f"table lists key {g} twice")
+            table[g] = _json_image(img, obj)
         levels = tuple(_json_level(lvl) for lvl in data["levels"])
         return cls(json_int(data["n"], "n"), _json_fraction(data["eps"], "eps"),
                    _json_fraction(data["kappa"], "kappa"), levels, table,

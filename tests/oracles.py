@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from soficlab.bsgroup import BsElement, bs_a1, bs_a2, bs_identity
+from soficlab.bsgroup import BsElement, bs_a1, bs_a2
 from soficlab.perm import Permutation
 from soficlab.soficcheck import SoficApprox
 from soficlab.tiling import Tiling, level_points
@@ -84,20 +84,24 @@ Word = Tuple[Letter, ...]
 
 
 def word_value(w: Iterable[Letter], images: Mapping, identity):
-    """Evaluate [(gen, exp), ...] left to right as images[gen] ** exp under
-    (g * h)(x) = g(h(x)).  Works for any type with * and ** (elements,
-    permutations); inverse letters use exact inverses, so w * w^-1 cancels."""
+    """Evaluate [(gen, exp), ...] left to right under (g * h)(x) = g(h(x)),
+    multiplying by images[gen] exp times, or by its inverse -exp times when
+    exp < 0.  Works for any type with * and inverse (elements,
+    permutations), and runs no square-and-multiply power; inverse letters
+    use exact inverses, so w * w^-1 cancels."""
     result = identity
     for gen, exp in w:
         if gen not in images:
             raise KeyError(f"generator {gen!r} has no image")
-        result = result * (images[gen] ** exp)
+        g = images[gen] if exp >= 0 else images[gen].inverse()
+        for _ in range(abs(exp)):
+            result = result * g
     return result
 
 
 def evaluate_word(w: Word, m: int) -> BsElement:
     """Evaluate a word in generators a1, a2 to a normalized element."""
-    return word_value(w, {"a1": bs_a1(m), "a2": bs_a2(m)}, bs_identity(m))
+    return word_value(w, {"a1": bs_a1(m), "a2": bs_a2(m)}, BsElement(m, 0, 0, 0))
 
 
 def _generator_images(phi: SoficApprox) -> Dict[str, Permutation]:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from soficlab.cli import (REQUIRED, _SUBCOMMANDS, _draw_unit, interval_shapes, load_config,
                           main)
-from soficlab.tiling import Tiling, verify_tiling
+from soficlab.soficcheck import ArithmeticModel
+from soficlab.tiling import Tiling, inverse_products, plan_parameters, verify_tiling
 
 
 def run(tmp_path, *argv):
@@ -127,7 +129,9 @@ class TestCycles:
         assert "cycles needs --primes, --prime-powers or --n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option", [
-        "--primes=24..28", "--primes=5..3", "--prime-powers=3:2..1"])
+        "--primes=24..28", "--primes=5..3", "--prime-powers=3:2..1",
+        # moduli that the sweep would skip, each one below 2 or sharing a factor with m
+        "--n=4", "--primes=2..2", "--prime-powers=1:1..3"])
     def test_empty_range_says_so(self, tmp_path, capsys, option):
         code, out = run(tmp_path, "cycles", "--m", "2", option)
         assert code == 1
@@ -174,6 +178,17 @@ def empty_level_3_shape(data):
 
 def repeat_level_2_key(data):
     data["levels"][1]["shape"].append(data["levels"][1]["shape"][0])
+
+
+def repeat_table_key_before(data):
+    # a reader keeping the last row would verify the real image
+    key, image = data["table"][0]
+    data["table"].insert(0, [key, image[::-1]])
+
+
+def repeat_table_key_after(data):
+    key, image = data["table"][0]
+    data["table"].insert(1, [key, image[::-1]])
 
 
 class TestTileVerify:
@@ -230,6 +245,8 @@ class TestTileVerify:
         (drop_table_key, "table has no permutation for shape key"),
         (empty_level_3_shape, "Folner shape F_3 is empty"),
         (repeat_level_2_key, "Folner shape F_2 repeats a key"),
+        (repeat_table_key_before, "table lists key BsElement(m=3, e=0, num=0, d=0) twice"),
+        (repeat_table_key_after, "table lists key BsElement(m=3, e=0, num=0, d=0) twice"),
     ])
     def test_verify_rejects_certificate_off_plan(self, tmp_path, mutate, reason):
         code, out = run(tmp_path, "tile", "--n", "1000")
@@ -261,6 +278,22 @@ class TestTileVerify:
         assert code == 1
         assert f"kappa = {kappa} must be positive" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_tile_tabulates_exactly_inverse_products(self, tmp_path, monkeypatch):
+        """tile asks the model for F_k^-1 F_k, the keys the B-mask reads, and
+        for no other key."""
+        domains, real = [], ArithmeticModel.approx_on
+
+        def recording(model, keys):
+            domains.append(list(keys))
+            return real(model, domains[-1])
+        monkeypatch.setattr(ArithmeticModel, "approx_on", recording)
+        code, _ = run(tmp_path, "tile", "--n", "1000")
+        assert code == 0
+        top = interval_shapes(plan_parameters(Fraction(1, 4), Fraction(1, 4)).k, 3)[-1]
+        [keys] = domains
+        assert len(keys) == len(set(keys))
+        assert set(keys) == set().union(*inverse_products(top))
 
     def test_interval_shapes_monotone(self):
         shapes = interval_shapes(8, 3)
@@ -408,6 +441,8 @@ def test_m_not_a_unit_is_usage_error(tmp_path, capsys, argv):
     (("cycles", "--m=-2", "--n", "101"), "base --m = -2 must be >= 2"),
     (("cycles", "--m", "0", "--n", "101"), "base --m = 0 must be >= 2"),
     (("cycles", "--m", "1", "--n", "101"), "base --m = 1 must be >= 2"),
+    (("cycles", "--m", "2", "--prime-powers", "1:1..3"),
+     "no modulus in --prime-powers 1:1..3 is >= 2 and coprime to m = 2"),
 ])
 def test_degree_or_base_below_two_is_usage_error(tmp_path, capsys, argv, message):
     code, out = run(tmp_path, *argv)

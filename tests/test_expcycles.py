@@ -74,8 +74,9 @@ class TestExpMap:
             exp_map(2, 3_037_000_501)
 
     def test_table_on_its_own_is_fresh_and_read_only(self):
-        table = exp_map(3, 1000).image
-        assert table.flags.owndata and not table.flags.writeable
+        first, second = exp_map(3, 1000).image, exp_map(3, 1000).image
+        assert not np.shares_memory(first, second)
+        assert not first.flags.writeable and not second.flags.writeable
 
     def test_multiplicative_order(self):
         f = exp_map(2, 5)
@@ -124,7 +125,10 @@ class TestPeriodicCounts:
             fix1, fix2, fix3, fix4 = cycle_census(m, n).fixed
             assert fix1 <= fix2 <= fix4 and fix1 <= fix3
         c = cycle_census(2, 101)
-        assert c.frac3 == Fraction(c.fixed[2], 101)
+        # the CSV's int division gives the bytes float(Fraction(...)) gives
+        frac3, frac4 = sweep_csv([c]).splitlines()[1].split(",")[-2:]
+        assert frac3 == "%.10f" % float(Fraction(c.fixed[2], 101))
+        assert frac4 == "%.10f" % float(Fraction(c.fixed[3], 101))
         assert c.order == multiplicative_order(exp_map(2, 101))
 
 
@@ -154,7 +158,7 @@ class TestCensusCheck:
         reads table[x], the spot check does not sample x, and the order scan
         still finds ord(m), so only the iteration route sees the change."""
         real = expcycles._exp_table
-        table = real(self.M, self.N)
+        table = real(self.M, self.N, Workspace(self.N))
         order = multiplicative_order(expcycles.ExpMap(self.M, self.N, table))
         sampled = set(np.random.default_rng((self.M, self.N)).integers(0, self.N, size=16).tolist())
         x = next(int(x) for x in table[:order]
@@ -187,7 +191,7 @@ class TestCensusCheck:
         index from the end and the census exits 0, and an entry n raises
         IndexError, which leaves no manifest."""
         real = expcycles._exp_table
-        table = real(self.M2, self.N2)
+        table = real(self.M2, self.N2, Workspace(self.N2))
         order = multiplicative_order(expcycles.ExpMap(self.M2, self.N2, table))
         sampled = set(np.random.default_rng((self.M2, self.N2)).integers(0, self.N2, size=16).tolist())
         x = max(int(x) for x in table[:order] if x not in sampled)
@@ -206,13 +210,13 @@ class TestCensusCheck:
     def test_directly_built_map_out_of_range_refused(self, entry):
         """The routes index without a bounds check, so an ExpMap built
         without exp_map must not reach them with an entry outside 0..n-1."""
-        table = expcycles._exp_table(self.M2, self.N2)
+        table = expcycles._exp_table(self.M2, self.N2, Workspace(self.N2))
         table[50] = entry
         with pytest.raises(AssertionError, match=r"entry outside 0\.\.100"):
             count_k_periodic(expcycles.ExpMap(self.M2, self.N2, table))
 
     def test_exp_map_image_must_be_int64_of_length_n(self):
-        table = expcycles._exp_table(self.M2, self.N2)
+        table = expcycles._exp_table(self.M2, self.N2, Workspace(self.N2))
         for image in (table[:-1], table.astype(np.int32)):
             with pytest.raises(ValueError, match="101 int64 entries"):
                 expcycles.ExpMap(self.M2, self.N2, image)

@@ -19,12 +19,17 @@ from soficlab.localexp import (PadicContext, defect_report,
                                h3_witness, min_mezo_fraction,
                                padic_fixed_point, search_local_exp)
 from soficlab.localexp import (SearchResult, _enumerate_order4, _law_failures,
-                               _law_failures_slow, _random_order4)
+                               _law_flags, _random_order4)
 from soficlab.perm import Permutation, hamming
 
 
 def random_bijection(n, seed):
     return Permutation(np.random.default_rng(seed).permutation(n))
+
+
+def flagged(img, m, n):
+    """The law failures by the list scan that defect_report checks against."""
+    return [x for x, bad in enumerate(_law_flags(img.tolist(), m, n)) if bad]
 
 
 bijections = st.tuples(st.integers(5, 40), st.integers(0, 2**32 - 1)).map(
@@ -36,7 +41,7 @@ class TestDefectReport:
     # both scans that defect_report compares
     def test_running_product_wraparound_only(self):
         img = exp_table_by_product(2, 5)
-        assert _law_failures(img, 2, 5).tolist() == _law_failures_slow(img, 2, 5) == [4]
+        assert _law_failures(img, 2, 5).tolist() == flagged(img, 2, 5) == [4]
 
     def test_identity_defect(self):
         rep = defect_report(Permutation.identity(5), 2)
@@ -49,7 +54,7 @@ class TestDefectReport:
 
     def test_fractions_exact(self):
         img = exp_table_by_product(2, 5)
-        fast, slow = _law_failures(img, 2, 5), _law_failures_slow(img, 2, 5)
+        fast, slow = _law_failures(img, 2, 5), flagged(img, 2, 5)
         assert Fraction(fast.size, 5) == Fraction(len(slow), 5) == Fraction(1, 5)
 
     def test_non_coprime_rejected(self):
@@ -234,7 +239,7 @@ class TestNorviAudit:
 
     def test_recount_survives_optimize(self):
         # the dichotomy reads its law count from defect_report, whose second
-        # scan is an explicit check: a skewed _law_failures_slow must still
+        # scan is an explicit check: a skewed _law_flags must still
         # fail the report under -O
         script = textwrap.dedent("""
             import sys
@@ -243,8 +248,9 @@ class TestNorviAudit:
             from soficlab.perm import Permutation
             if not sys.flags.optimize:
                 sys.exit(3)
-            real = le._law_failures_slow
-            le._law_failures_slow = lambda image, m, n: real(image, m, n) + [n]
+            real = le._law_flags
+            le._law_flags = lambda img, m, n: [b != (x == n - 1)
+                                               for x, b in enumerate(real(img, m, n))]
             f = Permutation(np.random.default_rng(3).permutation(27))
             try:
                 le.defect_report(f, 2)
