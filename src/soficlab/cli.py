@@ -299,7 +299,6 @@ def interval_shapes(k: int, m: int) -> List[frozenset]:
     for _ in range(k):
         widths.append(min(32, max(2, int(round(w)))))
         w *= 1.45
-    widths = sorted(widths)
     return [a2_interval(width, m) for width in widths]
 
 

@@ -120,7 +120,6 @@ def build_conjugator(phi1: SoficApprox, phi2: SoficApprox, eps,
 class ConjugacyReport:
     per_key: Dict[BsElement, HammingValue]
     max_defect: HammingValue
-    eps: Fraction
     passed: bool
 
 
@@ -141,4 +140,4 @@ def conjugacy_defect(c: Conjugator, phi1: SoficApprox, phi2: SoficApprox,
         per[s] = d
         if worst is None or d > worst:
             worst = d
-    return ConjugacyReport(per, worst, c.eps, worst <= c.eps)
+    return ConjugacyReport(per, worst, worst <= c.eps)

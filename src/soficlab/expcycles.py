@@ -65,21 +65,21 @@ class Workspace:
       quotients, a route's iterates and the log route's map G.  Every call
       returns the same memory, so a caller writes these arrays before
       reading them, and holds those of one call at a time;
-    - `arange(size)` is 0..size-1, read-only.
+    - `arange(size)` is 0..size-1, read-only.  Its array, 8 n_max bytes,
+      is built in full on the first call, and only the log route calls it.
 
-    No view may outlive its census.  Only the arange, 8 n_max bytes, is
-    written up front.  The kernel maps a page of the other arrays when a
-    census first touches it, and every view starts at the front of its
-    array, so a census of modulus n with ord(m) = o touches 8 n bytes of
-    table and n + max(4 n, 24 o) of scratch."""
+    No view may outlive its census.  Nothing else is written up front: the
+    kernel maps a page of the other arrays when a census first touches it,
+    and every view starts at the front of its array, so a census of modulus
+    n with ord(m) = o touches 8 n bytes of table and n + max(4 n, 24 o) of
+    scratch."""
 
     def __init__(self, n_max: int) -> None:
         _check_modulus(n_max)
         self._table = np.empty(n_max, dtype=np.int64)
         self._flags = np.empty(n_max - 1, dtype=np.bool_)
         self._ints = np.empty(3 * (n_max - 1), dtype=np.int64)
-        self._arange = np.arange(n_max - 1, dtype=np.int64)
-        self._arange.setflags(write=False)
+        self._arange: Optional[np.ndarray] = None
         self._n = n_max             # modulus of the current census
 
     def table(self, n: int) -> np.ndarray:
@@ -96,6 +96,9 @@ class Workspace:
     def arange(self, size: int) -> np.ndarray:
         if size >= self._n:
             raise ValueError(f"arange of {size} for modulus {self._n}")
+        if self._arange is None:
+            self._arange = np.arange(self._table.size - 1, dtype=np.int64)
+            self._arange.setflags(write=False)
         return self._arange[:size]
 
 

@@ -24,9 +24,6 @@ class RationalSeq:
             raise IndexError(f"n = {n} outside 1..{len(self.values)}")
         return self.values[n - 1]
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def p_sequence(N: int) -> RationalSeq:
     """P_1 = P_2 = 1, P_3 = P_4 = 2/3, and

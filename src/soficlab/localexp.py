@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .perm import HammingValue, Permutation, displacement, hamming, iterate
+from .perm import HammingValue, Permutation, displacement, iterate
 
 
 # ---------------------------------------------------------------------------
@@ -28,12 +28,9 @@ from .perm import HammingValue, Permutation, displacement, hamming, iterate
 
 @dataclass(frozen=True)
 class DefectReport:
-    n: int
-    m: int
     defect_set: Tuple[int, ...]             # {x : f(x+1) != m f(x)}, cyclic
     four_periodic_failures: Tuple[int, ...]  # {x : f^4(x) != x}
     defect_fraction: Fraction
-    failure_fraction: Fraction
 
 
 def _law_failures(image: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -55,8 +52,7 @@ def defect_report(f: Permutation, m: int) -> DefectReport:
     f2 = f.image[f.image]
     if not np.array_equal(fours, np.flatnonzero(f2[f2] != np.arange(n))):
         raise AssertionError("four-periodic scans disagree")
-    return DefectReport(n, m, tuple(fast.tolist()), tuple(fours.tolist()),
-                        Fraction(fast.size, n), Fraction(fours.size, n))
+    return DefectReport(tuple(fast.tolist()), tuple(fours.tolist()), Fraction(fast.size, n))
 
 
 def min_mezo_fraction(n: int, m: int) -> Fraction:
@@ -85,8 +81,6 @@ def min_mezo_fraction(n: int, m: int) -> Fraction:
 
 @dataclass(frozen=True)
 class H3Report:
-    n: int
-    m: int
     w_defects: Tuple[HammingValue, HammingValue, HammingValue]
     g1_displacement: HammingValue       # always 1 (every point moves)
 
@@ -94,16 +88,16 @@ class H3Report:
 def h3_witness(p: Permutation, m: int) -> H3Report:
     """Build g_1(x) = x - 1, g_3 = p g_1 p^{-1}, g_2 = p^2 g_1 p^{-2} and
     measure the Hamming defect of the three cyclic conjugation relators
-    w_i = a_i^{-1} a_{i+1} a_i a_{i+1}^{-m} under a_i -> g_i."""
+    w_i = a_i^{-1} a_{i+1} a_i a_{i+1}^{-m} under a_i -> g_i, that is the
+    displacement of each w_i."""
     n = p.n
     p_inv = p.inverse()
     g1 = Permutation((np.arange(n) - 1) % n, _trusted=True)
     g3 = p.compose(g1).compose(p_inv)
     g2 = p.compose(g3).compose(p_inv)
-    ident = Permutation.identity(n)
-    defects = tuple(hamming(gi.inverse().compose(gj).compose(gi).compose(gj ** -m), ident)
+    defects = tuple(displacement(gi.inverse().compose(gj).compose(gi).compose(gj ** -m))
                     for gi, gj in ((g1, g2), (g2, g3), (g3, g1)))
-    return H3Report(n, m, defects, displacement(g1))
+    return H3Report(defects, displacement(g1))
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +278,9 @@ def _resample_delta(cur: List[int], bad: List[bool], touched: Set[int],
 def search_local_exp(n: int, m: int, budget: int = 200_000,
                      seed: int = 0) -> SearchResult:
     """Minimize the defect-set size over bijections with f^4 = id.
-    Exhaustive for n <= 10 (within budget), simulated annealing above; the
-    winner's defect count is recomputed independently before returning.
+    Exhaustive for n <= 10 when the budget covers every map, simulated
+    annealing above; the winner's defect count is recomputed independently
+    before returning.
 
     An annealing step resamples the cycles through two random points and
     updates the defect from the flags next to the touched points, so it
@@ -299,18 +294,18 @@ def search_local_exp(n: int, m: int, budget: int = 200_000,
     best = n + 1
 
     if exhaustive:
-        evals = 0
-        for assignment in _enumerate_order4(list(range(n))):
+        # a budget of b scores b maps, and at least one; the enumeration is
+        # cut short only when a map beyond the budget is left
+        for evals, assignment in enumerate(_enumerate_order4(list(range(n)))):
+            if evals >= max(budget, 1):
+                budget_exhausted = True
+                exhaustive = False
+                break
             img = [assignment[x] for x in range(n)]
             d = sum(_law_flags(img, m, n))
             # the first assignment always wins on d < best = n + 1
             if d < best or (d == best and img < best_img):
                 best, best_img = d, img
-            evals += 1
-            if evals >= budget:
-                budget_exhausted = True
-                exhaustive = False
-                break
     else:
         rng = random.Random(seed)
         cur = list(range(n))

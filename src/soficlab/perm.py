@@ -35,9 +35,6 @@ class HammingValue:
     def value(self) -> Fraction:
         return Fraction(self.numerator, self.n)
 
-    def __float__(self) -> float:
-        return self.numerator / self.n
-
     def _other(self, other) -> Fraction:
         if isinstance(other, HammingValue):
             return other.value
@@ -114,9 +111,6 @@ class Permutation:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and np.array_equal(self.image, other.image)
-
-    def __hash__(self) -> int:
-        return hash(self.image.tobytes())
 
     def __repr__(self) -> str:
         return f"Permutation({self.image.tolist()})"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
@@ -47,12 +47,8 @@ class SoficApprox:
 
 @dataclass(frozen=True)
 class SoficReport:
-    n: int
-    delta: Fraction
     max_defect: Optional[HammingValue]
-    defect_witness: Optional[Tuple[BsElement, BsElement]]
     min_displacement: Optional[HammingValue]
-    displacement_witness: Optional[BsElement]
     triples_checked: int
     passed: bool
 
@@ -63,36 +59,15 @@ def check_sofic(phi: SoficApprox, delta) -> SoficReport:
     if not phi.table:
         raise ValueError("empty domain")
     delta = Fraction(delta)
-    keys = sorted(phi.table, key=BsElement.sort_key)
-    key_set = set(keys)
-
-    max_defect: Optional[HammingValue] = None
-    defect_witness = None
-    triples = 0
-    for g in keys:
-        pg = phi.table[g]
-        for h in keys:
-            gh = g * h
-            if gh not in key_set:
-                continue
-            triples += 1
-            d = hamming(pg.compose(phi.table[h]), phi.table[gh])
-            if max_defect is None or d > max_defect:
-                max_defect, defect_witness = d, (g, h)
-
-    min_disp: Optional[HammingValue] = None
-    disp_witness = None
-    for g in keys:
-        if g.is_identity():
-            continue
-        d = displacement(phi.table[g])
-        if min_disp is None or d < min_disp:
-            min_disp, disp_witness = d, g
-
+    table = phi.table
+    defects = [hamming(table[g].compose(table[h]), table[gh])
+               for g in table for h in table if (gh := g * h) in table]
+    max_defect = max(defects, default=None)
+    min_disp = min((displacement(p) for g, p in table.items() if not g.is_identity()),
+                   default=None)
     ok_defect = max_defect is None or max_defect < delta
     ok_disp = min_disp is None or min_disp > 1 - delta
-    return SoficReport(phi.n, delta, max_defect, defect_witness,
-                       min_disp, disp_witness, triples, ok_defect and ok_disp)
+    return SoficReport(max_defect, min_disp, len(defects), ok_defect and ok_disp)
 
 
 # ---------------------------------------------------------------------------

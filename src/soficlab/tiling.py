@@ -87,7 +87,10 @@ def _check_shapes(shapes: Sequence[Sequence[BsElement]], plan: PlanParams) -> No
 @dataclass(frozen=True)
 class SetFamily:
     """Subsets of the ground set {0..n-1}, all of one size: row i of sets
-    holds the distinct points of the i-th set offered."""
+    holds the points of the i-th set offered, which must be distinct; only
+    the range is checked.  The rows quasi_tile offers are phi(F_j)c for
+    centers c in B, and _b_mask admits c to B only where the points phi(g)c,
+    g in F_k, are distinct."""
     n: int
     sets: np.ndarray        # (|C|, w) int
 
@@ -95,12 +98,9 @@ class SetFamily:
         sets = np.asarray(self.sets, dtype=np.int64)
         if sets.ndim != 2:
             raise ValueError(f"sets of shape {sets.shape} are not rows of one width")
-        rows = np.sort(sets, axis=1)
-        outside = (rows[:, :1] < 0) | (rows[:, -1:] >= self.n)
-        for bad, what in ((outside, "has an element outside the ground set"),
-                          (rows[:, 1:] == rows[:, :-1], "repeats a point")):
-            if bad.any():
-                raise ValueError(f"set {np.argmax(bad.any(axis=1))} {what}")
+        outside = (sets.min(axis=1) < 0) | (sets.max(axis=1) >= self.n)
+        if outside.any():
+            raise ValueError(f"set {np.argmax(outside)} has an element outside the ground set")
         object.__setattr__(self, "sets", sets)
 
 
@@ -246,28 +246,44 @@ class Tiling:
         """Read a certificate.  Every integer field must be a JSON integer:
         a float or a string is rejected rather than converted, and so is a
         bool outside a table row (see _json_image).  A key listed twice is
-        rejected too, whichever of its images would verify."""
-        data = json.loads(text)
-        if data.get("key_kind") != "element":
-            raise ValueError(f"unsupported key kind {data.get('key_kind')!r}")
+        rejected too, whichever of its images would verify, and so is an
+        object, level or table row of the wrong shape, by its field."""
+        data = _json_object(json.loads(text), "certificate",
+                            ("key_kind", "n", "eps", "kappa", "b_size", "levels", "table"))
+        if data["key_kind"] != "element":
+            raise ValueError(f"unsupported key kind {data['key_kind']!r}")
         table: Dict[BsElement, Permutation] = {}
-        for obj, img in data["table"]:
+        for i, row in enumerate(data["table"]):
+            if type(row) is not list or len(row) != 2:
+                raise ValueError(f"table[{i}] is not a [key, image] pair")
+            obj, img = row
             g = BsElement.from_obj(obj)
             if g in table:
                 raise ValueError(f"table lists key {g} twice")
             table[g] = _json_image(img, obj)
-        levels = tuple(_json_level(lvl) for lvl in data["levels"])
+        levels = tuple(_json_level(lvl, f"levels[{i}]") for i, lvl in enumerate(data["levels"]))
         return cls(json_int(data["n"], "n"), _json_fraction(data["eps"], "eps"),
                    _json_fraction(data["kappa"], "kappa"), levels, table,
                    json_int(data["b_size"], "b_size"))
 
 
-def _json_level(lvl) -> TileLevel:
+def _json_level(lvl, field: str) -> TileLevel:
+    lvl = _json_object(lvl, field, ("j", "lam", "shape", "centers"))
     j = json_int(lvl["j"], "j")
     center = f"level {j} center"
     return TileLevel(j, tuple(BsElement.from_obj(obj) for obj in lvl["shape"]),
                      _json_fraction(lvl["lam"], "lam"),
                      tuple(json_int(c, center) for c in lvl["centers"]))
+
+
+def _json_object(obj, field: str, keys: Sequence[str]) -> dict:
+    """obj, when it is a JSON object holding every one of keys."""
+    if type(obj) is not dict:
+        raise ValueError(f"{field} is not a JSON object")
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ValueError(f"{field} has no field {missing[0]!r}")
+    return obj
 
 
 def _json_fraction(pair, field: str) -> Fraction:

@@ -348,14 +348,25 @@ class TestVerifyMutatedCertificates:
 
 
 def set_field(*path, value):
-    """A mutation writing value at path in the certificate; a callable value
-    maps the entry it replaces."""
+    """A mutation writing value at path in the certificate, which it
+    returns; a callable value maps the entry it replaces."""
     def mutate(data):
         *parents, last = path
+        entry = data
         for key in parents:
-            data = data[key]
-        data[last] = value(data[last]) if callable(value) else value
+            entry = entry[key]
+        entry[last] = value(entry[last]) if callable(value) else value
+        return data
     return mutate
+
+
+def as_list(data):
+    return [data]
+
+
+def drop_levels(data):
+    del data["levels"]
+    return data
 
 
 FIRST_IMAGE = ("table", 0, 1)
@@ -365,7 +376,8 @@ FIRST_LEVEL_1_CENTER = ("levels", 0, "centers", 0)
 class TestVerifyRequiresJsonIntegers:
     """Every integer field of a certificate must be a JSON integer: a float
     or a string is rejected, not truncated or parsed, and so is true where a
-    scalar is read."""
+    scalar is read.  A certificate, level or table row of the wrong shape is
+    rejected by the field it breaks."""
 
     @pytest.mark.parametrize("mutate, field", [
         (set_field(*FIRST_IMAGE, 5, value=lambda x: x + 0.7), "table image"),
@@ -382,10 +394,13 @@ class TestVerifyRequiresJsonIntegers:
         (set_field("eps", 0, value=1.0), "eps = 1.0"),
         (set_field("kappa", value=[1, 4, 1]), "kappa = [1, 4, 1]"),
         (set_field("levels", 0, "lam", 1, value=True), "lam = True"),
+        (set_field("levels", 0, value="x"), "levels[0] is not a JSON object"),
+        (set_field("table", 0, value=lambda row: row[:1]), "table[0] is not a [key, image] pair"),
+        (as_list, "certificate is not a JSON object"),
+        (drop_levels, "certificate has no field 'levels'"),
     ])
     def test_rejected(self, tile_certificate, tmp_path, mutate, field):
-        data = copy.deepcopy(tile_certificate)
-        mutate(data)
+        data = mutate(copy.deepcopy(tile_certificate))
         cert = tmp_path / "tiling.json"
         cert.write_text(json.dumps(data))
         code = main(["verify", "--certificate", str(cert), "--out", str(tmp_path / "v")])

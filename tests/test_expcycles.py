@@ -297,6 +297,19 @@ class TestWorkspace:
         assert (table == -7).all()
         assert not workspace.arange(999).flags.writeable
 
+    def test_arange_built_on_first_use(self):
+        """Only the log route reads the arange, so a workspace that serves
+        exp_map, multiplicative_order and count_k_periodic holds none; the
+        first arange() builds it and later calls view the same buffer."""
+        workspace = Workspace(1000)
+        f = exp_map(3, 1000, workspace)
+        count_k_periodic(f, multiplicative_order(f, workspace), workspace)
+        assert workspace._arange is None
+        first, second = workspace.arange(99), workspace.arange(10)
+        assert np.array_equal(first, np.arange(99)) and np.array_equal(second, np.arange(10))
+        assert first.base is second.base is workspace._arange
+        assert not (first.flags.writeable or second.flags.writeable)
+
     @pytest.mark.parametrize("size", [10, 11])
     def test_scratch_beyond_the_census_modulus_refused(self, size):
         workspace = Workspace(100)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import exp_table_by_product, from_cycles, is_four_periodic, word_value
+from oracles import (count_order4, exp_table_by_product, from_cycles, is_four_periodic,
+                     word_value)
 from soficlab import localexp
 from soficlab.cli import main
 from soficlab.localexp import (PadicContext, defect_report,
@@ -298,6 +299,17 @@ class TestSearcher:
         assert r.budget_exhausted and not r.exhaustive
         assert is_four_periodic(r.f.image)
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_budget_of_every_map_is_exhaustive(self, n):
+        """A budget equal to the number of maps with f^4 = id scores them
+        all; one less leaves a map unscored."""
+        maps, m = count_order4(n), n + 1
+        full = search_local_exp(n, m, budget=maps)
+        assert full.exhaustive and not full.budget_exhausted
+        assert np.array_equal(full.f.image, search_local_exp(n, m).f.image)
+        short = search_local_exp(n, m, budget=maps - 1)
+        assert short.budget_exhausted and not short.exhaustive
+
     def test_non_four_periodic_winner_rejected(self, monkeypatch):
         # a resampler that closes all its points into one cycle breaks f^4 = id
         monkeypatch.setattr(localexp, "_random_order4",
@@ -324,16 +336,16 @@ def oracle_search(n: int, m: int, budget: int = 200_000,
     if exhaustive:
         evals = 0
         for assignment in _enumerate_order4(list(range(n))):
+            if evals >= max(budget, 1):     # a map beyond the budget is left
+                budget_exhausted = True
+                exhaustive = False
+                break
             img = np.array([assignment[x] for x in range(n)], dtype=np.int64)
             d = _law_failures(img, m, n).size
             if d < best or (d == best and best_img is not None
                             and img.tolist() < best_img.tolist()):
                 best, best_img = d, img
             evals += 1
-            if evals >= budget:
-                budget_exhausted = True
-                exhaustive = False
-                break
     else:
         rng = random.Random(seed)
         cur = np.arange(n, dtype=np.int64)

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import hashlib
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import level_union_sizes, tiling_json
 
+from soficlab import tiling
 from soficlab.bsgroup import BsElement, a2_interval, bs_a2, bs_rectangle
 from soficlab.cli import conjugate_domain
 from soficlab.conjugacy import DELTA_PRIME, INNER_EPS
@@ -220,10 +222,6 @@ class TestExtraction:
     def test_element_outside_ground_set(self, rows):
         with pytest.raises(ValueError, match="outside the ground set"):
             SetFamily(10, rows)
-
-    def test_repeated_point_rejected(self):
-        with pytest.raises(ValueError, match="set 1 repeats a point"):
-            SetFamily(10, ((0, 1), (2, 2), (9, 3)))
 
 
 class TestQuasiTile:
@@ -607,9 +605,15 @@ class TestBMaskMatchesOracle:
     @settings(max_examples=60, deadline=None)
     def test_perturbed_tables(self, base, data):
         """Transpositions in the images of keys in F_k^-1 F_k, the identity
-        and F_k itself included."""
+        and F_k itself included.  B drops points there, and quasi_tile still
+        offers only rows of distinct points, at every level."""
         n = 200
-        phi, F_k = z_mode_approx(n, width=8) if base == "z_model" else conjugate_mode_top(n)
+        if base == "z_model":
+            phi, _ = z_mode_approx(n, width=8)
+            shapes, eps = [a2_interval(min(w, 8), 3) for w in WIDTHS], Fraction(1, 4)
+        else:
+            (phi, shapes), eps = conjugate_mode_approx(n), INNER_EPS
+        F_k = sorted_keys(shapes[-1])
         keys = sorted_keys({g.inverse() * h for g in F_k for h in F_k})
         table = dict(phi.table)
         for _ in range(data.draw(st.integers(1, 6))):
@@ -618,7 +622,37 @@ class TestBMaskMatchesOracle:
             img = table[g].image.copy()
             img[[x, y]] = img[[y, x]]
             table[g] = Permutation(img)
-        self.assert_masks_match(SoficApprox(n, table), F_k)
+        perturbed = SoficApprox(n, table)
+        mask = self.assert_masks_match(perturbed, F_k)
+        # delta_prime = 1 tiles from whatever B is left; in maximal mode the
+        # top level offers every point of B
+        with offered_rows_checked_distinct() as offered:
+            quasi_tile(perturbed, shapes, eps, eps, delta_prime=1, maximal=True)
+        assert bool(offered) == mask.any()
+
+
+@contextlib.contextmanager
+def offered_rows_checked_distinct():
+    """tiling.extract_eps_disjoint, wrapped to assert that every row of the
+    family offered holds distinct points, which SetFamily requires but does
+    not check.  Yields the number of rows of each family offered."""
+    extract, offered = tiling.extract_eps_disjoint, []
+
+    def checked(fam, *args, **kwargs):
+        rows = np.sort(fam.sets, axis=1)
+        assert (rows[:, 1:] != rows[:, :-1]).all()
+        offered.append(len(rows))
+        return extract(fam, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tiling, "extract_eps_disjoint", checked)
+        yield offered
+
+
+def test_conjugate_mode_offers_distinct_rows():
+    with offered_rows_checked_distinct() as offered:
+        t = rectangle_tiling.__wrapped__()
+    assert len(offered) == sum(1 for lvl in t.levels if lvl.centers) > 0
 
 
 # ---------------------------------------------------------------------------
