@@ -9,7 +9,7 @@ from .bsgroup import BsElement, bs_a1, bs_a2
 from .soficcheck import SoficApprox, ArithmeticModel, check_sofic, amplify
 from .tiling import plan_parameters, quasi_tile, verify_tiling, Tiling
 from .conjugacy import build_conjugator, conjugacy_defect
-from .expcycles import ExpMap, exp_map, count_k_periodic, cycle_census
+from .expcycles import ExpMap, Workspace, exp_map, count_k_periodic, cycle_census
 from .localexp import defect_report, search_local_exp
 from .heuristics import p_sequence
 
@@ -19,7 +19,7 @@ __all__ = [
     "SoficApprox", "ArithmeticModel", "check_sofic", "amplify",
     "plan_parameters", "quasi_tile", "verify_tiling", "Tiling",
     "build_conjugator", "conjugacy_defect",
-    "ExpMap", "exp_map", "count_k_periodic", "cycle_census",
+    "ExpMap", "Workspace", "exp_map", "count_k_periodic", "cycle_census",
     "defect_report", "search_local_exp",
     "p_sequence",
 ]

@@ -16,7 +16,7 @@ import math
 import os
 from dataclasses import dataclass
 from multiprocessing import Pool
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,9 +38,6 @@ class ExpMap:
             raise ValueError(f"image must hold {self.n} int64 entries")
         if int(self.image.view(np.uint64).max()) >= self.n:
             raise AssertionError(f"tabulation entry outside 0..{self.n - 1}")
-
-    def __call__(self, x: int) -> int:
-        return int(self.image[x])
 
 
 # Up to this modulus every product of two residues stays below 2^63 - 1.
@@ -65,21 +62,21 @@ class Workspace:
       quotients, a route's iterates and the log route's map G.  Every call
       returns the same memory, so a caller writes these arrays before
       reading them, and holds those of one call at a time;
-    - `arange(size)` is 0..size-1, read-only.  Its array, 8 n_max bytes,
-      is built in full on the first call, and only the log route calls it.
+    - `arange(size)` is 0..size-1, read-only, for the log route.
 
-    No view may outlive its census.  Nothing else is written up front: the
-    kernel maps a page of the other arrays when a census first touches it,
-    and every view starts at the front of its array, so a census of modulus
-    n with ord(m) = o touches 8 n bytes of table and n + max(4 n, 24 o) of
-    scratch."""
+    No view may outlive its census.  Only the arange, 8 n_max bytes, is
+    written up front: the kernel maps a page of the other arrays when a
+    census first touches it, and every view starts at the front of its
+    array, so a census of modulus n with ord(m) = o touches 8 n bytes of
+    table and n + max(4 n, 24 o) of scratch."""
 
     def __init__(self, n_max: int) -> None:
         _check_modulus(n_max)
         self._table = np.empty(n_max, dtype=np.int64)
         self._flags = np.empty(n_max - 1, dtype=np.bool_)
         self._ints = np.empty(3 * (n_max - 1), dtype=np.int64)
-        self._arange: Optional[np.ndarray] = None
+        self._arange = np.arange(n_max - 1, dtype=np.int64)
+        self._arange.setflags(write=False)
         self._n = n_max             # modulus of the current census
 
     def table(self, n: int) -> np.ndarray:
@@ -96,9 +93,6 @@ class Workspace:
     def arange(self, size: int) -> np.ndarray:
         if size >= self._n:
             raise ValueError(f"arange of {size} for modulus {self._n}")
-        if self._arange is None:
-            self._arange = np.arange(self._table.size - 1, dtype=np.int64)
-            self._arange.setflags(write=False)
         return self._arange[:size]
 
 
@@ -123,17 +117,14 @@ def _exp_table(m: int, n: int, workspace: Workspace) -> np.ndarray:
     return out
 
 
-def exp_map(m: int, n: int, workspace: Optional[Workspace] = None) -> ExpMap:
+def exp_map(m: int, n: int, workspace: Workspace) -> ExpMap:
     """Tabulate x -> m^x mod n; every entry is checked to lie in {0..n-1}
     (by ExpMap), and the table is cross-checked against square-and-multiply
     at 16 deterministic sample points.  The table is a read-only view of the
-    workspace's table, valid until the workspace's next census; without a
-    workspace it is the table of a Workspace(n) of its own."""
+    workspace's table, valid until the workspace's next census."""
     _check_modulus(n)
     if math.gcd(m, n) != 1:
         raise ValueError(f"gcd({m}, {n}) != 1")
-    if workspace is None:
-        workspace = Workspace(n)
     table = _exp_table(m, n, workspace)
     rng = np.random.default_rng((m, n))
     for x in rng.integers(0, n, size=min(16, n)):
@@ -143,10 +134,8 @@ def exp_map(m: int, n: int, workspace: Optional[Workspace] = None) -> ExpMap:
     return ExpMap(m, n, table)
 
 
-def multiplicative_order(f: ExpMap, workspace: Optional[Workspace] = None) -> int:
+def multiplicative_order(f: ExpMap, workspace: Workspace) -> int:
     """Smallest x > 0 with m^x = 1 mod n, straight off the table."""
-    if workspace is None:
-        workspace = Workspace(f.n)
     flags = workspace.scratch(f.n - 1)[0]
     ones = np.equal(f.image[1:], 1, out=flags)
     first = int(ones.argmax())         # stops at the first True
@@ -179,33 +168,23 @@ def _iterate_counts(table: np.ndarray, start: np.ndarray, target: np.ndarray,
     return counts
 
 
-def count_k_periodic(f: ExpMap, order: Optional[int] = None,
-                     workspace: Optional[Workspace] = None) -> Counts:
+def count_k_periodic(f: ExpMap, order: int, workspace: Workspace) -> Counts:
     """|{x : f^k(x) = x}| for k = 1..4 by direct iteration y <- f(y).
 
     Every k-periodic point lies in the image of f, which is the subgroup
     S = <m> = image[:order], so the iteration runs from y = S; each step
     still gathers from the whole table."""
-    if workspace is None:
-        workspace = Workspace(f.n)
-    if order is None:
-        order = multiplicative_order(f, workspace)
     s = f.image[:order]
     return tuple(_iterate_counts(f.image, s, s, 4, workspace))
 
 
-def count_k_periodic_by_tables(f: ExpMap, order: Optional[int] = None,
-                               workspace: Optional[Workspace] = None) -> Counts:
+def count_k_periodic_by_tables(f: ExpMap, order: int, workspace: Workspace) -> Counts:
     """The same counts in discrete-log coordinates.  With S[i] = m^i,
     f(S[i]) = m^(S[i] mod ord) = S[G(i)] for G(i) = S[i] mod ord, and S is
     injective on {0..ord-1}, so f^k fixes S[i] exactly when G^k fixes i.
     Reads the table below index ord only, composes nothing that
     count_k_periodic reads, and reads no scratch slot of the workspace
     before writing it."""
-    if workspace is None:
-        workspace = Workspace(f.n)
-    if order is None:
-        order = multiplicative_order(f, workspace)
     s = f.image[:order]
     flags, _, _, g = workspace.scratch(order)
     np.floor_divide(s, order, out=g)        # s mod ord, reduced as _exp_table reduces
@@ -224,11 +203,9 @@ class CycleCensus:
     fixed: Counts              # counts for k = 1..4
 
 
-def cycle_census(m: int, n: int, workspace: Optional[Workspace] = None) -> CycleCensus:
+def cycle_census(m: int, n: int, workspace: Workspace) -> CycleCensus:
     """Order of m and fix1..fix4 for one modulus.  Every array of size n or
     ord is a view of the workspace; the result holds none."""
-    if workspace is None:
-        workspace = Workspace(n)
     f = exp_map(m, n, workspace)
     order = multiplicative_order(f, workspace)
     counts = count_k_periodic(f, order, workspace)
@@ -280,7 +257,7 @@ def _census_run(m: int, moduli: Sequence[int]) -> List[CycleCensus]:
     return [cycle_census(m, n, workspace) for n in moduli]
 
 
-def run_sweep(m: int, moduli: Sequence[int], *, workers: int = 1) -> List[CycleCensus]:
+def run_sweep(m: int, moduli: Sequence[int], *, workers: int) -> List[CycleCensus]:
     """One census per modulus (skipping those not coprime to m), merged in
     modulus order regardless of worker scheduling.  Serially one workspace
     serves every modulus; a pool gets chunks of consecutive moduli, one

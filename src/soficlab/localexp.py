@@ -275,8 +275,7 @@ def _resample_delta(cur: List[int], bad: List[bool], touched: Set[int],
     return delta, flags
 
 
-def search_local_exp(n: int, m: int, budget: int = 200_000,
-                     seed: int = 0) -> SearchResult:
+def search_local_exp(n: int, m: int, budget: int, seed: int) -> SearchResult:
     """Minimize the defect-set size over bijections with f^4 = id.
     Exhaustive for n <= 10 when the budget covers every map, simulated
     annealing above; the winner's defect count is recomputed independently

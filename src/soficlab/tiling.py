@@ -247,21 +247,24 @@ class Tiling:
         a float or a string is rejected rather than converted, and so is a
         bool outside a table row (see _json_image).  A key listed twice is
         rejected too, whichever of its images would verify, and so is an
-        object, level or table row of the wrong shape, by its field."""
+        object, list, level, key or table row of the wrong shape, or a zero
+        denominator, by its field.  Each check runs once per level, key or
+        row, never per table entry."""
         data = _json_object(json.loads(text), "certificate",
                             ("key_kind", "n", "eps", "kappa", "b_size", "levels", "table"))
         if data["key_kind"] != "element":
             raise ValueError(f"unsupported key kind {data['key_kind']!r}")
         table: Dict[BsElement, Permutation] = {}
-        for i, row in enumerate(data["table"]):
+        for i, row in enumerate(_json_list(data["table"], "table")):
             if type(row) is not list or len(row) != 2:
                 raise ValueError(f"table[{i}] is not a [key, image] pair")
             obj, img = row
-            g = BsElement.from_obj(obj)
+            g = _json_key(obj, f"table[{i}] key")
             if g in table:
                 raise ValueError(f"table lists key {g} twice")
             table[g] = _json_image(img, obj)
-        levels = tuple(_json_level(lvl, f"levels[{i}]") for i, lvl in enumerate(data["levels"]))
+        levels = tuple(_json_level(lvl, f"levels[{i}]")
+                       for i, lvl in enumerate(_json_list(data["levels"], "levels")))
         return cls(json_int(data["n"], "n"), _json_fraction(data["eps"], "eps"),
                    _json_fraction(data["kappa"], "kappa"), levels, table,
                    json_int(data["b_size"], "b_size"))
@@ -271,9 +274,11 @@ def _json_level(lvl, field: str) -> TileLevel:
     lvl = _json_object(lvl, field, ("j", "lam", "shape", "centers"))
     j = json_int(lvl["j"], "j")
     center = f"level {j} center"
-    return TileLevel(j, tuple(BsElement.from_obj(obj) for obj in lvl["shape"]),
+    shape = enumerate(_json_list(lvl["shape"], f"{field}.shape"))
+    centers = _json_list(lvl["centers"], f"{field}.centers")
+    return TileLevel(j, tuple(_json_key(obj, f"{field}.shape[{q}]") for q, obj in shape),
                      _json_fraction(lvl["lam"], "lam"),
-                     tuple(json_int(c, center) for c in lvl["centers"]))
+                     tuple(json_int(c, center) for c in centers))
 
 
 def _json_object(obj, field: str, keys: Sequence[str]) -> dict:
@@ -286,10 +291,23 @@ def _json_object(obj, field: str, keys: Sequence[str]) -> dict:
     return obj
 
 
+def _json_list(obj, field: str) -> list:
+    if type(obj) is not list:
+        raise ValueError(f"{field} is not a JSON list")
+    return obj
+
+
+def _json_key(obj, field: str) -> BsElement:
+    return BsElement.from_obj(_json_object(obj, field, ("m", "e", "num", "d")))
+
+
 def _json_fraction(pair, field: str) -> Fraction:
     if type(pair) is not list or len(pair) != 2:
         raise ValueError(f"{field} = {pair!r} is not a [numerator, denominator] pair")
-    return Fraction(*(json_int(x, field) for x in pair))
+    num, den = (json_int(x, field) for x in pair)
+    if den == 0:
+        raise ValueError(f"{field} = {pair!r} has denominator 0")
+    return Fraction(num, den)
 
 
 def _json_image(row, key) -> Permutation:
@@ -381,7 +399,7 @@ def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]], eps,
     order = np.arange(n)
     if center_order is not None:
         order = np.asarray(center_order, dtype=np.int64)
-        if sorted(order.tolist()) != list(range(n)):
+        if not np.array_equal(np.sort(order), np.arange(n)):
             raise ValueError("center_order must be a permutation of 0..n-1")
     b_size = int(np.count_nonzero(b_mask))
     if b_size < (1 - Fraction(delta_prime)) * n:

@@ -12,8 +12,8 @@ from oracles import affine_fixed_points, count_order4, eval_word, is_four_period
 from soficlab.bsgroup import BsElement, a2_interval, bs_a1, bs_a2
 from soficlab.cli import _ball, conjugate_domain
 from soficlab.conjugacy import build_conjugator, conjugacy_defect
-from soficlab.expcycles import (count_k_periodic, count_k_periodic_by_tables,
-                                exp_map, run_sweep, segmented_sieve)
+from soficlab.expcycles import (Workspace, count_k_periodic, count_k_periodic_by_tables,
+                                exp_map, multiplicative_order, run_sweep, segmented_sieve)
 from soficlab.heuristics import p_sequence
 from soficlab.localexp import (PadicContext, defect_report,
                                min_mezo_fraction, padic_fixed_point,
@@ -108,10 +108,12 @@ def test_05_cycle_census_sweep():
               f"{findings}", file=sys.stderr)
     # route agreement is asserted inside every census; re-check a sample
     rng = np.random.default_rng(1)
+    workspace = Workspace(primes[-1])
     for p in rng.choice(primes, size=20, replace=False):
-        f = exp_map(2, int(p))
-        for k in (1, 2, 3, 4):
-            ok = ok and count_k_periodic(f)[k - 1] == count_k_periodic_by_tables(f)[k - 1]
+        f = exp_map(2, int(p), workspace)
+        order = multiplicative_order(f, workspace)
+        ok = ok and (count_k_periodic(f, order, workspace)
+                     == count_k_periodic_by_tables(f, order, workspace))
     report(5, "prime sweep census routes agree", ok)
 
 
@@ -142,8 +144,8 @@ def test_07_mezo_exhaustion():
 def test_08_searcher_soundness():
     ok = True
     for n, m in ((4, 3), (5, 2), (6, 5)):
-        r1 = search_local_exp(n, m, seed=0)
-        r2 = search_local_exp(n, m, seed=99)
+        r1 = search_local_exp(n, m, budget=200_000, seed=0)
+        r2 = search_local_exp(n, m, budget=200_000, seed=99)
         ok = ok and r1.exhaustive and np.array_equal(r1.f.image, r2.f.image)
     for n, m, seed in ((8, 3, 0), (20, 3, 1), (30, 7, 2)):
         r = search_local_exp(n, m, budget=3000, seed=seed)

@@ -369,6 +369,10 @@ def drop_levels(data):
     return data
 
 
+def without_m(key):
+    return {field: value for field, value in key.items() if field != "m"}
+
+
 FIRST_IMAGE = ("table", 0, 1)
 FIRST_LEVEL_1_CENTER = ("levels", 0, "centers", 0)
 
@@ -398,6 +402,15 @@ class TestVerifyRequiresJsonIntegers:
         (set_field("table", 0, value=lambda row: row[:1]), "table[0] is not a [key, image] pair"),
         (as_list, "certificate is not a JSON object"),
         (drop_levels, "certificate has no field 'levels'"),
+        (set_field("levels", value=5), "levels is not a JSON list"),
+        (set_field("table", value=5), "table is not a JSON list"),
+        (set_field("levels", 0, "shape", value=5), "levels[0].shape is not a JSON list"),
+        (set_field("levels", 0, "centers", value=5), "levels[0].centers is not a JSON list"),
+        (set_field("levels", 0, "shape", 0, value="x"), "levels[0].shape[0] is not a JSON object"),
+        (set_field("table", 0, 0, value="x"), "table[0] key is not a JSON object"),
+        (set_field("levels", 0, "shape", 0, value=without_m), "levels[0].shape[0] has no field 'm'"),
+        (set_field("eps", value=[1, 0]), "eps = [1, 0] has denominator 0"),
+        (set_field("levels", 0, "lam", value=[1, 0]), "lam = [1, 0] has denominator 0"),
     ])
     def test_rejected(self, tile_certificate, tmp_path, mutate, field):
         data = mutate(copy.deepcopy(tile_certificate))

@@ -20,6 +20,18 @@ coprime_pairs = st.tuples(st.sampled_from([2, 3, 5, 7]),
     lambda t: math.gcd(t[0], t[1]) == 1)
 
 
+def on_own_workspace(m, n):
+    """f = exp_map(m, n) on a workspace of its own, with ord(m) and that
+    workspace: (f, order, workspace) are the count routes' arguments."""
+    workspace = Workspace(n)
+    f = exp_map(m, n, workspace)
+    return f, multiplicative_order(f, workspace), workspace
+
+
+def fresh_map(m, n):
+    return exp_map(m, n, Workspace(n))
+
+
 def full_domain_counts(f):
     """Oracle: |{x in Z/n : f^k(x) = x}| for k = 1..4, iterating over all n
     points rather than over the image <m>."""
@@ -34,28 +46,28 @@ def full_domain_counts(f):
 
 class TestExpMap:
     def test_f25(self):
-        assert exp_map(2, 5).image.tolist() == [1, 2, 4, 3, 1]
+        assert fresh_map(2, 5).image.tolist() == [1, 2, 4, 3, 1]
 
     def test_f23(self):
-        assert exp_map(2, 3).image.tolist() == [1, 2, 1]
+        assert fresh_map(2, 3).image.tolist() == [1, 2, 1]
 
     def test_zero_maps_to_one(self):
         for m, n in ((2, 9), (3, 10), (5, 7)):
-            assert exp_map(m, n)(0) == 1
+            assert fresh_map(m, n).image[0] == 1
 
     def test_non_coprime(self):
         with pytest.raises(ValueError):
-            exp_map(2, 10)
+            fresh_map(2, 10)
 
     @given(coprime_pairs)
     @settings(max_examples=40, deadline=None)
     def test_matches_running_product(self, mn):
         m, n = mn
-        assert np.array_equal(exp_map(m, n).image, exp_table_by_product(m, n))
+        assert np.array_equal(fresh_map(m, n).image, exp_table_by_product(m, n))
 
     def test_full_agreement_to_1e4(self):
         for m, n in ((2, 9999), (3, 10_000)):
-            table = exp_map(m, n).image
+            table = fresh_map(m, n).image
             assert np.array_equal(table, exp_table_by_product(m, n))
 
     @pytest.mark.parametrize("n", sorted({2 ** j + d for j in range(1, 17)
@@ -65,71 +77,70 @@ class TestExpMap:
         for m in (2, 3, n - 1, n + 1, 2 * n + 3):
             if m < 1 or math.gcd(m, n) != 1:
                 continue
-            table = exp_map(m, n).image
+            table = fresh_map(m, n).image
             assert np.array_equal(table, exp_table_by_product(m, n))
             assert table.tolist() == [pow(m, x, n) for x in range(n)]
 
     def test_int64_overflowing_modulus_refused(self):
+        # a small workspace, so that exp_map's own check is the one that refuses
         with pytest.raises(ValueError, match="int64"):
-            exp_map(2, 3_037_000_501)
+            exp_map(2, 3_037_000_501, Workspace(10))
 
     def test_table_on_its_own_is_fresh_and_read_only(self):
-        first, second = exp_map(3, 1000).image, exp_map(3, 1000).image
+        first, second = fresh_map(3, 1000).image, fresh_map(3, 1000).image
         assert not np.shares_memory(first, second)
         assert not first.flags.writeable and not second.flags.writeable
 
     def test_multiplicative_order(self):
-        f = exp_map(2, 5)
-        assert multiplicative_order(f) == 4
-        assert multiplicative_order(exp_map(2, 7)) == 3
+        assert on_own_workspace(2, 5)[1] == 4
+        assert on_own_workspace(2, 7)[1] == 3
 
 
 class TestPeriodicCounts:
     def test_f25_k1(self):
-        assert count_k_periodic(exp_map(2, 5))[0] == 1    # x = 3: 2^3 = 8 = 3
+        assert count_k_periodic(*on_own_workspace(2, 5))[0] == 1    # x = 3: 2^3 = 8 = 3
 
     def test_f23_k3(self):
-        assert count_k_periodic(exp_map(2, 3))[2] == 0
+        assert count_k_periodic(*on_own_workspace(2, 3))[2] == 0
 
     def test_bound(self):
-        f = exp_map(3, 100)
+        args = on_own_workspace(3, 100)
         for k in (1, 2, 3, 4):
-            assert count_k_periodic(f)[k - 1] <= f.n
+            assert count_k_periodic(*args)[k - 1] <= 100
 
     @given(coprime_pairs, st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
     def test_two_routes_agree(self, mn, k):
-        f = exp_map(*mn)
-        assert count_k_periodic(f)[k - 1] == count_k_periodic_by_tables(f)[k - 1]
+        args = on_own_workspace(*mn)
+        assert count_k_periodic(*args)[k - 1] == count_k_periodic_by_tables(*args)[k - 1]
 
     @given(coprime_pairs)
     @settings(max_examples=150, deadline=None)
     def test_routes_on_image_match_full_domain(self, mn):
-        f = exp_map(*mn)
-        order = multiplicative_order(f)
-        expected = full_domain_counts(f)
-        assert count_k_periodic(f, order) == expected
-        assert count_k_periodic_by_tables(f, order) == expected
+        args = on_own_workspace(*mn)
+        expected = full_domain_counts(args[0])
+        assert count_k_periodic(*args) == expected
+        assert count_k_periodic_by_tables(*args) == expected
 
     @pytest.mark.parametrize("m, n", [(2, 3 ** 9), (3, 5 ** 6), (2, 7 ** 5), (3, 2 ** 16),
                                       (5, 2 ** 16), (2, 1_000_003)])
     def test_routes_on_image_match_full_domain_fixed_moduli(self, m, n):
-        f = exp_map(m, n)
-        expected = full_domain_counts(f)
-        assert count_k_periodic(f) == expected
-        assert count_k_periodic_by_tables(f) == expected
+        args = on_own_workspace(m, n)
+        expected = full_domain_counts(args[0])
+        assert count_k_periodic(*args) == expected
+        assert count_k_periodic_by_tables(*args) == expected
 
     def test_census_consistency(self):
         # f(x) = x implies f^k(x) = x, and f^2(x) = x implies f^4(x) = x
         for m, n in ((2, 101), (3, 100), (2, 3**5), (5, 1009), (7, 2**10)):
-            fix1, fix2, fix3, fix4 = cycle_census(m, n).fixed
+            fix1, fix2, fix3, fix4 = cycle_census(m, n, Workspace(n)).fixed
             assert fix1 <= fix2 <= fix4 and fix1 <= fix3
-        c = cycle_census(2, 101)
+        c = cycle_census(2, 101, Workspace(101))
         # the CSV's int division gives the bytes float(Fraction(...)) gives
         frac3, frac4 = sweep_csv([c]).splitlines()[1].split(",")[-2:]
         assert frac3 == "%.10f" % float(Fraction(c.fixed[2], 101))
         assert frac4 == "%.10f" % float(Fraction(c.fixed[3], 101))
-        assert c.order == multiplicative_order(exp_map(2, 101))
+        assert c.order == on_own_workspace(2, 101)[1]
 
 
 class TestCensusCheck:
@@ -144,7 +155,7 @@ class TestCensusCheck:
 
     def test_route_disagreement_raises(self, skewed_tables):
         with pytest.raises(AssertionError, match="k=3"):
-            cycle_census(2, 101)
+            cycle_census(2, 101, Workspace(101))
 
     def test_route_disagreement_exits_2(self, skewed_tables, tmp_path):
         assert main(["cycles", "--n", "101", "--m", "2", "--out", str(tmp_path)]) == 2
@@ -158,8 +169,9 @@ class TestCensusCheck:
         reads table[x], the spot check does not sample x, and the order scan
         still finds ord(m), so only the iteration route sees the change."""
         real = expcycles._exp_table
-        table = real(self.M, self.N, Workspace(self.N))
-        order = multiplicative_order(expcycles.ExpMap(self.M, self.N, table))
+        workspace = Workspace(self.N)
+        table = real(self.M, self.N, workspace)
+        order = multiplicative_order(expcycles.ExpMap(self.M, self.N, table), workspace)
         sampled = set(np.random.default_rng((self.M, self.N)).integers(0, self.N, size=16).tolist())
         x = next(int(x) for x in table[:order]
                  if x > order and table[x] != x and x not in sampled)
@@ -172,7 +184,7 @@ class TestCensusCheck:
 
     def test_tail_corruption_raises(self, corrupted_tail):
         with pytest.raises(AssertionError, match=r"routes disagree .*k=1"):
-            cycle_census(self.M, self.N)
+            cycle_census(self.M, self.N, Workspace(self.N))
 
     def test_tail_corruption_exits_2(self, corrupted_tail, tmp_path):
         out = tmp_path / "out"
@@ -191,8 +203,9 @@ class TestCensusCheck:
         index from the end and the census exits 0, and an entry n raises
         IndexError, which leaves no manifest."""
         real = expcycles._exp_table
-        table = real(self.M2, self.N2, Workspace(self.N2))
-        order = multiplicative_order(expcycles.ExpMap(self.M2, self.N2, table))
+        workspace = Workspace(self.N2)
+        table = real(self.M2, self.N2, workspace)
+        order = multiplicative_order(expcycles.ExpMap(self.M2, self.N2, table), workspace)
         sampled = set(np.random.default_rng((self.M2, self.N2)).integers(0, self.N2, size=16).tolist())
         x = max(int(x) for x in table[:order] if x not in sampled)
 
@@ -204,16 +217,17 @@ class TestCensusCheck:
 
     def test_entry_out_of_range_raises(self, corrupted_entry):
         with pytest.raises(AssertionError, match=r"entry outside 0\.\.100"):
-            cycle_census(self.M2, self.N2)
+            cycle_census(self.M2, self.N2, Workspace(self.N2))
 
     @pytest.mark.parametrize("entry", [-3, N2])
     def test_directly_built_map_out_of_range_refused(self, entry):
         """The routes index without a bounds check, so an ExpMap built
         without exp_map must not reach them with an entry outside 0..n-1."""
-        table = expcycles._exp_table(self.M2, self.N2, Workspace(self.N2))
+        workspace = Workspace(self.N2)
+        table = expcycles._exp_table(self.M2, self.N2, workspace)
         table[50] = entry
         with pytest.raises(AssertionError, match=r"entry outside 0\.\.100"):
-            count_k_periodic(expcycles.ExpMap(self.M2, self.N2, table))
+            count_k_periodic(expcycles.ExpMap(self.M2, self.N2, table), 100, workspace)
 
     def test_exp_map_image_must_be_int64_of_length_n(self):
         table = expcycles._exp_table(self.M2, self.N2, Workspace(self.N2))
@@ -267,21 +281,21 @@ class TestWorkspace:
     @settings(max_examples=60, deadline=None)
     def test_reuse_leaks_nothing(self, m_moduli):
         m, moduli = m_moduli
-        fresh = [cycle_census(m, n) for n in moduli]
+        fresh = [cycle_census(m, n, Workspace(n)) for n in moduli]
         workspace = Workspace(max(moduli))
         assert [cycle_census(m, n, workspace) for n in moduli] == fresh
-        assert run_sweep(m, moduli) == sorted(set(fresh), key=lambda r: r.n)
+        assert run_sweep(m, moduli, workers=1) == sorted(set(fresh), key=lambda r: r.n)
 
     @given(mixed_moduli())
     @settings(max_examples=8, deadline=None)
     def test_two_workers_equal_serial(self, m_moduli):
         m, moduli = m_moduli
-        assert run_sweep(m, moduli, workers=2) == run_sweep(m, moduli)
+        assert run_sweep(m, moduli, workers=2) == run_sweep(m, moduli, workers=1)
 
     @pytest.mark.parametrize("sentinel", [0, -1, 2 ** 40])
     def test_log_route_reads_only_what_it_wrote(self, monkeypatch, sentinel):
         moduli = [3 ** 7, 101, 1000, 4099, 2 ** 12 + 1]
-        fresh = [cycle_census(7, n) for n in moduli]
+        fresh = [cycle_census(7, n, Workspace(n)) for n in moduli]
         monkeypatch.setattr(expcycles, "count_k_periodic",
                             _scratch_filled(expcycles.count_k_periodic, sentinel))
         workspace = Workspace(max(moduli))
@@ -298,13 +312,9 @@ class TestWorkspace:
         assert not workspace.arange(999).flags.writeable
 
     def test_arange_built_on_first_use(self):
-        """Only the log route reads the arange, so a workspace that serves
-        exp_map, multiplicative_order and count_k_periodic holds none; the
-        first arange() builds it and later calls view the same buffer."""
+        """The workspace builds its arange once, with its other arrays, and
+        every arange() views that one read-only buffer."""
         workspace = Workspace(1000)
-        f = exp_map(3, 1000, workspace)
-        count_k_periodic(f, multiplicative_order(f, workspace), workspace)
-        assert workspace._arange is None
         first, second = workspace.arange(99), workspace.arange(10)
         assert np.array_equal(first, np.arange(99)) and np.array_equal(second, np.arange(10))
         assert first.base is second.base is workspace._arange
@@ -338,11 +348,11 @@ class TestSweep:
         assert prime_powers(3, 1, 3) == [3, 9, 27]
 
     def test_sweep_deterministic_order(self):
-        rows = run_sweep(2, [97, 11, 13, 11])
+        rows = run_sweep(2, [97, 11, 13, 11], workers=1)
         assert [r.n for r in rows] == [11, 13, 97]
 
     def test_sweep_skips_non_coprime(self):
-        rows = run_sweep(2, [8, 11])
+        rows = run_sweep(2, [8, 11], workers=1)
         assert [r.n for r in rows] == [11]
 
     def test_workers_agree_with_serial(self):
@@ -374,11 +384,11 @@ class TestSweep:
         monkeypatch.setattr(expcycles, "Pool", FakePool)
         monkeypatch.setattr(expcycles.os, "cpu_count", lambda: cpus)
         primes = segmented_sieve(100, 150)
-        assert run_sweep(3, primes, workers=workers) == run_sweep(3, primes)
+        assert run_sweep(3, primes, workers=workers) == run_sweep(3, primes, workers=1)
         assert sizes == ([] if size is None else [size])
 
     def test_csv_format(self):
-        text = sweep_csv(run_sweep(2, [5]))
+        text = sweep_csv(run_sweep(2, [5], workers=1))
         lines = text.split("\n")
         assert lines[0] == CSV_HEADER
         assert lines[1].startswith("5,2,4,1,1,4,1,")

@@ -271,8 +271,8 @@ class TestNorviAudit:
 class TestSearcher:
     def test_exhaustive_seed_independent(self):
         for n, m in ((4, 3), (5, 2), (6, 5)):
-            r1 = search_local_exp(n, m, seed=0)
-            r2 = search_local_exp(n, m, seed=123)
+            r1 = search_local_exp(n, m, budget=200_000, seed=0)
+            r2 = search_local_exp(n, m, budget=200_000, seed=123)
             assert r1.exhaustive and r2.exhaustive
             assert np.array_equal(r1.f.image, r2.f.image)
             assert r1.defect_count == r2.defect_count
@@ -292,7 +292,7 @@ class TestSearcher:
 
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError):
-            search_local_exp(9, 3, seed=0)
+            search_local_exp(9, 3, budget=200_000, seed=0)
 
     def test_budget_flag(self):
         r = search_local_exp(8, 3, budget=10, seed=0)
@@ -304,10 +304,10 @@ class TestSearcher:
         """A budget equal to the number of maps with f^4 = id scores them
         all; one less leaves a map unscored."""
         maps, m = count_order4(n), n + 1
-        full = search_local_exp(n, m, budget=maps)
+        full = search_local_exp(n, m, budget=maps, seed=0)
         assert full.exhaustive and not full.budget_exhausted
-        assert np.array_equal(full.f.image, search_local_exp(n, m).f.image)
-        short = search_local_exp(n, m, budget=maps - 1)
+        assert np.array_equal(full.f.image, search_local_exp(n, m, budget=200_000, seed=0).f.image)
+        short = search_local_exp(n, m, budget=maps - 1, seed=0)
         assert short.budget_exhausted and not short.exhaustive
 
     def test_non_four_periodic_winner_rejected(self, monkeypatch):
@@ -315,14 +315,13 @@ class TestSearcher:
         monkeypatch.setattr(localexp, "_random_order4",
                             lambda points, rng: dict(zip(points, points[1:] + points[:1])))
         with pytest.raises(AssertionError, match="search produced a non-4-periodic map"):
-            search_local_exp(30, 7, budget=200)
+            search_local_exp(30, 7, budget=200, seed=0)
 
 
 # The searcher as it was before annealing steps updated the defect in place:
 # every step copies the map and recounts all n points.  Kept verbatim as the
 # oracle that the incremental searcher must match byte for byte.
-def oracle_search(n: int, m: int, budget: int = 200_000,
-                  seed: int = 0) -> SearchResult:
+def oracle_search(n: int, m: int, budget: int, seed: int) -> SearchResult:
     """Minimize the defect-set size over bijections with f^4 = id.
     Exhaustive for n <= 10 (within budget), simulated annealing above; the
     winner's defect count is recomputed independently before returning."""

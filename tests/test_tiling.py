@@ -479,6 +479,19 @@ def random_order_tiling(seed, n=1000, m=3):
                       maximal=True, center_order=np.random.default_rng(seed).permutation(n))
 
 
+@pytest.mark.parametrize("edit", [
+    lambda order: np.append(order[:-1], order[0]),
+    lambda order: np.append(order[:-1], len(order)),
+    lambda order: order[:-1],
+], ids=["repeated-point", "point-equal-to-n", "one-entry-short"])
+def test_center_order_must_be_a_permutation(edit):
+    n, m = 1000, 3
+    shapes = [a2_interval(w, m) for w in WIDTHS]
+    with pytest.raises(ValueError, match=r"center_order must be a permutation of 0\.\.n-1"):
+        quasi_tile(interval_model(n, m, 40), shapes, Fraction(1, 4), Fraction(1, 4),
+                   maximal=True, center_order=edit(np.arange(n)))
+
+
 class TestOrderedCertificateDigests:
     """Certificates whose centers depend on the order the greedy tries them
     in, pinned by the sha256 of their JSON; the CLI golden digests cover
