@@ -360,7 +360,7 @@ def _cmd_conjugate(v) -> Outcome:
 
 
 @_subcommand("search-f", n=(REQUIRED, _DEGREE), m=(REQUIRED, _unit),
-             budget=(200_000, _count("budget")), seed=(0, None))
+             budget=(200_000, _count("budget")), seed=(0, _count("seed")))
 def _cmd_search_f(v) -> Outcome:
     n = v["n"]
     result = search_local_exp(n, v["m"], budget=v["budget"], seed=v["seed"])
@@ -392,7 +392,7 @@ def _draw_unit(rng: random.Random, q: int, p: int) -> int:
 
 
 @_subcommand("padic", m=(REQUIRED, None), prime_powers=(REQUIRED, _padic_powers),
-             tuples=(100, _count("tuples")), seed=(0, None))
+             tuples=(100, _count("tuples")), seed=(0, _count("seed")))
 def _cmd_padic(v) -> Outcome:
     p, r_min, r_max = v["prime_powers"]
     tuples = v["tuples"]

@@ -16,7 +16,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -232,26 +232,50 @@ def _enumerate_order4(points: Sequence[int]):
 
 
 def _random_order4(points: List[int], rng: random.Random) -> Dict[int, int]:
-    """A random permutation of the points with cycle lengths in {1, 2, 4}."""
+    """A random permutation of the points with cycle lengths in {1, 2, 4}.
+
+    It shuffles the points, then pops them from the end: each popped point
+    picks a cycle length from [1], [1, 2] or [1, 2, 4] (as many as the points
+    left allow) and closes a cycle with points popped from random positions.
+    Every draw below k is made as CPython's rng.shuffle, rng.choice and
+    rng.randrange make it: rng.getrandbits(k.bit_length()), drawn again while
+    the value is >= k.  So the result and the generator's state afterwards are
+    those of the shuffle/choice/randrange route, with fewer Python calls."""
+    getrandbits = rng.getrandbits
     pts = list(points)
-    rng.shuffle(pts)
+    for i in range(len(pts) - 1, 0, -1):        # rng.shuffle(pts)
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        pts[i], pts[j] = pts[j], pts[i]
     out: Dict[int, int] = {}
-    while pts:
+    left = len(pts)
+    while left:
         a = pts.pop()
-        choices = [1]
-        if len(pts) >= 1:
-            choices.append(2)
-        if len(pts) >= 3:
-            choices.append(4)
-        length = rng.choice(choices)
-        if length == 1:
+        left -= 1
+        if not left:
+            # rng.choice([1]) still draws: one bit, until it is 0
+            while getrandbits(1):
+                pass
             out[a] = a
-        elif length == 2:
-            b = pts.pop(rng.randrange(len(pts)))
-            out[a], out[b] = b, a
-        else:
-            b, c, d = (pts.pop(rng.randrange(len(pts))) for _ in range(3))
-            out[a], out[b], out[c], out[d] = b, c, d, a
+            break
+        # rng.choice([1, 2]) or rng.choice([1, 2, 4]): an index below 2 or 3
+        k = 2 if left < 3 else 3
+        r = getrandbits(2)
+        while r >= k:
+            r = getrandbits(2)
+        prev = a
+        for _ in range((0, 1, 3)[r]):           # the other points of the cycle
+            bits = left.bit_length()            # pts.pop(rng.randrange(left))
+            j = getrandbits(bits)
+            while j >= left:
+                j = getrandbits(bits)
+            x = pts.pop(j)
+            left -= 1
+            out[prev] = x
+            prev = x
+        out[prev] = a
     return out
 
 
@@ -260,18 +284,22 @@ def _law_flags(img: List[int], m: int, n: int) -> List[bool]:
     return [b != m * a % n for a, b in zip(img, img[1:] + img[:1])]
 
 
-def _resample_delta(cur: List[int], bad: List[bool], touched: Set[int],
+def _resample_delta(cur: List[int], bad: List[bool], touched: AbstractSet[int],
                     m: int, n: int) -> Tuple[int, Dict[int, bool]]:
     """Change in the defect count after the images at ``touched`` were
     rewritten in ``cur``: only the flags at x - 1 and x of each touched x can
     move.  Returns the change and the new flags to store on accept."""
     flags: Dict[int, bool] = {}
     delta = 0
+    last = n - 1
     for x in touched:
-        for y in ((x - 1) % n, x):
-            if y not in flags:
-                flag = flags[y] = cur[(y + 1) % n] != m * cur[y] % n
-                delta += flag - bad[y]
+        y = x - 1 if x else last                # the flag at x - 1 compares f(x)
+        if y not in flags:
+            flag = flags[y] = cur[x] != m * cur[y] % n
+            delta += flag - bad[y]
+        if x not in flags:
+            flag = flags[x] = (cur[x + 1] if x < last else cur[0]) != m * cur[x] % n
+            delta += flag - bad[x]
     return delta, flags
 
 
@@ -284,7 +312,10 @@ def search_local_exp(n: int, m: int, budget: int, seed: int) -> SearchResult:
     An annealing step resamples the cycles through two random points and
     updates the defect from the flags next to the touched points, so it
     costs O(length of those cycles), not O(n); the running count is checked
-    against a full recount after the loop."""
+    against a full recount after the loop.  A step draws its two points from
+    rng.getrandbits as rng.randrange(n) would, and its pattern through
+    _random_order4, which draws the same way: the draws, and so the map
+    for a seed, are those of randrange, shuffle and choice."""
     if math.gcd(m, n) != 1:
         raise ValueError(f"gcd({m}, {n}) != 1")
     exhaustive = n <= 10
@@ -307,38 +338,47 @@ def search_local_exp(n: int, m: int, budget: int, seed: int) -> SearchResult:
                 best, best_img = d, img
     else:
         rng = random.Random(seed)
+        # bound at call time, so that a monkeypatched seam is the one called
+        getrandbits, rand, exp = rng.getrandbits, rng.random, math.exp
+        random_order4, resample_delta = _random_order4, _resample_delta
         cur = list(range(n))
-        for k, v in _random_order4(list(range(n)), rng).items():
+        for k, v in random_order4(list(range(n)), rng).items():
             cur[k] = v
         bad = _law_flags(cur, m, n)
         cur_d = sum(bad)
         best, best_img = cur_d, cur.copy()
         temp = max(1.0, n / 8)
         cooling = (0.01 / temp) ** (1 / max(1, budget))
+        bits = n.bit_length()
         for _ in range(budget):
             # resample the cycles through two random points with a fresh
-            # order-dividing-4 pattern, in place; the old images are kept
-            # to undo a rejected step
-            a, b = rng.randrange(n), rng.randrange(n)
-            touched = set()
-            for start in (a, b):
-                x = start
-                while x not in touched:
-                    touched.add(x)
-                    x = cur[x]
-            saved = [(x, cur[x]) for x in touched]
-            for k, v in _random_order4(sorted(touched), rng).items():
+            # order-dividing-4 pattern, in place; the old images, keyed by
+            # the touched points, undo a rejected step.  a and b are drawn
+            # as rng.randrange(n) draws them.
+            a = getrandbits(bits)
+            while a >= n:
+                a = getrandbits(bits)
+            b = getrandbits(bits)
+            while b >= n:
+                b = getrandbits(bits)
+            saved = {}
+            for x in (a, b):
+                while x not in saved:
+                    y = cur[x]
+                    saved[x] = y
+                    x = y
+            for k, v in random_order4(sorted(saved), rng).items():
                 cur[k] = v
-            delta, flags = _resample_delta(cur, bad, touched, m, n)
+            delta, flags = resample_delta(cur, bad, saved.keys(), m, n)
             d = cur_d + delta
-            if d <= cur_d or rng.random() < math.exp((cur_d - d) / temp):
+            if d <= cur_d or rand() < exp((cur_d - d) / temp):
                 cur_d = d
                 for y, flag in flags.items():
                     bad[y] = flag
                 if d < best:
                     best, best_img = d, cur.copy()
             else:
-                for k, v in saved:
+                for k, v in saved.items():
                     cur[k] = v
             temp *= cooling
         budget_exhausted = True

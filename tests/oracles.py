@@ -3,15 +3,17 @@
 None of these runs in a subcommand: each is a slow, direct route to a value
 the package computes another way (a running product against the doubling
 exp table, exhaustive enumeration against the P_n recurrence, word
-evaluation against the arithmetic model's element table).  Tests import
-them as `from oracles import ...`; the file is not collected, since its name
-does not start with `test_`.
+evaluation against the arithmetic model's element table, the order-4
+sampler's shuffle, choice and randrange against its getrandbits draws).
+Tests import them as `from oracles import ...`; the file is not collected,
+since its name does not start with `test_`.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -63,6 +65,33 @@ def count_order4(n: int) -> int:
         if all(p2[p2[i]] == i for i in idx):
             count += 1
     return count
+
+
+def random_order4(points: List[int], rng: random.Random) -> Dict[int, int]:
+    """A random permutation of the points with cycle lengths in {1, 2, 4},
+    drawn through rng.shuffle, rng.choice and rng.randrange: the searcher's
+    sampler as it was before it drew from rng.getrandbits directly, kept
+    verbatim as the reference for its draws."""
+    pts = list(points)
+    rng.shuffle(pts)
+    out: Dict[int, int] = {}
+    while pts:
+        a = pts.pop()
+        choices = [1]
+        if len(pts) >= 1:
+            choices.append(2)
+        if len(pts) >= 3:
+            choices.append(4)
+        length = rng.choice(choices)
+        if length == 1:
+            out[a] = a
+        elif length == 2:
+            b = pts.pop(rng.randrange(len(pts)))
+            out[a], out[b] = b, a
+        else:
+            b, c, d = (pts.pop(rng.randrange(len(pts))) for _ in range(3))
+            out[a], out[b], out[c], out[d] = b, c, d, a
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -591,6 +591,8 @@ class TestOtherSubcommands:
         ("sofic-check", "--m", "3", "--n", "101", "--num-bound=-1"),
         ("conjugate", "--n", "1000", "--seed=-1"),
         ("h3", "--n", "101", "--m", "2", "--seed=-1"),
+        ("search-f", "--n", "30", "--m", "7", "--budget", "500", "--seed=-3"),
+        ("padic", "--m", "2", "--prime-powers", "3:2..3", "--seed=-1"),
     ])
     def test_negative_count_is_usage_error(self, tmp_path, capsys, argv):
         # "--budget=-3": argparse would read a separate "-3" as a flag

@@ -10,10 +10,10 @@ from typing import Optional
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (count_order4, exp_table_by_product, from_cycles, is_four_periodic,
-                     word_value)
+                     random_order4, word_value)
 from soficlab import localexp
 from soficlab.cli import main
 from soficlab.localexp import (PadicContext, defect_report,
@@ -320,7 +320,9 @@ class TestSearcher:
 
 # The searcher as it was before annealing steps updated the defect in place:
 # every step copies the map and recounts all n points.  Kept verbatim as the
-# oracle that the incremental searcher must match byte for byte.
+# oracle that the incremental searcher must match byte for byte, apart from
+# its sampler, the shuffle/choice/randrange copy in oracles.py, so that the
+# searcher's getrandbits draws are checked against an independent route.
 def oracle_search(n: int, m: int, budget: int, seed: int) -> SearchResult:
     """Minimize the defect-set size over bijections with f^4 = id.
     Exhaustive for n <= 10 (within budget), simulated annealing above; the
@@ -348,7 +350,7 @@ def oracle_search(n: int, m: int, budget: int, seed: int) -> SearchResult:
     else:
         rng = random.Random(seed)
         cur = np.arange(n, dtype=np.int64)
-        for k, v in _random_order4(list(range(n)), rng).items():
+        for k, v in random_order4(list(range(n)), rng).items():
             cur[k] = v
         cur_d = _law_failures(cur, m, n).size
         best, best_img = cur_d, cur.copy()
@@ -365,7 +367,7 @@ def oracle_search(n: int, m: int, budget: int, seed: int) -> SearchResult:
                     touched.add(x)
                     x = int(cur[x])
             cand = cur.copy()
-            for k, v in _random_order4(sorted(touched), rng).items():
+            for k, v in random_order4(sorted(touched), rng).items():
                 cand[k] = v
             d = _law_failures(cand, m, n).size
             if d <= cur_d or rng.random() < math.exp((cur_d - d) / temp):
@@ -397,6 +399,49 @@ class TestSearcherOracle:
         assume(math.gcd(m, n) == 1)
         assert (search_local_exp(n, m, budget=budget, seed=seed).to_json()
                 == oracle_search(n, m, budget=budget, seed=seed).to_json())
+
+
+class TestDrawEquivalence:
+    """The searcher draws from rng.getrandbits exactly as CPython's shuffle,
+    choice and randrange would: the same values, and the generator left in
+    the same state."""
+
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.integers(0, 10**6), max_size=13, unique=True))
+    @example(seed=0, points=[5])    # choice([1]) still draws a bit, until it is 0
+    @settings(max_examples=300, deadline=None)
+    def test_sampler_matches_shuffle_choice_randrange(self, seed, points):
+        ours, ref = random.Random(seed), random.Random(seed)
+        given_points = list(points)
+        assert _random_order4(points, ours) == random_order4(points, ref)
+        assert ours.getstate() == ref.getstate()
+        assert points == given_points
+
+    @given(st.integers(11, 300), st.integers(0, 2**32 - 1))
+    @example(n=64, seed=0)      # at a power of two, randrange(n) draws n.bit_length() bits
+    @settings(max_examples=40, deadline=None)
+    def test_step_points_are_randrange_draws(self, n, seed):
+        # a sampler that fixes every point keeps the identity map, so a step
+        # touches exactly {a, b}, changes no flag and draws no acceptance
+        # float: between two sampler calls the searcher draws a and b alone
+        assume(math.gcd(7, n) == 1)
+        ref, steps = [], []
+
+        def fix_all(points, rng):
+            if ref:
+                a, b = ref[0].randrange(n), ref[0].randrange(n)
+                assert points == sorted({a, b})
+                assert rng.getstate() == ref[0].getstate()
+                steps.append(points)
+            else:                       # the initial map: the mirror starts here
+                ref.append(random.Random())
+                ref[0].setstate(rng.getstate())
+            return {x: x for x in points}
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(localexp, "_random_order4", fix_all)
+            search_local_exp(n, 7, budget=50, seed=seed)
+        assert len(steps) == 50
 
 
 class TestRunningDefectCheck:
