@@ -29,8 +29,9 @@ from .bsgroup import BsElement, bs_a1, bs_a2, bs_rectangle, a2_interval
 from .conjugacy import build_conjugator, conjugacy_defect
 from .expcycles import prime_powers, run_sweep, segmented_sieve, sweep_csv
 from .heuristics import heuristic_csv
-from .localexp import (PadicContext, defect_report, h3_witness,
-                       min_mezo_fraction, padic_fixed_point, search_local_exp)
+from .localexp import (ORDER4_EXHAUSTIVE_MAX, SYM_EXHAUSTIVE_MAX, PadicContext,
+                       defect_report, h3_witness, min_mezo_fraction,
+                       padic_fixed_point, search_local_exp)
 from .perm import HammingValue, Permutation
 from .soficcheck import ArithmeticModel, check_sofic
 from .tiling import Tiling, inverse_products, plan_parameters, quasi_tile, verify_tiling
@@ -255,7 +256,8 @@ Outcome = Tuple[Dict[str, str], int]
 
 @_subcommand("cycles", m=(REQUIRED, _BASE), primes=(None, None),
              prime_powers=(None, None), n=(None, _moduli),
-             workers=(1, None), slack=(100, None))
+             workers=(1, _check(lambda w: w >= 1, "workers = {} must be >= 1")),
+             slack=(100, None))
 def _cmd_cycles(v) -> Outcome:
     rows = run_sweep(v["m"], v["n"], workers=v["workers"])
     slack = v["slack"]
@@ -364,14 +366,15 @@ def _cmd_conjugate(v) -> Outcome:
 def _cmd_search_f(v) -> Outcome:
     n = v["n"]
     result = search_local_exp(n, v["m"], budget=v["budget"], seed=v["seed"])
+    # at or below the limit the budget is exhausted only when maps were left
     return ({"search.json": result.to_json() + "\n"},
-            2 if (result.budget_exhausted and not result.exhaustive and n <= 10) else 0)
+            2 if result.budget_exhausted and n <= ORDER4_EXHAUSTIVE_MAX else 0)
 
 
 @_subcommand("h3", n=(REQUIRED, _DEGREE), m=(REQUIRED, _unit), seed=(0, _count("seed")))
 def _cmd_h3(v) -> Outcome:
     n, m = v["n"], v["m"]
-    if n <= 8:
+    if n <= SYM_EXHAUSTIVE_MAX:
         frac = min_mezo_fraction(n, m)
         return {"h3.json": _json({"n": n, "m": m, "min_failing_fraction": frac,
                                   "strictly_positive": frac > 0})}, 0 if frac > 0 else 2
@@ -412,8 +415,7 @@ def _cmd_padic(v) -> Outcome:
     return {"padic.json": _json(results)}, 0
 
 
-@_subcommand("heuristic", n=(None, None), N=(lambda v: 50 if v["n"] is None else v["n"],
-                                            _check(lambda N: N >= 1, "N = {} must be >= 1")),
+@_subcommand("heuristic", N=(50, _check(lambda N: N >= 1, "N = {} must be >= 1")),
              eps=(Fraction(1, 5), _inside_unit_interval("eps")))
 def _cmd_heuristic(v) -> Outcome:
     return {"heuristic.csv": heuristic_csv(v["N"], float(v["eps"]))}, 0

@@ -14,7 +14,7 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
@@ -22,6 +22,9 @@ import numpy as np
 
 from .perm import HammingValue, Permutation, displacement, iterate
 
+# The largest n covered by exhaustion over Sym(n), and over maps with f^4 = id
+SYM_EXHAUSTIVE_MAX = 8
+ORDER4_EXHAUSTIVE_MAX = 10
 
 # ---------------------------------------------------------------------------
 # Defect reports
@@ -58,17 +61,14 @@ def defect_report(f: Permutation, m: int) -> DefectReport:
 def min_mezo_fraction(n: int, m: int) -> Fraction:
     """min over all bijections of Z/nZ of the fraction of points failing at
     least one of the two local laws, by exhaustion over Sym(n)."""
-    if n > 8:
-        raise ValueError("exhaustion limited to n <= 8")
+    if n > SYM_EXHAUSTIVE_MAX:
+        raise ValueError(f"exhaustion limited to n <= {SYM_EXHAUSTIVE_MAX}")
     if math.gcd(m, n) != 1:
         raise ValueError(f"gcd({m}, {n}) != 1")
-    idx = np.arange(n)
     best = n
-    for perm in itertools.permutations(range(n)):
-        img = np.array(perm, dtype=np.int64)
-        bad = np.roll(img, -1) != m * img % n
-        bad |= img[img[img]] != idx
-        count = int(np.count_nonzero(bad))
+    for img in itertools.permutations(range(n)):
+        count = sum(bad or img[img[img[x]]] != x
+                    for x, bad in enumerate(_law_flags(img, m, n)))
         if count < best:
             best = count
             if best == 0:
@@ -108,7 +108,8 @@ class PadicContext:
     p: int
     r: int
     m: int
-    s: int = 0                     # m^(p-1) mod p^r, filled in __post_init__
+    q: int = field(init=False)     # p^r
+    s: int = field(init=False)     # m^(p-1) mod p^r
 
     def __post_init__(self) -> None:
         if self.r < 1:
@@ -117,13 +118,10 @@ class PadicContext:
             raise ValueError(f"p = {self.p} divides m = {self.m}")
         q = self.p ** self.r
         s = pow(self.m, self.p - 1, q)
+        object.__setattr__(self, "q", q)
         object.__setattr__(self, "s", s)
         if s % self.p != 1:
             raise AssertionError(f"m^(p-1) = {s} is not 1 mod p = {self.p}")
-
-    @property
-    def q(self) -> int:
-        return self.p ** self.r
 
     def s_pow(self, x: int) -> int:
         """s^x mod p^r, exponent reduced mod p^(r-1) (the period of x -> s^x)."""
@@ -204,31 +202,23 @@ class SearchResult:
         })
 
 
-def _enumerate_order4(points: Sequence[int]):
-    """All permutations of the given points whose cycle type uses lengths in
-    {1, 2, 4} only, yielded as {point: image} dicts."""
+def _enumerate_order4(points: List[int], img: List[int]):
+    """Every permutation of the given points whose cycle type uses lengths in
+    {1, 2, 4} only, each written into img in place and yielded as img: the
+    first point fixed, then in a 2-cycle, then in a 4-cycle with an ordered
+    choice of three others."""
     if not points:
-        yield {}
+        yield img
         return
-    a, rest = points[0], list(points[1:])
-    # a fixed
-    for tail in _enumerate_order4(rest):
-        tail[a] = a
-        yield tail
-    # a in a 2-cycle with b
+    a, rest = points[0], points[1:]
+    img[a] = a
+    yield from _enumerate_order4(rest, img)
     for i, b in enumerate(rest):
-        others = rest[:i] + rest[i + 1:]
-        for tail in _enumerate_order4(others):
-            tail[a] = b
-            tail[b] = a
-            yield tail
-    # a in a 4-cycle with an ordered choice of three others
-    for trio in itertools.permutations(rest, 3):
-        others = [v for v in rest if v not in trio]
-        for tail in _enumerate_order4(others):
-            b, c, d = trio
-            tail[a], tail[b], tail[c], tail[d] = b, c, d, a
-            yield tail
+        img[a], img[b] = b, a
+        yield from _enumerate_order4(rest[:i] + rest[i + 1:], img)
+    for b, c, d in itertools.permutations(rest, 3):
+        img[a], img[b], img[c], img[d] = b, c, d, a
+        yield from _enumerate_order4([v for v in rest if v not in (b, c, d)], img)
 
 
 def _random_order4(points: List[int], rng: random.Random) -> Dict[int, int]:
@@ -279,8 +269,8 @@ def _random_order4(points: List[int], rng: random.Random) -> Dict[int, int]:
     return out
 
 
-def _law_flags(img: List[int], m: int, n: int) -> List[bool]:
-    """flags[x] = (f(x+1) != m f(x) mod n) over a list image, cyclic."""
+def _law_flags(img: Sequence[int], m: int, n: int) -> List[bool]:
+    """flags[x] = (f(x+1) != m f(x) mod n) over a list or tuple image, cyclic."""
     return [b != m * a % n for a, b in zip(img, img[1:] + img[:1])]
 
 
@@ -305,9 +295,9 @@ def _resample_delta(cur: List[int], bad: List[bool], touched: AbstractSet[int],
 
 def search_local_exp(n: int, m: int, budget: int, seed: int) -> SearchResult:
     """Minimize the defect-set size over bijections with f^4 = id.
-    Exhaustive for n <= 10 when the budget covers every map, simulated
-    annealing above; the winner's defect count is recomputed independently
-    before returning.
+    Exhaustive for n <= ORDER4_EXHAUSTIVE_MAX when the budget covers every
+    map, simulated annealing above; the winner's defect count is recomputed
+    independently before returning.
 
     An annealing step resamples the cycles through two random points and
     updates the defect from the flags next to the touched points, so it
@@ -318,7 +308,7 @@ def search_local_exp(n: int, m: int, budget: int, seed: int) -> SearchResult:
     for a seed, are those of randrange, shuffle and choice."""
     if math.gcd(m, n) != 1:
         raise ValueError(f"gcd({m}, {n}) != 1")
-    exhaustive = n <= 10
+    exhaustive = n <= ORDER4_EXHAUSTIVE_MAX
     budget_exhausted = False
     best_img: Optional[List[int]] = None
     best = n + 1
@@ -326,16 +316,17 @@ def search_local_exp(n: int, m: int, budget: int, seed: int) -> SearchResult:
     if exhaustive:
         # a budget of b scores b maps, and at least one; the enumeration is
         # cut short only when a map beyond the budget is left
-        for evals, assignment in enumerate(_enumerate_order4(list(range(n)))):
+        maps = _enumerate_order4(list(range(n)), list(range(n)))
+        for evals, img in enumerate(maps):
             if evals >= max(budget, 1):
                 budget_exhausted = True
                 exhaustive = False
                 break
-            img = [assignment[x] for x in range(n)]
             d = sum(_law_flags(img, m, n))
-            # the first assignment always wins on d < best = n + 1
+            # the first map always wins on d < best = n + 1; img is rewritten
+            # in place, so the winner is a copy
             if d < best or (d == best and img < best_img):
-                best, best_img = d, img
+                best, best_img = d, img.copy()
     else:
         rng = random.Random(seed)
         # bound at call time, so that a monkeypatched seam is the one called

@@ -4,7 +4,9 @@ None of these runs in a subcommand: each is a slow, direct route to a value
 the package computes another way (a running product against the doubling
 exp table, exhaustive enumeration against the P_n recurrence, word
 evaluation against the arithmetic model's element table, the order-4
-sampler's shuffle, choice and randrange against its getrandbits draws).
+sampler's shuffle, choice and randrange against its getrandbits draws, the
+order-4 enumerator's dicts against its in-place image list, and numpy
+arrays against the list law scan in the Sym(n) exhaustion).
 Tests import them as `from oracles import ...`; the file is not collected,
 since its name does not start with `test_`.
 """
@@ -92,6 +94,58 @@ def random_order4(points: List[int], rng: random.Random) -> Dict[int, int]:
             b, c, d = (pts.pop(rng.randrange(len(pts))) for _ in range(3))
             out[a], out[b], out[c], out[d] = b, c, d, a
     return out
+
+
+def enumerate_order4(points: Sequence[int]):
+    """All permutations of the given points whose cycle type uses lengths in
+    {1, 2, 4} only, yielded as {point: image} dicts: the searcher's
+    enumerator as it was before it wrote one image list in place, kept
+    verbatim as the reference for its order."""
+    if not points:
+        yield {}
+        return
+    a, rest = points[0], list(points[1:])
+    # a fixed
+    for tail in enumerate_order4(rest):
+        tail[a] = a
+        yield tail
+    # a in a 2-cycle with b
+    for i, b in enumerate(rest):
+        others = rest[:i] + rest[i + 1:]
+        for tail in enumerate_order4(others):
+            tail[a] = b
+            tail[b] = a
+            yield tail
+    # a in a 4-cycle with an ordered choice of three others
+    for trio in itertools.permutations(rest, 3):
+        others = [v for v in rest if v not in trio]
+        for tail in enumerate_order4(others):
+            b, c, d = trio
+            tail[a], tail[b], tail[c], tail[d] = b, c, d, a
+            yield tail
+
+
+def min_mezo_fraction_by_arrays(n: int, m: int) -> Fraction:
+    """min over all bijections of Z/nZ of the fraction of points failing at
+    least one of the two local laws, by exhaustion over Sym(n) with one numpy
+    array per permutation: the package's exhaustion as it was before it
+    scored tuples through the searcher's list law scan, kept verbatim."""
+    if n > 8:
+        raise ValueError("exhaustion limited to n <= 8")
+    if gcd(m, n) != 1:
+        raise ValueError(f"gcd({m}, {n}) != 1")
+    idx = np.arange(n)
+    best = n
+    for perm in itertools.permutations(range(n)):
+        img = np.array(perm, dtype=np.int64)
+        bad = np.roll(img, -1) != m * img % n
+        bad |= img[img[img]] != idx
+        count = int(np.count_nonzero(bad))
+        if count < best:
+            best = count
+            if best == 0:
+                break
+    return Fraction(best, n)
 
 
 # ---------------------------------------------------------------------------

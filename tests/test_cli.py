@@ -484,6 +484,7 @@ def test_degree_or_base_below_two_is_usage_error(tmp_path, capsys, argv, message
     (("heuristic", "--N", "5", "--seed", "1"), "--seed"),
     (("cycles", "--m", "2", "--n", "101", "--eps", "1/4"), "--eps"),
     (("verify", "--certificate", "tiling.json", "--n", "1000"), "--n"),
+    (("heuristic", "--n", "5", "--N", "7"), "--n"),
 ])
 def test_option_outside_table_is_usage_error(tmp_path, capsys, argv, flag):
     code, out = run(tmp_path, *argv)
@@ -561,7 +562,7 @@ class TestOtherSubcommands:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--n", "--N"])
+    @pytest.mark.parametrize("flag", ["--N"])
     def test_heuristic_zero_terms_is_usage_error(self, tmp_path, capsys, flag):
         code, out = run(tmp_path, "heuristic", flag, "0")
         assert code == 1
@@ -599,6 +600,14 @@ class TestOtherSubcommands:
         code, out = run(tmp_path, *argv)
         assert code == 1
         assert "must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_cycles_workers_below_one_is_usage_error(self, tmp_path, capsys, workers):
+        # "--workers=-5": argparse would read a separate "-5" as a flag
+        code, out = run(tmp_path, "cycles", "--m", "2", "--n", "101", f"--workers={workers}")
+        assert code == 1
+        assert f"workers = {workers} must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sofic_check_identity_ball_is_usage_error(self, tmp_path, capsys):

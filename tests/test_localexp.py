@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import (count_order4, exp_table_by_product, from_cycles, is_four_periodic,
-                     random_order4, word_value)
+from oracles import (count_order4, enumerate_order4, exp_table_by_product, from_cycles,
+                     is_four_periodic, min_mezo_fraction_by_arrays, random_order4, word_value)
 from soficlab import localexp
 from soficlab.cli import main
 from soficlab.localexp import (PadicContext, defect_report,
@@ -128,6 +128,27 @@ class TestMezoExhaustion:
         for nm, frac in self.FROZEN.items():
             assert frac > 0
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_array_exhaustion(self, n):
+        for m in range(1, 10):
+            if math.gcd(m, n) == 1:
+                assert min_mezo_fraction(n, m) == min_mezo_fraction_by_arrays(n, m), m
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_scores_each_map_as_array_exhaustion(self, n, monkeypatch):
+        # over all of Sym(n), for every n <= 8, the fewest points failing
+        # either law are the fewest failing f(x+1) = m f(x) alone, so the f^3
+        # check shows only when both exhaustions are offered one map at a time
+        for img in list(itertools.permutations(range(n))):
+            monkeypatch.setattr(itertools, "permutations", lambda points: [img])
+            for m in range(1, 10):
+                if math.gcd(m, n) == 1:
+                    assert min_mezo_fraction(n, m) == min_mezo_fraction_by_arrays(n, m), (img, m)
+
+    def test_limit_above_sym_exhaustion_rejected(self):
+        with pytest.raises(ValueError, match="n <= 8"):
+            min_mezo_fraction(localexp.SYM_EXHAUSTIVE_MAX + 1, 1)
+
 
 class TestPadic:
     def test_degenerate_s_one(self):
@@ -157,6 +178,12 @@ class TestPadic:
         ctx = PadicContext(3, 2, 2)
         with pytest.raises(ValueError):
             padic_fixed_point(ctx, (3, 1, 1, 1))
+
+    def test_s_not_settable(self):
+        with pytest.raises(TypeError):
+            PadicContext(3, 2, 2, 99)
+        with pytest.raises(TypeError):
+            PadicContext(3, 2, 2, s=99)
 
     def test_s_period(self):
         ctx = PadicContext(3, 3, 2)
@@ -310,6 +337,15 @@ class TestSearcher:
         short = search_local_exp(n, m, budget=maps - 1, seed=0)
         assert short.budget_exhausted and not short.exhaustive
 
+    @pytest.mark.parametrize("n", range(9))
+    def test_enumeration_matches_dict_enumerator(self, n):
+        """The in-place enumerator yields the images of the dict
+        enumerator, in its order: fixed point, 2-cycles, then 4-cycles."""
+        ours = [img.copy() for img in _enumerate_order4(list(range(n)), list(range(n)))]
+        ref = [[a[x] for x in range(n)] for a in enumerate_order4(list(range(n)))]
+        assert ours == ref
+        assert len(ours) == count_order4(n)
+
     def test_non_four_periodic_winner_rejected(self, monkeypatch):
         # a resampler that closes all its points into one cycle breaks f^4 = id
         monkeypatch.setattr(localexp, "_random_order4",
@@ -321,8 +357,10 @@ class TestSearcher:
 # The searcher as it was before annealing steps updated the defect in place:
 # every step copies the map and recounts all n points.  Kept verbatim as the
 # oracle that the incremental searcher must match byte for byte, apart from
-# its sampler, the shuffle/choice/randrange copy in oracles.py, so that the
-# searcher's getrandbits draws are checked against an independent route.
+# its sampler, the shuffle/choice/randrange copy in oracles.py, and its
+# enumerator, the dict-building copy there, so that the searcher's
+# getrandbits draws and in-place enumeration are checked against
+# independent routes.
 def oracle_search(n: int, m: int, budget: int, seed: int) -> SearchResult:
     """Minimize the defect-set size over bijections with f^4 = id.
     Exhaustive for n <= 10 (within budget), simulated annealing above; the
@@ -336,7 +374,7 @@ def oracle_search(n: int, m: int, budget: int, seed: int) -> SearchResult:
 
     if exhaustive:
         evals = 0
-        for assignment in _enumerate_order4(list(range(n))):
+        for assignment in enumerate_order4(list(range(n))):
             if evals >= max(budget, 1):     # a map beyond the budget is left
                 budget_exhausted = True
                 exhaustive = False
