@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -449,7 +450,10 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first `main` call:
+    parse_args reads it without changing it and returns a new Namespace."""
     parser = argparse.ArgumentParser(prog="soficlab")
     parser.add_argument("subcommand", choices=_SUBCOMMANDS)
     parser.add_argument("--config")

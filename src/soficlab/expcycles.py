@@ -126,9 +126,9 @@ def exp_map(m: int, n: int, workspace: Workspace) -> ExpMap:
     if math.gcd(m, n) != 1:
         raise ValueError(f"gcd({m}, {n}) != 1")
     table = _exp_table(m, n, workspace)
-    rng = np.random.default_rng((m, n))
-    for x in rng.integers(0, n, size=min(16, n)):
-        if int(table[x]) != pow(m, int(x), n):
+    sample = np.random.default_rng((m, n)).integers(0, n, size=min(16, n))
+    for x, y in zip(sample.tolist(), table[sample].tolist()):
+        if y != pow(m, x, n):
             raise AssertionError(f"tabulation mismatch at x={x}")
     table.setflags(write=False)
     return ExpMap(m, n, table)

@@ -1,16 +1,20 @@
+import argparse
 import copy
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soficlab.cli import (REQUIRED, _SUBCOMMANDS, _draw_unit, interval_shapes, load_config,
-                          main)
+from soficlab.cli import (REQUIRED, _SUBCOMMANDS, _build_parser, _draw_unit, interval_shapes,
+                          load_config, main)
 from soficlab.soficcheck import ArithmeticModel
 from soficlab.tiling import Tiling, inverse_products, plan_parameters, verify_tiling
 
@@ -658,6 +662,70 @@ class TestEntryPoint:
 
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+class TestRepeatedCalls:
+    """main parses with one parser per process and may be called many times
+    in one process: no call sees another's options, and each writes what a
+    fresh process would."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch, tmp_path):
+        # argparse wraps usage and help text to the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+
+    @staticmethod
+    def fresh(*argv):
+        """`soficlab argv` in a new process: exit code, stdout and stderr."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-m", "soficlab.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_bad_flag_then_good_run(self, tmp_path, capsys):
+        bad = ["cycles", "--m", "2", "--frobnicate", "1", "--out", "bad"]
+        assert main(bad) == 1
+        assert not (tmp_path / "bad").exists()
+        assert self.fresh(*bad) == (1, "", capsys.readouterr().err)
+        good = ["cycles", "--m", "2", "--primes", "1000..1100", "--slack", "0"]
+        assert main([*good, "--out", "here"]) == 0
+        assert self.fresh(*good, "--out", "there")[0] == 0
+        for name in ("cycles.csv", "findings.json"):
+            assert sha256(tmp_path / "here" / name) == sha256(tmp_path / "there" / name)
+        here, there = (json.loads((tmp_path / d / "manifest.json").read_text())
+                       for d in ("here", "there"))
+        del here["wall_time_s"], there["wall_time_s"]
+        assert here == there
+
+    def test_config_does_not_carry_over(self, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("N = 7\neps = 1/4\n")
+        assert main(["heuristic", "--config", str(cfg), "--out", "with"]) == 0
+        assert main(["heuristic", "--out", "without"]) == 0
+        manifest = json.loads((tmp_path / "without" / "manifest.json").read_text())
+        assert manifest["config_source"] == "defaults" and manifest["params"] == {}
+        assert len((tmp_path / "without" / "heuristic.csv").read_text().splitlines()) == 1 + 50
+
+    def test_help_exits_0_with_fresh_process_text(self, capsys):
+        texts = []
+        for _ in range(2):
+            assert main(["--help"]) == 0
+            texts.append(capsys.readouterr().out)
+        assert self.fresh("--help") == (0, texts[0], "") and texts[0] == texts[1]
+
+    def test_parser_built_once(self, monkeypatch):
+        built = []
+        real = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda *a, **k: built.append(1) or real(*a, **k))
+        _build_parser.cache_clear()
+        for argv in (["heuristic", "--N", "3", "--out", "a"], ["frobnicate"], ["--help"],
+                     ["heuristic", "--N", "4", "--out", "b"]):
+            main(argv)
+        assert len(built) == 1
 
 
 class TestReadmeOptionTable:

@@ -242,6 +242,20 @@ class TestCensusCheck:
         assert manifest["exit_code"] == 2 and "entry outside" in manifest["error"]
         assert not (out / "cycles.csv").exists()
 
+    def test_sampled_entry_corruption_raises(self, monkeypatch):
+        """An in-range wrong entry at a point the spot check samples (the
+        last one it draws) is named by the check."""
+        real = expcycles._exp_table
+        x = np.random.default_rng((self.M2, self.N2)).integers(0, self.N2, size=16).tolist()[-1]
+
+        def corrupted(m, n, *args):
+            out = real(m, n, *args)
+            out[x] = (out[x] + 1) % n
+            return out
+        monkeypatch.setattr(expcycles, "_exp_table", corrupted)
+        with pytest.raises(AssertionError, match=rf"tabulation mismatch at x={x}$"):
+            exp_map(self.M2, self.N2, Workspace(self.N2))
+
 
 def _scratch_filled(real, sentinel):
     """count_k_periodic that, once done, overwrites all of the workspace's
