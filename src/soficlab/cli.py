@@ -35,7 +35,8 @@ from .localexp import (ORDER4_EXHAUSTIVE_MAX, SYM_EXHAUSTIVE_MAX, PadicContext,
                        padic_fixed_point, search_local_exp)
 from .perm import HammingValue, Permutation
 from .soficcheck import ArithmeticModel, check_sofic
-from .tiling import Tiling, inverse_products, plan_parameters, quasi_tile, verify_tiling
+from .tiling import (ProductGrid, Tiling, inverse_products, plan_parameters, quasi_tile,
+                     verify_tiling)
 
 
 class UsageError(ValueError):
@@ -336,22 +337,24 @@ def conjugate_shapes(m: int) -> List[frozenset]:
     return [bs_rectangle(2, w, m) for w in widths]
 
 
-def conjugate_domain(m: int) -> Tuple[List[frozenset], set]:
-    """The conjugate shapes and the keys the conjugator reads: a_1, a_2 and
-    F_k^-1 F_k, which holds every shape since they nest and F_1 holds the
-    identity."""
+def conjugate_domain(m: int) -> Tuple[List[frozenset], ProductGrid, set]:
+    """The conjugate shapes, the grid F_k^-1 F_k of the sorted top shape,
+    which both tilings of a conjugate run read, and the keys the conjugator
+    reads: a_1, a_2 and the grid, which holds every shape since they nest
+    and F_1 holds the identity."""
     shapes = conjugate_shapes(m)
-    return shapes, {bs_a1(m), bs_a2(m)}.union(*inverse_products(shapes[-1]))
+    grid = inverse_products(sorted(shapes[-1], key=BsElement.sort_key))
+    return shapes, grid, {bs_a1(m), bs_a2(m)}.union(*grid.rows)
 
 
 @_subcommand("conjugate", eps=(Fraction(1, 4), _TILING_EPS), n=(1000, _DEGREE),
              m=(lambda v: v["n"] - 1, _then(_BASE, _unit)), seed=(0, _count("seed")))
 def _cmd_conjugate(v) -> Outcome:
     n, m, eps, seed = v["n"], v["m"], v["eps"], v["seed"]
-    shapes, domain = conjugate_domain(m)
+    shapes, grid, domain = conjugate_domain(m)
     phi1 = ArithmeticModel(n, m).approx_on(domain)
     phi2 = phi1.conjugated(Permutation(np.random.default_rng(seed).permutation(n)))
-    conj = build_conjugator(phi1, phi2, eps, shapes)
+    conj = build_conjugator(phi1, phi2, eps, shapes, grid)
     report = conjugacy_defect(conj, phi1, phi2, [bs_a1(m), bs_a2(m)])
     return {"conjugator.json": conj.to_json() + "\n", "conjugacy_report.json": _json({
         "n": n, "m": m, "eps": eps, "seed": seed,

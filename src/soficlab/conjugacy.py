@@ -20,7 +20,7 @@ import numpy as np
 from .bsgroup import BsElement, bs_a2
 from .perm import HammingValue, Permutation, hamming, orbit_order
 from .soficcheck import SoficApprox
-from .tiling import level_points, quasi_tile, tile_cores
+from .tiling import ProductGrid, level_points, quasi_tile, tile_cores
 
 
 class InsufficientSupportError(ValueError):
@@ -55,14 +55,17 @@ DELTA_PRIME = Fraction(3, 8)
 
 
 def build_conjugator(phi1: SoficApprox, phi2: SoficApprox, eps,
-                     folner_seq: Sequence[Iterable[BsElement]]) -> Conjugator:
+                     folner_seq: Sequence[Iterable[BsElement]],
+                     grid: Optional[ProductGrid] = None) -> Conjugator:
     """Quasi-tile both approximations at INNER_EPS and assemble tau.
 
     The orbit structure of the image of a_2 (m read off the shapes) sets the
     greedy center priority on each side.  Relabeling one approximation by a
     conjugation then relabels its whole tiling up to cycle phase, so the two
     tilings stay structurally aligned and the matched support stays large.
-    The tilings run in maximal packing mode for the same reason.
+    The tilings run in maximal packing mode for the same reason.  Both
+    read one grid F_k^-1 F_k of the sorted top shape: the caller's, or one
+    quasi_tile builds for each side.
 
     Raises InsufficientSupportError when the matched supports fall below
     (1 - 4 eps / 7) n.
@@ -76,7 +79,7 @@ def build_conjugator(phi1: SoficApprox, phi2: SoficApprox, eps,
     sides = []
     for phi in (phi1, phi2):
         t = quasi_tile(phi, folner_seq, INNER_EPS, INNER_EPS, delta_prime=DELTA_PRIME,
-                       maximal=True, center_order=orbit_order(phi.table[a2]))
+                       maximal=True, center_order=orbit_order(phi.table[a2]), grid=grid)
         points = level_points(t)
         # levels never share a point (a level's tiles avoid every point
         # covered before it), so cores read in ascending j are the same

@@ -54,12 +54,17 @@ class HammingValue:
 
 
 class Permutation:
-    """A bijection of {0..n-1} stored as its image array."""
+    """A bijection of {0..n-1} stored as its read-only image array.
+
+    An untrusted image is copied and checked.  A trusted one is kept as
+    handed over, converted only if it is not int64, and marked read-only:
+    its caller vouches that it is a bijection and that nothing writes to it
+    afterwards (a fresh array, or a window of a read-only table)."""
 
     __slots__ = ("image",)
 
     def __init__(self, image: Union[Sequence[int], np.ndarray], *, _trusted: bool = False):
-        img = np.array(image, dtype=np.int64)
+        img = np.asarray(image, dtype=np.int64) if _trusted else np.array(image, dtype=np.int64)
         if img.ndim != 1 or img.size == 0:
             raise ValueError("image must be a non-empty 1-d array")
         if not _trusted:

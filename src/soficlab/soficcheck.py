@@ -17,7 +17,8 @@ from typing import Dict, Iterable, Optional
 import numpy as np
 
 from .bsgroup import BsElement
-from .perm import HammingValue, Permutation, displacement, hamming
+from .expcycles import MAX_MODULUS
+from .perm import DegreeMismatchError, HammingValue, Permutation, displacement, hamming
 
 
 @dataclass
@@ -36,9 +37,12 @@ class SoficApprox:
                 raise TypeError(f"table has non-element key {key!r}")
 
     def conjugated(self, sigma: Permutation) -> "SoficApprox":
-        """g -> sigma phi(g) sigma^-1: the same approximation on relabelled points."""
-        sigma_inv = sigma.inverse()
-        return SoficApprox(self.n, {g: sigma.compose(p).compose(sigma_inv)
+        """g -> sigma phi(g) sigma^-1: the same approximation on relabelled
+        points, each image one gather sigma[p[sigma^-1]]."""
+        if sigma.n != self.n:
+            raise DegreeMismatchError(f"degrees {sigma.n} != {self.n}")
+        s, s_inv = sigma.image, sigma.inverse().image
+        return SoficApprox(self.n, {g: Permutation(s[p.image[s_inv]], _trusted=True)
                                     for g, p in self.table.items()})
 
 
@@ -76,32 +80,36 @@ def check_sofic(phi: SoficApprox, delta) -> SoficReport:
 class ArithmeticModel:
     """Lazy exact homomorphism psi of BS(1,m) into Sym(n), gcd(m, n) = 1.
 
-    Each call synthesizes g's permutation from its normal form (e, num, d):
-    the table a x mod n for a = m^e, shifted by b.  Only that table is kept,
-    one per dilation: a run's domains hold few dilations, while approx_on
-    asks for each key once, so a memo per key would never be hit.
+    For each dilation a = m^e mod n the model keeps one read-only doubled
+    table D_a, a x mod n for x = 0..n-1 written twice.  g = (e, num, d)
+    sends x to a (x - c) with c = num m^-(d+e) mod n, so its image is the
+    window D_a[n - c : 2n - c]: no key gets an array or any per-element
+    work of its own.  n is at most expcycles.MAX_MODULUS, so the int64
+    products a x cannot overflow.
     """
 
     def __init__(self, n: int, m: int):
         if n < 2:
             raise ValueError("degree must be >= 2")
+        if n > MAX_MODULUS:
+            raise ValueError(f"degree {n} exceeds {MAX_MODULUS}: int64 products would overflow")
         if gcd(m, n) != 1:
             raise ValueError(f"gcd({m}, {n}) != 1")
         self.n = n
         self.m = m
-        self._scaled: Dict[int, np.ndarray] = {}     # a -> a x mod n, one per dilation
+        self._doubled: Dict[int, np.ndarray] = {}    # a -> D_a, one per dilation
 
     def permutation(self, g: BsElement) -> Permutation:
         if g.m != self.m:
             raise ValueError(f"element base {g.m} != model base {self.m}")
-        a = pow(self.m, g.e, self.n)
-        scaled = self._scaled.get(a)
-        if scaled is None:
-            scaled = self._scaled[a] = a * np.arange(self.n, dtype=np.int64) % self.n
-        b = g.num * pow(self.m, -g.d, self.n) % self.n
-        img = scaled - b            # in (-n, n): one add of n reduces it mod n
-        np.add(img, self.n, out=img, where=img < 0)
-        return Permutation(img, _trusted=True)
+        n = self.n
+        a = pow(self.m, g.e, n)
+        doubled = self._doubled.get(a)
+        if doubled is None:
+            doubled = self._doubled[a] = np.tile(a * np.arange(n, dtype=np.int64) % n, 2)
+            doubled.setflags(write=False)
+        c = g.num * pow(self.m, -(g.d + g.e), n) % n
+        return Permutation(doubled[n - c:2 * n - c], _trusted=True)
 
     def approx_on(self, S: Iterable[BsElement]) -> SoficApprox:
         return SoficApprox(self.n, {g: self.permutation(g) for g in S})

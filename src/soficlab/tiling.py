@@ -16,7 +16,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -337,24 +337,38 @@ def level_points(t: Tiling) -> List[np.ndarray]:
 # ---------------------------------------------------------------------------
 # The tiling algorithm
 
-def inverse_products(F: Collection[BsElement]) -> List[List[BsElement]]:
-    """Row i holds F[i]^-1 h for each h in F, in the order F iterates;
-    each element of F is inverted once."""
-    return [[g_inv * h for h in F] for g_inv in (g.inverse() for g in F)]
+@dataclass(frozen=True)
+class ProductGrid:
+    """F^-1 F for one shape F in one order: rows[i][j] = F[i]^-1 F[j]."""
+    shape: Tuple[BsElement, ...]
+    rows: List[List[BsElement]]
 
 
-def _b_mask(phi: SoficApprox, F_k: Sequence[BsElement]) -> np.ndarray:
+def inverse_products(F: Sequence[BsElement]) -> ProductGrid:
+    """The grid F^-1 F with F in the order given; each element of F is
+    inverted once."""
+    shape = tuple(F)
+    return ProductGrid(shape, [[g_inv * h for h in shape]
+                               for g_inv in (g.inverse() for g in shape)])
+
+
+def _b_mask(phi: SoficApprox, F_k: Sequence[BsElement],
+            grid: Optional[ProductGrid] = None) -> np.ndarray:
     """The points x at which phi is exactly multiplicative on F_k^-1 F_k,
     phi(g) phi(g^-1 h) x = phi(h) x for all g, h in F_k, and free there,
     phi(g^-1 h) x != x for g != h.  F_k holds the identity, so the grid of
-    products g^-1 h contains F_k itself."""
-    grid = inverse_products(F_k)
-    missing = {p for row in grid for p in row} - phi.table.keys()
+    products g^-1 h contains F_k itself.  A grid given must have been built
+    from F_k in this order; none given, it is built here."""
+    if grid is None:
+        grid = inverse_products(F_k)
+    elif grid.shape != tuple(F_k):
+        raise ValueError("product grid was not built from F_k in this order")
+    missing = {p for row in grid.rows for p in row} - phi.table.keys()
     if missing:
         raise MissingDomainError(f"approximation undefined on {len(missing)} keys of F_k^-1 F_k")
     imgs = shape_images(phi.table, F_k)
     mask = np.ones(phi.n, dtype=bool)
-    for img_g, row in zip(imgs, grid):
+    for img_g, row in zip(imgs, grid.rows):
         for img_h, p in zip(imgs, row):
             mask &= img_g[phi.table[p].image] == img_h
     # Given phi(g) phi(g^-1 h) x = phi(h) x and phi(g) a bijection,
@@ -367,7 +381,8 @@ def _b_mask(phi: SoficApprox, F_k: Sequence[BsElement]) -> np.ndarray:
 
 def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]], eps, kappa,
                *, delta_prime=Fraction(1, 8), maximal: bool = False,
-               center_order: Optional[Sequence[int]] = None) -> Tiling:
+               center_order: Optional[Sequence[int]] = None,
+               grid: Optional[ProductGrid] = None) -> Tiling:
     """Place tiles phi(F_j)c for j = k down to 1.
 
     B is the set of points where phi is exactly multiplicative and free on
@@ -388,13 +403,16 @@ def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]], eps,
     ascending point index.  An order derived from the orbit structure of a
     generator image makes the construction equivariant under relabeling,
     which a conjugator build exploits.
+
+    grid is F_k^-1 F_k for the sorted F_k, when the caller has built it
+    already (see _b_mask); otherwise it is built here.
     """
     plan = plan_parameters(eps, kappa)
     eps, kappa = plan.eps, plan.kappa
     shapes = [tuple(sorted(F, key=BsElement.sort_key)) for F in folner_seq]
     _check_shapes(shapes, plan)
 
-    b_mask = _b_mask(phi, shapes[-1])
+    b_mask = _b_mask(phi, shapes[-1], grid)
     n = phi.n
     order = np.arange(n)
     if center_order is not None:

@@ -82,7 +82,7 @@ def test_03_tiling_certificates():
 
 def test_04_conjugator_quality():
     n, m = 1000, 999
-    shapes, domain = conjugate_domain(m)
+    shapes, _, domain = conjugate_domain(m)
     phi1 = ArithmeticModel(n, m).approx_on(domain)
     ok = True
     for seed in range(10):

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from soficlab import cli, tiling
 from soficlab.cli import (REQUIRED, _SUBCOMMANDS, _build_parser, _draw_unit, interval_shapes,
                           load_config, main)
 from soficlab.soficcheck import ArithmeticModel
@@ -297,12 +298,22 @@ class TestTileVerify:
         top = interval_shapes(plan_parameters(Fraction(1, 4), Fraction(1, 4)).k, 3)[-1]
         [keys] = domains
         assert len(keys) == len(set(keys))
-        assert set(keys) == set().union(*inverse_products(top))
+        assert set(keys) == set().union(*inverse_products(top).rows)
 
     def test_interval_shapes_monotone(self):
         shapes = interval_shapes(8, 3)
         sizes = [len(s) for s in shapes]
         assert sizes == sorted(sizes) and sizes[0] >= 2 and sizes[-1] <= 32
+
+    def test_int64_overflowing_degree_exits_2(self, tmp_path, capsys):
+        """Above expcycles.MAX_MODULUS the products a x overflow int64, so the
+        model refuses the degree before it allocates a table."""
+        code, out = run(tmp_path, "tile", "--n", "3037000501")
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_code"] == 2
+        assert "exceeds 3037000499" in manifest["error"]
+        assert manifest["error"] in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -444,6 +455,19 @@ class TestConjugate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "matched support 714/1000 below 857.1" in manifest["error"]
         assert manifest["error"] in capsys.readouterr().err
+
+    def test_one_grid_per_op(self, tmp_path, monkeypatch):
+        """The domain and both sides' B-masks read one F_k^-1 F_k grid."""
+        calls, real = [], tiling.inverse_products
+
+        def counting(F):
+            calls.append(len(F))
+            return real(F)
+        monkeypatch.setattr(tiling, "inverse_products", counting)
+        monkeypatch.setattr(cli, "inverse_products", counting)
+        code, _ = run(tmp_path, "conjugate", "--n", "1000")
+        assert code == 0
+        assert calls == [32]
 
 
 @pytest.mark.parametrize("argv", [

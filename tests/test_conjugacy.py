@@ -16,7 +16,7 @@ EPS = Fraction(1, 4)
 
 
 def base_model(n=N, m=M):
-    return ArithmeticModel(n, m).approx_on(conjugate_domain(m)[1])
+    return ArithmeticModel(n, m).approx_on(conjugate_domain(m)[2])
 
 
 def conjugated(phi, sigma):

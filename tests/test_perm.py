@@ -137,6 +137,20 @@ class TestDisplacementOrbitOrder:
 
 
 class TestValidation:
+    def test_trusted_image_kept_read_only(self):
+        image = np.array([2, 0, 1], dtype=np.int64)
+        p = Permutation(image, _trusted=True)
+        assert p.image is image
+        assert not image.flags.writeable
+
+    def test_untrusted_image_copied(self):
+        image = np.array([2, 0, 1], dtype=np.int64)
+        p = Permutation(image)
+        assert not np.shares_memory(p.image, image)
+        assert not p.image.flags.writeable
+        image[0] = 7
+        assert p.image.tolist() == [2, 0, 1]
+
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
             Permutation([0, 0, 1])

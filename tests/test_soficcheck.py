@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import affine_fixed_points, eval_word, evaluate_word
 from soficlab.bsgroup import BsElement, bs_a1, bs_a2
-from soficlab.perm import Permutation, hamming
+from soficlab.expcycles import MAX_MODULUS
+from soficlab.perm import DegreeMismatchError, Permutation, hamming
 from soficlab.soficcheck import (ArithmeticModel, SoficApprox, amplify,
                                  check_sofic)
 
@@ -49,6 +50,25 @@ class TestArithmeticModel:
         with pytest.raises(ValueError):
             ArithmeticModel(10, 2)
 
+    def test_degree_above_int64_bound_rejected(self):
+        """a x < n^2 fits in int64 only up to MAX_MODULUS; the constructor
+        allocates nothing, so both ends of the bound are cheap to build."""
+        assert ArithmeticModel(MAX_MODULUS, 2).n == MAX_MODULUS
+        with pytest.raises(ValueError, match="exceeds"):
+            ArithmeticModel(MAX_MODULUS + 2, 3)
+
+    def test_images_are_read_only_windows_of_one_table_per_dilation(self):
+        n, m = 101, 3
+        psi = ArithmeticModel(n, m)
+        same_a = [psi.permutation(BsElement(m, 2, num, d)) for num, d in ((0, 0), (1, 0), (-7, 3))]
+        other_a = psi.permutation(BsElement(m, 1, 1, 0))
+        for perm in same_a + [other_a]:
+            assert not perm.image.flags.writeable
+            with pytest.raises(ValueError):
+                perm.image[0] = 0
+        assert all(np.shares_memory(same_a[0].image, p.image) for p in same_a[1:])
+        assert not np.shares_memory(same_a[0].image, other_a.image)
+
     def test_large_shift(self):
         n, m = 101, 2
         psi = ArithmeticModel(n, m)
@@ -59,15 +79,26 @@ class TestArithmeticModel:
 
     @pytest.mark.parametrize("n, m", [(7, 2), (101, 3), (1000, 999), (30011, 2)])
     def test_image_matches_direct_formula(self, n, m):
-        """Keys with num < 0, d > 0 and e < 0 against (m^e x - num m^-d) mod n."""
+        """Keys with num < 0, d > 0 and e < 0, keys of either sign of e and
+        num, and keys whose window starts at the second copy of the table
+        (shift c = num m^-(d+e) = 0 mod n), against (m^e x - num m^-d) mod n."""
         psi = ArithmeticModel(n, m)
         rng = np.random.default_rng(n)
         x = np.arange(n, dtype=np.int64)
+        keys = []
         for _ in range(25):
             e, d = -int(rng.integers(1, 7)), int(rng.integers(1, 7))
             num = -(m * int(rng.integers(0, 10 ** 4 // m)) + 1)
-            g = BsElement(m, e, num, d)
-            expected = (pow(m, e, n) * x - num * pow(m, -d, n)) % n
+            keys.append(BsElement(m, e, num, d))
+        for _ in range(25):
+            e, d = int(rng.integers(-6, 7)), int(rng.integers(0, 7))
+            num = int(rng.integers(-10 ** 4, 10 ** 4))
+            keys.append(BsElement(m, e, num + (d > 0 and num % m == 0), d))
+        zero_shift = [BsElement(m, e, 0, 0) for e in (-2, 0, 3)]
+        zero_shift += [BsElement(m, 4, n, 2), BsElement(m, -1, -3 * n, 0)]
+        assert all(g.num * pow(m, -(g.d + g.e), n) % n == 0 for g in zero_shift)
+        for g in keys + zero_shift:
+            expected = (pow(m, g.e, n) * x - g.num * pow(m, -g.d, n)) % n
             perm = psi.permutation(g)
             assert perm.image.dtype == np.int64
             assert perm.image.tolist() == expected.tolist()
@@ -113,6 +144,11 @@ class TestCheckSofic:
 
 
 class TestSoficApprox:
+    def test_conjugated_by_other_degree_rejected(self):
+        phi = ArithmeticModel(11, 2).approx_on([bs_a1(2), bs_a2(2)])
+        with pytest.raises(DegreeMismatchError):
+            phi.conjugated(Permutation.identity(12))
+
     def test_non_element_key_rejected(self):
         with pytest.raises(TypeError):
             SoficApprox(3, {(("a1", 1),): Permutation.identity(3)})

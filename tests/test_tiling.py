@@ -378,7 +378,7 @@ def oracle_core_masks(t: Tiling) -> List[Tuple[np.ndarray, np.ndarray]]:
 def conjugate_mode_approx(n):
     """The approximation the conjugate subcommand tiles, with m = n - 1 and
     its height-2 rectangle shapes."""
-    shapes, domain = conjugate_domain(n - 1)
+    shapes, _, domain = conjugate_domain(n - 1)
     return ArithmeticModel(n, n - 1).approx_on(domain), shapes
 
 
@@ -572,7 +572,9 @@ def conjugate_mode_top(n):
 
 @pytest.mark.parametrize("F", [sorted_keys(a2_interval(8, 3)), sorted_keys(bs_rectangle(2, 4, 5))])
 def test_inverse_products_grid(F):
-    assert inverse_products(F) == [[g.inverse() * h for h in F] for g in F]
+    grid = inverse_products(F)
+    assert grid.shape == tuple(F)
+    assert grid.rows == [[g.inverse() * h for h in F] for g in F]
 
 
 class TestBMaskMatchesOracle:
@@ -592,6 +594,16 @@ class TestBMaskMatchesOracle:
         phi = amplify(interval_model(101, 2, 33), 10_000)
         mask = self.assert_masks_match(phi, sorted_keys(a2_interval(32, 2)))
         assert 0 < np.count_nonzero(mask) < len(mask)
+
+    def test_given_grid_gives_the_same_mask(self):
+        phi, F_k = conjugate_mode_top(1000)
+        assert np.array_equal(_b_mask(phi, F_k, inverse_products(F_k)), _b_mask(phi, F_k))
+
+    @pytest.mark.parametrize("reorder", [lambda F: F[::-1], lambda F: F[:-1]])
+    def test_grid_of_another_shape_or_order_refused(self, reorder):
+        phi, F_k = conjugate_mode_top(1000)
+        with pytest.raises(ValueError, match="not built from F_k in this order"):
+            _b_mask(phi, F_k, inverse_products(reorder(F_k)))
 
     def test_missing_key(self):
         phi, F_k = z_mode_approx(200, width=8)
