@@ -9,29 +9,42 @@ products and the arithmetic permutation model immediate.  Convention:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class BaseMismatchError(ValueError):
     """Elements over different bases m were combined."""
 
 
-@dataclass(frozen=True)
-class BsElement:
-    """x -> m^e * x + num / m^d, normalized (d == 0 or m does not divide num)."""
+class BsElement(namedtuple("BsElement", "m e num d")):
+    """x -> m^e * x + num / m^d, normalized (d == 0 or m does not divide num).
 
-    m: int
-    e: int
-    num: int
-    d: int
+    A tuple underneath, so hashing and equality, the work of every table
+    lookup, run in C; the hash is that of (m, e, num, d).  An element equals
+    the plain tuple of its fields.  Elements have no order (sort them by
+    sort_key), and tuple concatenation and repetition are refused."""
 
-    def __post_init__(self) -> None:
-        if self.m < 2:
+    __slots__ = ()
+
+    def __new__(cls, m: int, e: int, num: int, d: int) -> "BsElement":
+        if m < 2:
             raise ValueError("base m must be >= 2")
-        if self.d < 0:
+        if d < 0:
             raise ValueError("denominator exponent must be >= 0")
-        if self.d > 0 and self.num % self.m == 0:
-            raise ValueError(f"not normalized: m={self.m} divides num={self.num} with d={self.d}")
+        if d > 0 and num % m == 0:
+            raise ValueError(f"not normalized: m={m} divides num={num} with d={d}")
+        return tuple.__new__(cls, (m, e, num, d))
+
+    @classmethod
+    def _make(cls, iterable) -> "BsElement":
+        # namedtuple's _make, which _replace calls, would skip the checks
+        return cls(*iterable)
+
+    def _refused(self, other):
+        raise TypeError("BsElement has no order and no tuple arithmetic; "
+                        "sort by BsElement.sort_key")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __radd__ = __rmul__ = _refused
 
     def is_identity(self) -> bool:
         return self.e == 0 and self.num == 0

@@ -358,7 +358,12 @@ def _b_mask(phi: SoficApprox, F_k: Sequence[BsElement],
     phi(g) phi(g^-1 h) x = phi(h) x for all g, h in F_k, and free there,
     phi(g^-1 h) x != x for g != h.  F_k holds the identity, so the grid of
     products g^-1 h contains F_k itself.  A grid given must have been built
-    from F_k in this order; none given, it is built here."""
+    from F_k in this order; none given, it is built here.
+
+    The pair (e, e) reads phi(e) phi(e) x = phi(e) x, so phi(e) x = x for
+    every x in B: a center in B lies in its own tile phi(F_j)x, as every F_j
+    holds the identity.  quasi_tile relies on this to scan only the
+    uncovered B-points for centers."""
     if grid is None:
         grid = inverse_products(F_k)
     elif grid.shape != tuple(F_k):
@@ -428,19 +433,24 @@ def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]], eps,
     levels: List[TileLevel] = []
     for j in range(plan.k, 0, -1):
         shape = shapes[j - 1]
-        imgs = shape_images(phi.table, shape)
-        available = b_mask & ~covered[imgs].any(axis=0)
-        centers = order[available[order]]
+        # a center lies in its own tile (see _b_mask), so only uncovered
+        # B-points can be centers; a candidate is one when its whole tile is
+        # uncovered
+        cand = order[(b_mask & ~covered)[order]]
+        imgs = np.empty((len(shape), len(cand)), dtype=np.int64)
+        for q, g in enumerate(shape):
+            imgs[q] = phi.table[g].image[cand]
+        free = ~covered[imgs].any(axis=0)
+        centers, imgs = cand[free], imgs[:, free]
         if not len(centers):
             if not maximal:
                 raise CoarseApproximationError(f"no available centers at level {j}")
             levels.append(TileLevel(j, shape, plan.lambdas[j - 1], ()))
             continue
         target = None if maximal else ceil(eps * len(centers))
-        result = extract_eps_disjoint(SetFamily(n, imgs[:, centers].T), eps, target=target)
-        chosen = centers[list(result.indices)]
-        covered[imgs[:, chosen]] = True
-        levels.append(TileLevel(j, shape, plan.lambdas[j - 1], tuple(chosen.tolist())))
+        picked = list(extract_eps_disjoint(SetFamily(n, imgs.T), eps, target=target).indices)
+        covered[imgs[:, picked]] = True
+        levels.append(TileLevel(j, shape, plan.lambdas[j - 1], tuple(centers[picked].tolist())))
 
     levels.reverse()
     table = {g: phi.table[g] for shape in shapes for g in shape}

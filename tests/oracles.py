@@ -5,8 +5,10 @@ the package computes another way (a running product against the doubling
 exp table, exhaustive enumeration against the P_n recurrence, word
 evaluation against the arithmetic model's element table, the order-4
 sampler's shuffle, choice and randrange against its getrandbits draws, the
-order-4 enumerator's dicts against its in-place image list, and numpy
-arrays against the list law scan in the Sym(n) exhaustion).
+order-4 enumerator's dicts against its in-place image list, numpy arrays
+against the list law scan in the Sym(n) exhaustion, and the tiling level
+loop that scans every point against the one that scans B's uncovered
+points).
 Tests import them as `from oracles import ...`; the file is not collected,
 since its name does not start with `test_`.
 """
@@ -18,15 +20,18 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from math import ceil, gcd
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from soficlab import tiling
 from soficlab.bsgroup import BsElement, bs_a1, bs_a2
 from soficlab.perm import Permutation
 from soficlab.soficcheck import SoficApprox
-from soficlab.tiling import Tiling, level_points
+from soficlab.tiling import (CoarseApproximationError, SetFamily, TileLevel, Tiling,
+                             _b_mask, _check_shapes, level_points, plan_parameters,
+                             shape_images)
 
 
 # ---------------------------------------------------------------------------
@@ -266,3 +271,51 @@ def level_union_sizes(t: Tiling) -> Tuple[List[int], int]:
     blocks = level_points(t)
     level_unions = [np.unique(b) for b in blocks]
     return [len(u) for u in level_unions], len(np.unique(np.concatenate(level_unions)))
+
+
+def full_scan_quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]], eps,
+                         kappa, *, delta_prime=Fraction(1, 8), maximal: bool = False,
+                         center_order: Optional[Sequence[int]] = None) -> Tiling:
+    """quasi_tile as it stood when each level stacked the full n-point image
+    of every shape key and tested every point as a center, its level loop
+    kept verbatim.  The extraction is looked up on the tiling module at
+    each call, so a test that wraps it there sees both routes' families."""
+    plan = plan_parameters(eps, kappa)
+    eps, kappa = plan.eps, plan.kappa
+    shapes = [tuple(sorted(F, key=BsElement.sort_key)) for F in folner_seq]
+    _check_shapes(shapes, plan)
+
+    b_mask = _b_mask(phi, shapes[-1])
+    n = phi.n
+    order = np.arange(n)
+    if center_order is not None:
+        order = np.asarray(center_order, dtype=np.int64)
+        if not np.array_equal(np.sort(order), np.arange(n)):
+            raise ValueError("center_order must be a permutation of 0..n-1")
+    b_size = int(np.count_nonzero(b_mask))
+    if b_size < (1 - Fraction(delta_prime)) * n:
+        raise CoarseApproximationError(
+            f"approximation too coarse: |B| = {b_size} < (1 - {delta_prime}) * {n}")
+
+    covered = np.zeros(n, dtype=bool)
+    levels: List[TileLevel] = []
+    for j in range(plan.k, 0, -1):
+        shape = shapes[j - 1]
+        imgs = shape_images(phi.table, shape)
+        available = b_mask & ~covered[imgs].any(axis=0)
+        centers = order[available[order]]
+        if not len(centers):
+            if not maximal:
+                raise CoarseApproximationError(f"no available centers at level {j}")
+            levels.append(TileLevel(j, shape, plan.lambdas[j - 1], ()))
+            continue
+        target = None if maximal else ceil(eps * len(centers))
+        result = tiling.extract_eps_disjoint(SetFamily(n, imgs[:, centers].T), eps,
+                                             target=target)
+        chosen = centers[list(result.indices)]
+        covered[imgs[:, chosen]] = True
+        levels.append(TileLevel(j, shape, plan.lambdas[j - 1], tuple(chosen.tolist())))
+
+    levels.reverse()
+    table = {g: phi.table[g] for shape in shapes for g in shape}
+    return Tiling(n, eps, kappa, tuple(levels), table, b_size)

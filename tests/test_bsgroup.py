@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,80 @@ class TestGroupLaw:
     @given(elements)
     def test_json_obj_roundtrip(self, g):
         assert BsElement.from_obj(g.to_obj()) == g
+
+
+def _elements_of(m):
+    return st.tuples(st.integers(-4, 4), st.integers(-50, 50), st.integers(0, 3)).map(
+        lambda t: _from_b(m, Fraction(t[1], m ** t[2])) * BsElement(m, t[0], 0, 0))
+
+
+same_base_pairs = st.sampled_from([2, 3]).flatmap(lambda m: st.tuples(_elements_of(m),
+                                                                      _elements_of(m)))
+
+
+class TestElementKey:
+    """Elements are immutable tuples of (m, e, num, d): dict and set keys
+    hashed and compared in C, with no order and no tuple arithmetic."""
+
+    @given(same_base_pairs)
+    def test_equal_values_are_one_key(self, pair):
+        g, h = pair
+        identity = BsElement(g.m, 0, 0, 0)
+        copies = [BsElement(g.m, g.e, g.num, g.d), BsElement(*g), g * identity, identity * g,
+                  (g * h) * h.inverse(), BsElement.from_obj(g.to_obj()), g.inverse().inverse(),
+                  pickle.loads(pickle.dumps(g))]
+        for c in copies:
+            assert type(c) is BsElement
+            assert c == g and not c != g and hash(c) == hash(g)
+        assert len({g, *copies}) == 1
+        assert {g: "g"}[copies[-1]] == "g"
+
+    @given(elements)
+    def test_hash_is_the_field_tuple_hash(self, g):
+        # the hash the frozen dataclass had: set and dict orders, and so
+        # domains, tables and artifacts, rest on it
+        assert hash(g) == hash((g.m, g.e, g.num, g.d))
+        assert g == (g.m, g.e, g.num, g.d)
+
+    def test_repr(self):
+        assert repr(BsElement(3, -1, 5, 1)) == "BsElement(m=3, e=-1, num=5, d=1)"
+        assert str(bs_a2(7)) == "BsElement(m=7, e=0, num=1, d=0)"
+
+    @pytest.mark.parametrize("op", [
+        lambda g, h: g < h, lambda g, h: g <= h, lambda g, h: g > h, lambda g, h: g >= h,
+        lambda g, h: g < (2, 0, 0, 0), lambda g, h: (2, 0, 0, 0) >= g,
+        lambda g, h: sorted([g, h]), lambda g, h: max(g, h),
+        lambda g, h: g + h, lambda g, h: g + (1,), lambda g, h: (1,) + g,
+        lambda g, h: 3 * g,
+    ], ids=["lt", "le", "gt", "ge", "lt-tuple", "tuple-ge", "sorted", "max",
+            "add", "add-tuple", "tuple-add", "int-mul"])
+    def test_no_order_and_no_tuple_arithmetic(self, op):
+        with pytest.raises(TypeError, match="sort by BsElement.sort_key"):
+            op(bs_a1(2), bs_a2(2))
+
+    @pytest.mark.parametrize("field", ["m", "e", "num", "d", "other"])
+    def test_immutable(self, field):
+        g = bs_a2(3)
+        with pytest.raises(AttributeError):
+            setattr(g, field, 1)
+        assert g == BsElement(3, 0, 1, 0)
+
+    @given(elements)
+    def test_pickle_round_trip(self, g):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(g, protocol))
+            assert type(back) is BsElement and back == g
+
+    @pytest.mark.parametrize("args, message", [
+        ((1, 0, 0, 0), "base m must be >= 2"),
+        ((2, 0, 1, -1), "denominator exponent must be >= 0"),
+        ((2, 0, 4, 1), "not normalized: m=2 divides num=4 with d=1"),
+    ])
+    def test_constructor_errors(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BsElement(*args)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BsElement(2, 0, 1, 1)._replace(**dict(zip(("m", "e", "num", "d"), args)))
 
 
 raw_affine = st.tuples(st.sampled_from([2, 3, 5, 1999]), st.integers(-6, 6),

@@ -8,7 +8,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import level_union_sizes, tiling_json
+from oracles import full_scan_quasi_tile, level_union_sizes, tiling_json
 
 from soficlab import tiling
 from soficlab.bsgroup import BsElement, a2_interval, bs_a2, bs_rectangle
@@ -660,13 +660,13 @@ class TestBMaskMatchesOracle:
 def offered_rows_checked_distinct():
     """tiling.extract_eps_disjoint, wrapped to assert that every row of the
     family offered holds distinct points, which SetFamily requires but does
-    not check.  Yields the number of rows of each family offered."""
+    not check.  Yields the rows of each family offered."""
     extract, offered = tiling.extract_eps_disjoint, []
 
     def checked(fam, *args, **kwargs):
         rows = np.sort(fam.sets, axis=1)
         assert (rows[:, 1:] != rows[:, :-1]).all()
-        offered.append(len(rows))
+        offered.append(fam.sets.copy())
         return extract(fam, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -678,6 +678,98 @@ def test_conjugate_mode_offers_distinct_rows():
     with offered_rows_checked_distinct() as offered:
         t = rectangle_tiling.__wrapped__()
     assert len(offered) == sum(1 for lvl in t.levels if lvl.centers) > 0
+
+
+# ---------------------------------------------------------------------------
+# quasi_tile scans only the uncovered B-points for centers; the level loop
+# that stacked every shape key's full image and tested every point is kept
+# in oracles.full_scan_quasi_tile
+
+@functools.lru_cache(maxsize=None)
+def scan_base(name):
+    """(phi, shapes, eps): the z-model and conjugate-mode tables at n = 200,
+    and the amplified BS(1, 2) table at n = 1000, whose identity tail of 91
+    points lies outside B."""
+    if name == "z_model":
+        return z_mode_approx(200)[0], [a2_interval(w, 3) for w in WIDTHS], Fraction(1, 4)
+    if name == "conjugate":
+        return (*conjugate_mode_approx(200), INNER_EPS)
+    phi = amplify(interval_model(101, 2, 33), 1000)
+    return phi, [a2_interval(w, 2) for w in WIDTHS], Fraction(1, 4)
+
+
+def tiling_and_families(build, *args, **kwargs):
+    """What build returns, or the text of the CoarseApproximationError it
+    raises, and the rows of every family it offers."""
+    with offered_rows_checked_distinct() as offered:
+        try:
+            result = build(*args, **kwargs)
+        except CoarseApproximationError as exc:
+            result = str(exc)
+    return result, offered
+
+
+def assert_scans_agree(phi, shapes, eps, **kwargs):
+    got, got_rows = tiling_and_families(quasi_tile, phi, shapes, eps, eps, **kwargs)
+    want, want_rows = tiling_and_families(full_scan_quasi_tile, phi, shapes, eps, eps, **kwargs)
+    assert got == want
+    assert len(got_rows) == len(want_rows)
+    assert all(np.array_equal(a, b) for a, b in zip(got_rows, want_rows))
+    return got, got_rows
+
+
+class TestCandidateScanMatchesFullScan:
+    @given(st.sampled_from(["z_model", "conjugate", "amplified"]),
+           st.sampled_from(["arithmetic", "conjugated", "perturbed"]), st.booleans(),
+           st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+           st.sampled_from([Fraction(1, 8), Fraction(1)]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_same_tiling_and_families(self, base, kind, maximal, order_seed, delta_prime,
+                                      data):
+        """Same certificate or error, and the same families offered level by
+        level, in target and maximal mode, under the default or a random
+        center order; perturbed tables carry transpositions in the images
+        of F_k^-1 F_k, where phi(e) may move points."""
+        phi, shapes, eps = scan_base(base)
+        n = phi.n
+        if kind == "conjugated":
+            phi = phi.conjugated(Permutation(np.random.default_rng(n).permutation(n)))
+        elif kind == "perturbed":
+            F_k = sorted_keys(shapes[-1])
+            keys = sorted_keys({g.inverse() * h for g in F_k for h in F_k})
+            table = dict(phi.table)
+            for _ in range(data.draw(st.integers(1, 6))):
+                g = data.draw(st.sampled_from(keys))
+                x, y = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+                img = table[g].image.copy()
+                img[[x, y]] = img[[y, x]]
+                table[g] = Permutation(img)
+            phi = SoficApprox(n, table)
+        order = None if order_seed is None else np.random.default_rng(order_seed).permutation(n)
+        assert_scans_agree(phi, shapes, eps, delta_prime=delta_prime, maximal=maximal,
+                           center_order=order)
+
+    @pytest.mark.parametrize("maximal", [False, True])
+    def test_identity_moving_points(self, maximal):
+        """phi(e) swaps 7 and 150.  B loses the 64 points x with
+        phi(a2^l) x in {7, 150}, 0 <= l < 32, 7 and 150 among them, yet at
+        the top level a tile at any of them holds only uncovered points."""
+        phi, shapes, eps = scan_base("z_model")
+        identity = BsElement(3, 0, 0, 0)
+        swap = np.arange(phi.n)
+        swap[[7, 150]] = [150, 7]
+        phi = SoficApprox(phi.n, {**phi.table, identity: Permutation(swap)})
+        t, _ = assert_scans_agree(phi, shapes, eps, delta_prime=Fraction(1), maximal=maximal)
+        assert t.b_size == phi.n - 64
+        assert not {7, 150} & {c for lvl in t.levels for c in lvl.centers}
+
+    def test_amplified_tail_offered_nowhere(self):
+        """Every point of the identity tail is fixed by every key, so each
+        of its tiles is one uncovered point repeated; only B keeps it out."""
+        phi, shapes, eps = scan_base("amplified")
+        t, offered = assert_scans_agree(phi, shapes, eps, maximal=True)
+        assert t.b_size == 909
+        assert all((rows < 909).all() for rows in offered)
 
 
 # ---------------------------------------------------------------------------
