@@ -16,13 +16,13 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bsgroup import BsElement, json_int
 from .perm import Permutation
-from .soficcheck import SoficApprox
+from .soficcheck import AffineForm, SoficApprox, congruence_solutions
 
 
 class MissingDomainError(KeyError):
@@ -46,22 +46,29 @@ class PlanParams:
 
 def plan_parameters(eps, kappa) -> PlanParams:
     """k = smallest value with (1-eps)^k <= eps/2; lambda_j = eps(1-sigma_{j+1})
-    with lambda_k = eps, so lambda_j = eps(1-eps)^(k-j)."""
+    with lambda_k = eps, so lambda_j = eps(1-eps)^(k-j).
+
+    With eps = p/q in lowest terms and r = q - p, (1-eps)^k = r^k / q^k, so
+    k and the lambdas come from integer powers alone, and
+    sigma_1 = lambda_1 + ... + lambda_k = 1 - r^k / q^k."""
     eps = Fraction(eps)
     kappa = Fraction(kappa)
     if not 0 < eps <= Fraction(1, 4):
         raise ValueError(f"eps={eps} outside (0, 1/4]")
     if kappa <= 0:
         raise ValueError(f"kappa={kappa} must be positive")
-    k = 1
-    power = 1 - eps
-    while power > eps / 2:
-        power *= 1 - eps
-        k += 1
-    lambdas = tuple(eps * (1 - eps) ** (k - j) for j in range(1, k + 1))
-    sigma1 = sum(lambdas, Fraction(0))
-    if not 1 - eps / 2 <= sigma1 <= 1 - eps / 4:
-        raise AssertionError(f"sigma1 = {sigma1} outside [1 - eps/2, 1 - eps/4]")
+    p, q = eps.numerator, eps.denominator
+    r = q - p
+    # r_pow / q_pow = (1-eps)^k, compared with eps/2 = p / 2q
+    k, r_pow, q_pow = 1, r, q
+    while 2 * q * r_pow > p * q_pow:
+        k, r_pow, q_pow = k + 1, r_pow * r, q_pow * q
+    lambdas = tuple(Fraction(p * r ** i, q ** (i + 1)) for i in range(k - 1, -1, -1))
+    # sigma_1 >= 1 - eps/2 is the loop's exit; sigma_1 <= 1 - eps/4 is
+    # (1-eps)^k >= eps/4
+    if 4 * q * r_pow < p * q_pow:
+        raise AssertionError(f"sigma1 = {1 - Fraction(r_pow, q_pow)} outside "
+                             f"[1 - eps/2, 1 - eps/4]")
     return PlanParams(eps, kappa, k, lambdas)
 
 
@@ -232,14 +239,18 @@ class Tiling:
             } for lvl in self.levels],
         })
         digits = np.array([str(x) for x in range(self.n)], dtype=object)
-        rows = []
-        for g in sorted(self.table, key=BsElement.sort_key):
+        # one join over every piece, so the text is built once: the row texts
+        # and the result are the only copies of the table held at one time
+        pieces = [head[:-1], ', "table": [']
+        for i, g in enumerate(sorted(self.table, key=BsElement.sort_key)):
             image = self.table[g].image
             # numpy would wrap a negative entry round to the end of digits
             if not (0 <= image.min() and image.max() < self.n):
                 raise ValueError(f"permutation for {g} has an image outside [0, {self.n})")
-            rows.append(f"[{json.dumps(g.to_obj())}, [{', '.join(digits[image].tolist())}]]")
-        return f'{head[:-1]}, "table": [{", ".join(rows)}]}}'
+            pieces += [", [" if i else "[", json.dumps(g.to_obj()), ", [",
+                       ", ".join(digits[image].tolist()), "]]"]
+        pieces.append("]}")
+        return "".join(pieces)
 
     @classmethod
     def from_json(cls, text: str) -> "Tiling":
@@ -360,6 +371,11 @@ def _b_mask(phi: SoficApprox, F_k: Sequence[BsElement],
     products g^-1 h contains F_k itself.  A grid given must have been built
     from F_k in this order; none given, it is built here.
 
+    Given multiplicativity and phi(g) a bijection, phi(g^-1 h) x = x
+    exactly when phi(g) x = phi(h) x: freeness is the |F_k| points phi(g) x
+    being distinct.  With affine forms, B is read off O(|F_k|^2) linear
+    congruences (_affine_b_mask); without, by comparing image tables.
+
     The pair (e, e) reads phi(e) phi(e) x = phi(e) x, so phi(e) x = x for
     every x in B: a center in B lies in its own tile phi(F_j)x, as every F_j
     holds the identity.  quasi_tile relies on this to scan only the
@@ -371,16 +387,43 @@ def _b_mask(phi: SoficApprox, F_k: Sequence[BsElement],
     missing = {p for row in grid.rows for p in row} - phi.table.keys()
     if missing:
         raise MissingDomainError(f"approximation undefined on {len(missing)} keys of F_k^-1 F_k")
+    if phi.forms is not None:
+        return _affine_b_mask(phi.n, phi.forms, grid)
     imgs = shape_images(phi.table, F_k)
     mask = np.ones(phi.n, dtype=bool)
     for img_g, row in zip(imgs, grid.rows):
         for img_h, p in zip(imgs, row):
             mask &= img_g[phi.table[p].image] == img_h
-    # Given phi(g) phi(g^-1 h) x = phi(h) x and phi(g) a bijection,
-    # phi(g^-1 h) x = x exactly when phi(g) x = phi(h) x: freeness is the
-    # |F_k| points phi(g) x being distinct.
     imgs.sort(axis=0)
     mask &= (imgs[1:] != imgs[:-1]).all(axis=0)
+    return mask
+
+
+def _affine_b_mask(n: int, forms: Mapping[BsElement, AffineForm],
+                   grid: ProductGrid) -> np.ndarray:
+    """_b_mask where phi(g) x = a_g x - b_g.  For p = g^-1 h, phi(g) phi(p)
+    is x -> a_g a_p x - (a_g b_p + b_g): where that form differs from h's,
+    B keeps only the solutions of (a_g a_p - a_h) x = a_g b_p + b_g - b_h.
+    For g != h, B drops the solutions of (a_g - a_h) x = b_g - b_h.  When
+    every pair composes exactly, as for a homomorphism, the only n-sized
+    work is marking those solutions."""
+    mask = np.ones(n, dtype=bool)
+    shape = [forms[g] for g in grid.shape]
+    for (a_g, b_g), row in zip(shape, grid.rows):
+        for (a_h, b_h), p in zip(shape, row):
+            a_p, b_p = forms[p]
+            A, B = a_g * a_p - a_h, a_g * b_p + b_g - b_h
+            if A % n or B % n:
+                agree = np.zeros(n, dtype=bool)
+                solutions = congruence_solutions(A, B, n)
+                if solutions is not None:
+                    agree[solutions[0]::solutions[1]] = True
+                mask &= agree
+    for i, (a_g, b_g) in enumerate(shape):
+        for a_h, b_h in shape[i + 1:]:
+            solutions = congruence_solutions(a_g - a_h, b_g - b_h, n)
+            if solutions is not None:
+                mask[solutions[0]::solutions[1]] = False
     return mask
 
 

@@ -8,7 +8,7 @@ sampler's shuffle, choice and randrange against its getrandbits draws, the
 order-4 enumerator's dicts against its in-place image list, numpy arrays
 against the list law scan in the Sym(n) exhaustion, and the tiling level
 loop that scans every point against the one that scans B's uncovered
-points).
+points, and the tiling plan's Fraction loop against its integer powers).
 Tests import them as `from oracles import ...`; the file is not collected,
 since its name does not start with `test_`.
 """
@@ -29,8 +29,8 @@ from soficlab import tiling
 from soficlab.bsgroup import BsElement, bs_a1, bs_a2
 from soficlab.perm import Permutation
 from soficlab.soficcheck import SoficApprox
-from soficlab.tiling import (CoarseApproximationError, SetFamily, TileLevel, Tiling,
-                             _b_mask, _check_shapes, level_points, plan_parameters,
+from soficlab.tiling import (CoarseApproximationError, PlanParams, SetFamily, TileLevel,
+                             Tiling, _b_mask, _check_shapes, level_points, plan_parameters,
                              shape_images)
 
 
@@ -192,6 +192,15 @@ def evaluate_word(w: Word, m: int) -> BsElement:
     return word_value(w, {"a1": bs_a1(m), "a2": bs_a2(m)}, BsElement(m, 0, 0, 0))
 
 
+def affine_approx(n: int, forms: Mapping[BsElement, Tuple[int, int]]) -> SoficApprox:
+    """An approximation carrying the given affine forms, each table written
+    by the direct formula (a x - b) mod n.  Each a must be a unit mod n; the
+    forms need not be those of a homomorphism."""
+    x = np.arange(n, dtype=np.int64)
+    table = {g: Permutation((a * x - b) % n) for g, (a, b) in forms.items()}
+    return SoficApprox(n, table, dict(forms))
+
+
 def _generator_images(phi: SoficApprox) -> Dict[str, Permutation]:
     if not phi.table:
         raise ValueError("empty domain")
@@ -243,7 +252,28 @@ def affine_fixed_points(w: Word, m: int, n: int) -> AffineFixedReport:
 
 
 # ---------------------------------------------------------------------------
-# Tiling certificates
+# Tiling plan and certificates
+
+def fraction_loop_plan(eps, kappa) -> PlanParams:
+    """plan_parameters as it stood when it stepped (1 - eps)^k and the
+    lambdas in Fraction arithmetic, kept verbatim."""
+    eps = Fraction(eps)
+    kappa = Fraction(kappa)
+    if not 0 < eps <= Fraction(1, 4):
+        raise ValueError(f"eps={eps} outside (0, 1/4]")
+    if kappa <= 0:
+        raise ValueError(f"kappa={kappa} must be positive")
+    k = 1
+    power = 1 - eps
+    while power > eps / 2:
+        power *= 1 - eps
+        k += 1
+    lambdas = tuple(eps * (1 - eps) ** (k - j) for j in range(1, k + 1))
+    sigma1 = sum(lambdas, Fraction(0))
+    if not 1 - eps / 2 <= sigma1 <= 1 - eps / 4:
+        raise AssertionError(f"sigma1 = {sigma1} outside [1 - eps/2, 1 - eps/4]")
+    return PlanParams(eps, kappa, k, lambdas)
+
 
 def tiling_json(t: Tiling) -> str:
     """The certificate encoder as json.dumps of the whole object, one Python

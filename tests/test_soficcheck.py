@@ -1,15 +1,16 @@
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import affine_fixed_points, eval_word, evaluate_word
+from oracles import affine_approx, affine_fixed_points, eval_word, evaluate_word
 from soficlab.bsgroup import BsElement, bs_a1, bs_a2
 from soficlab.expcycles import MAX_MODULUS
 from soficlab.perm import DegreeMismatchError, Permutation, hamming
 from soficlab.soficcheck import (ArithmeticModel, SoficApprox, amplify,
-                                 check_sofic)
+                                 check_sofic, congruence_solutions)
 
 
 def ball(m, e_bound=2, num_bound=4):
@@ -21,6 +22,16 @@ def ball(m, e_bound=2, num_bound=4):
                     continue
                 out.append(BsElement(m, e, num, d))
     return out
+
+
+# degrees prime, odd composite and even, each with a base coprime to it
+DEGREES = (101, 1009, 63, 105, 225, 1001, 64, 100, 210)
+
+
+@st.composite
+def degree_and_base(draw):
+    n = draw(st.sampled_from(DEGREES))
+    return n, draw(st.sampled_from([m for m in (2, 3, 5, 7, 11, n - 1) if gcd(m, n) == 1]))
 
 
 word_strategy = st.lists(
@@ -141,6 +152,71 @@ class TestCheckSofic:
     def test_empty_domain(self):
         with pytest.raises(ValueError):
             check_sofic(SoficApprox(5, {}), Fraction(1, 8))
+
+    @given(degree_and_base(), st.integers(0, 1), st.integers(0, 4),
+           st.sampled_from([Fraction(1, 8), Fraction(1, 2), Fraction(99, 100)]))
+    @settings(max_examples=40, deadline=None)
+    def test_closed_form_matches_table_route(self, nm, e_bound, num_bound, delta):
+        n, m = nm
+        phi = ArithmeticModel(n, m).approx_on(ball(m, e_bound, num_bound))
+        assert phi.forms is not None
+        assert check_sofic(phi, delta) == check_sofic(SoficApprox(n, dict(phi.table)), delta)
+
+    @given(degree_and_base(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_closed_form_matches_table_route_off_a_homomorphism(self, nm, data):
+        """Forms drawn at random, the identity's among them: defects,
+        fixed-point counts with gcd(a - 1, n) > 1, and a = 1 with b = 0 or
+        not, all against the tables written from the same forms."""
+        n, m = nm
+        units = st.sampled_from([a for a in range(1, n) if gcd(a, n) == 1] + [1] * 8)
+        points = st.sampled_from([0, 0, 1, n - 1]) | st.integers(0, n - 1)
+        forms = {g: (data.draw(units), data.draw(points)) for g in ball(m, 1, 2)}
+        phi = affine_approx(n, forms)
+        for delta in (Fraction(1, 8), Fraction(1, 2)):
+            assert check_sofic(phi, delta) == check_sofic(SoficApprox(n, phi.table), delta)
+
+
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6), st.integers(1, 80))
+@settings(max_examples=300)
+def test_congruence_solutions_match_brute_force(A, B, n):
+    brute = [x for x in range(n) if (A * x - B) % n == 0]
+    solutions = congruence_solutions(A, B, n)
+    if solutions is None:
+        assert brute == []
+    else:
+        x0, step = solutions
+        assert brute == list(range(x0, n, step)) and len(brute) == gcd(A, n)
+
+
+class TestAffineForms:
+    def test_model_table_and_forms_refuse_edits(self):
+        phi = ArithmeticModel(11, 2).approx_on([bs_a1(2), bs_a2(2)])
+        for mapping in (phi.table, phi.forms):
+            with pytest.raises(TypeError):
+                mapping[bs_a2(2)] = mapping[bs_a1(2)]
+            with pytest.raises(TypeError):
+                del mapping[bs_a1(2)]
+        assert phi.table[bs_a2(2)].image.tolist() == [(x - 1) % 11 for x in range(11)]
+        assert phi.forms[bs_a2(2)] == (1, 1)
+
+    def test_derived_approximations_carry_no_forms(self):
+        phi = ArithmeticModel(11, 2).approx_on([bs_a1(2), bs_a2(2)])
+        assert phi.conjugated(Permutation.identity(11)).forms is None
+        assert amplify(phi, 30).forms is None
+
+    def test_forms_and_table_keys_must_agree(self):
+        table = {bs_a2(2): Permutation([1, 2, 0])}
+        with pytest.raises(ValueError, match="different keys"):
+            SoficApprox(3, table, {bs_a1(2): (1, 2)})
+
+    @pytest.mark.parametrize("n, m", [(101, 3), (100, 3), (1001, 2), (30011, 2)])
+    def test_form_is_the_affine_map_of_the_table(self, n, m):
+        phi = ArithmeticModel(n, m).approx_on(ball(m, 2, 6))
+        x = np.arange(n, dtype=np.int64)
+        for g, (a, b) in phi.forms.items():
+            assert 0 <= a < n and 0 <= b < n
+            assert np.array_equal(phi.table[g].image, (a * x - b) % n)
 
 
 class TestSoficApprox:

@@ -2,13 +2,14 @@ import contextlib
 import functools
 import hashlib
 from fractions import Fraction
-from math import ceil
+from math import ceil, gcd
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import full_scan_quasi_tile, level_union_sizes, tiling_json
+from oracles import (affine_approx, evaluate_word, fraction_loop_plan, full_scan_quasi_tile,
+                     level_union_sizes, tiling_json)
 
 from soficlab import tiling
 from soficlab.bsgroup import BsElement, a2_interval, bs_a2, bs_rectangle
@@ -56,6 +57,15 @@ class TestPlanParameters:
     def test_eps_out_of_range(self):
         with pytest.raises(ValueError):
             plan_parameters(Fraction(3, 10), Fraction(1, 8))
+
+    def test_matches_fraction_loop(self):
+        """k and the lambdas from integer powers equal the Fraction loop's,
+        at eps = 1/q and at numerators above 1."""
+        eps_values = [Fraction(1, q) for q in range(4, 65)]
+        eps_values += [Fraction(p, q) for p, q in ((2, 9), (3, 13), (5, 21), (7, 29), (3, 40))]
+        for eps in eps_values:
+            for kappa in (eps, Fraction(3, 2)):
+                assert plan_parameters(eps, kappa) == fraction_loop_plan(eps, kappa), eps
 
 
 def family(n, sets):
@@ -236,7 +246,8 @@ class TestQuasiTile:
 
     def test_corrupted_block_rejected(self):
         n = 1000
-        phi = interval_model(n, 3, 40)
+        # the model's table is read-only: edit a plain copy, without forms
+        phi = SoficApprox(n, dict(interval_model(n, 3, 40).table))
         # corrupt half the ground set in one generator image
         key = BsElement(3, 0, 1, 0)
         img = phi.table[key].image.copy()
@@ -607,7 +618,14 @@ class TestBMaskMatchesOracle:
 
     def test_missing_key(self):
         phi, F_k = z_mode_approx(200, width=8)
+        phi = SoficApprox(phi.n, dict(phi.table))
         del phi.table[BsElement(3, 0, -7, 0)]
+        with pytest.raises(MissingDomainError, match="undefined on 1 keys"):
+            _b_mask(phi, F_k)
+
+    def test_missing_key_with_forms(self):
+        F_k = sorted_keys(a2_interval(8, 3))
+        phi = ArithmeticModel(200, 3).approx_on(grid_keys(F_k) - {BsElement(3, 0, -7, 0)})
         with pytest.raises(MissingDomainError, match="undefined on 1 keys"):
             _b_mask(phi, F_k)
 
@@ -654,6 +672,89 @@ class TestBMaskMatchesOracle:
         with offered_rows_checked_distinct() as offered:
             quasi_tile(perturbed, shapes, eps, eps, delta_prime=1, maximal=True)
         assert bool(offered) == mask.any()
+
+
+# ---------------------------------------------------------------------------
+# B read off the arithmetic model's affine forms, against the pair loop on
+# the same tables and against oracle_b_mask
+
+# degrees prime, odd composite and even
+B_DEGREES = (101, 1009, 63, 105, 225, 1001, 64, 100, 210, 1024)
+word = st.lists(st.tuples(st.sampled_from(["a1", "a2"]), st.integers(-3, 3)), max_size=4)
+
+
+@st.composite
+def model_shapes(draw):
+    """(n, m, F): a base coprime to n, and an a2-interval, a rectangle or a
+    few random keys with the identity, sorted."""
+    n = draw(st.sampled_from(B_DEGREES))
+    m = draw(st.sampled_from([m for m in (2, 3, 5, 7, 11, n - 1) if gcd(m, n) == 1]))
+    kind = draw(st.sampled_from(["interval", "rectangle", "keys"]))
+    if kind == "interval":
+        F = a2_interval(draw(st.integers(1, 12)), m)
+    elif kind == "rectangle":
+        F = bs_rectangle(draw(st.integers(1, 3)), draw(st.integers(1, 6)), m)
+    else:
+        keys = draw(st.lists(word, max_size=5))
+        F = {BsElement(m, 0, 0, 0)} | {evaluate_word(tuple(w), m) for w in keys}
+    return n, m, sorted_keys(F)
+
+
+def grid_keys(F_k):
+    return {g.inverse() * h for g in F_k for h in F_k}
+
+
+class TestAffineBMask:
+    @staticmethod
+    def assert_routes_agree(phi, F_k):
+        got = _b_mask(phi, F_k)
+        assert np.array_equal(got, _b_mask(SoficApprox(phi.n, dict(phi.table)), F_k))
+        assert np.array_equal(got, oracle_b_mask(phi, F_k))
+        return got
+
+    @given(model_shapes())
+    @settings(max_examples=150, deadline=None)
+    def test_model_forms(self, case):
+        n, m, F_k = case
+        phi = ArithmeticModel(n, m).approx_on(grid_keys(F_k))
+        x = np.arange(n, dtype=np.int64)
+        for g, (a, b) in phi.forms.items():
+            assert np.array_equal(phi.table[g].image, (a * x - b) % n)
+        self.assert_routes_agree(phi, F_k)
+
+    @pytest.mark.parametrize("n, m, rows, cols", [(63, 2, 3, 4), (1001, 8, 2, 6),
+                                                  (100, 3, 3, 5), (225, 16, 2, 6)])
+    def test_shared_factor_congruences(self, n, m, rows, cols):
+        """Pairs g != h with gcd(a_g - a_h, n) > 1 and solutions to drop:
+        each drops gcd(a_g - a_h, n) points spaced n / gcd apart."""
+        F_k = sorted_keys(bs_rectangle(rows, cols, m))
+        phi = ArithmeticModel(n, m).approx_on(grid_keys(F_k))
+        forms = [phi.forms[g] for g in F_k]
+        shared = [((a_g, b_g), (a_h, b_h)) for i, (a_g, b_g) in enumerate(forms)
+                  for a_h, b_h in forms[i + 1:]
+                  if 1 < gcd(a_g - a_h, n) < n and (b_g - b_h) % gcd(a_g - a_h, n) == 0]
+        assert shared
+        mask = self.assert_routes_agree(phi, F_k)
+        for (a_g, b_g), (a_h, b_h) in shared:
+            agree = np.flatnonzero((a_g - a_h) * np.arange(n) % n == (b_g - b_h) % n)
+            assert len(agree) == gcd(a_g - a_h, n) and not mask[agree].any()
+
+    @given(model_shapes(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_forms_that_do_not_compose(self, case, data):
+        """The model's forms with a few keys of F_k^-1 F_k redrawn, so that
+        some pairs compose to another form and B keeps only the solutions of
+        their congruences, which may be none."""
+        n, m, F_k = case
+        forms = dict(ArithmeticModel(n, m).approx_on(grid_keys(F_k)).forms)
+        keys = sorted_keys(forms)
+        units = [a for a in range(1, n) if gcd(a, n) == 1]
+        for _ in range(data.draw(st.integers(1, 3))):
+            g = data.draw(st.sampled_from(keys))
+            a, b = forms[g]
+            forms[g] = (data.draw(st.sampled_from([a] + units[:4] + units[-2:])),
+                        data.draw(st.sampled_from([b, (b + 1) % n, 0]) | st.integers(0, n - 1)))
+        self.assert_routes_agree(affine_approx(n, forms), F_k)
 
 
 @contextlib.contextmanager
