@@ -10,16 +10,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from soficlab.bsgroup import BsElement, a2_interval
+from soficlab.bsgroup import a2_interval
 from soficlab.soficcheck import ArithmeticModel, amplify
-from soficlab.tiling import CoarseApproximationError, plan_parameters, quasi_tile, verify_tiling
+from soficlab.tiling import (CoarseApproximationError, inverse_products, plan_parameters,
+                             quasi_tile, verify_tiling)
 
 WIDTHS = [2, 4, 6, 8, 12, 16, 24, 32]
-
-
-def interval_model(n: int, m: int, max_l: int):
-    model = ArithmeticModel(n, m)
-    return model.approx_on([BsElement(m, 0, ell, 0) for ell in range(-max_l, max_l + 1)])
 
 
 def report(tag, tiling):
@@ -45,15 +41,15 @@ def main() -> int:
         return 1
     widths = WIDTHS[:plan.k] + [WIDTHS[-1]] * max(0, plan.k - len(WIDTHS))
 
-    max_l = max(widths) - 1     # F_k^-1 F_k = {a_2^l : |l| <= max_l}
     shapes3 = [a2_interval(w, 3) for w in widths]
-    phi = interval_model(1000, 3, max_l)
+    grid3 = inverse_products(shapes3[-1])
+    phi = ArithmeticModel(1000, 3).approx_on(grid3.keys)
     shapes2 = [a2_interval(w, 2) for w in widths]
-    base = interval_model(101, 2, max_l)
-    big = amplify(base, 10_000)
+    grid2 = inverse_products(shapes2[-1])
+    big = amplify(ArithmeticModel(101, 2).approx_on(grid2.keys), 10_000)
     try:
-        t1 = quasi_tile(phi, shapes3, eps, eps)
-        t2 = quasi_tile(big, shapes2, eps, eps)
+        t1 = quasi_tile(phi, shapes3, grid3, eps, eps)
+        t2 = quasi_tile(big, shapes2, grid2, eps, eps)
     except CoarseApproximationError as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 2

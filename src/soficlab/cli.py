@@ -313,10 +313,9 @@ def _cmd_tile(v) -> Outcome:
     n, m, eps, kappa = v["n"], v["m"], v["eps"], v["kappa"]
     plan = plan_parameters(eps, kappa)
     shapes = interval_shapes(plan.k, m)
-    max_w = max(len(s) for s in shapes)     # F_k^-1 F_k = {a_2^l : |l| < max_w}
-    phi = ArithmeticModel(n, m).approx_on([BsElement(m, 0, ell, 0)
-                                           for ell in range(1 - max_w, max_w)])
-    tiling = quasi_tile(phi, shapes, eps, kappa)
+    grid = inverse_products(shapes[-1])
+    phi = ArithmeticModel(n, m).approx_on(grid.keys)
+    tiling = quasi_tile(phi, shapes, grid, eps, kappa)
     report = verify_tiling(tiling)
     return {"tiling.json": tiling.to_json() + "\n", "tile_report.json": _json({
         "n": n, "m": m, "eps": eps, "kappa": kappa,
@@ -337,14 +336,14 @@ def conjugate_shapes(m: int) -> List[frozenset]:
     return [bs_rectangle(2, w, m) for w in widths]
 
 
-def conjugate_domain(m: int) -> Tuple[List[frozenset], ProductGrid, set]:
-    """The conjugate shapes, the grid F_k^-1 F_k of the sorted top shape,
-    which both tilings of a conjugate run read, and the keys the conjugator
-    reads: a_1, a_2 and the grid, which holds every shape since they nest
+def conjugate_domain(m: int) -> Tuple[List[frozenset], ProductGrid, frozenset]:
+    """The conjugate shapes, the grid F_k^-1 F_k of the top shape, which
+    both tilings of a conjugate run read, and the keys the conjugator reads:
+    a_1, a_2 and the grid's, which hold every shape since the shapes nest
     and F_1 holds the identity."""
     shapes = conjugate_shapes(m)
-    grid = inverse_products(sorted(shapes[-1], key=BsElement.sort_key))
-    return shapes, grid, {bs_a1(m), bs_a2(m)}.union(*grid.rows)
+    grid = inverse_products(shapes[-1])
+    return shapes, grid, grid.keys | {bs_a1(m), bs_a2(m)}
 
 
 @_subcommand("conjugate", eps=(Fraction(1, 4), _TILING_EPS), n=(1000, _DEGREE),

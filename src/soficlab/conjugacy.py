@@ -55,8 +55,7 @@ DELTA_PRIME = Fraction(3, 8)
 
 
 def build_conjugator(phi1: SoficApprox, phi2: SoficApprox, eps,
-                     folner_seq: Sequence[Iterable[BsElement]],
-                     grid: Optional[ProductGrid] = None) -> Conjugator:
+                     folner_seq: Sequence[Iterable[BsElement]], grid: ProductGrid) -> Conjugator:
     """Quasi-tile both approximations at INNER_EPS and assemble tau.
 
     The orbit structure of the image of a_2 (m read off the shapes) sets the
@@ -64,8 +63,8 @@ def build_conjugator(phi1: SoficApprox, phi2: SoficApprox, eps,
     conjugation then relabels its whole tiling up to cycle phase, so the two
     tilings stay structurally aligned and the matched support stays large.
     The tilings run in maximal packing mode for the same reason.  Both
-    read one grid F_k^-1 F_k of the sorted top shape: the caller's, or one
-    quasi_tile builds for each side.
+    read the caller's grid, inverse_products of the top shape, on which
+    both approximations must be defined.
 
     Raises InsufficientSupportError when the matched supports fall below
     (1 - 4 eps / 7) n.
@@ -78,8 +77,8 @@ def build_conjugator(phi1: SoficApprox, phi2: SoficApprox, eps,
 
     sides = []
     for phi in (phi1, phi2):
-        t = quasi_tile(phi, folner_seq, INNER_EPS, INNER_EPS, delta_prime=DELTA_PRIME,
-                       maximal=True, center_order=orbit_order(phi.table[a2]), grid=grid)
+        t = quasi_tile(phi, folner_seq, grid, INNER_EPS, INNER_EPS, delta_prime=DELTA_PRIME,
+                       maximal=True, center_order=orbit_order(phi.table[a2]))
         points = level_points(t)
         # levels never share a point (a level's tiles avoid every point
         # covered before it), so cores read in ascending j are the same

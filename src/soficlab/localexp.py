@@ -60,7 +60,9 @@ def defect_report(f: Permutation, m: int) -> DefectReport:
 
 def min_mezo_fraction(n: int, m: int) -> Fraction:
     """min over all bijections of Z/nZ of the fraction of points failing at
-    least one of the two local laws, by exhaustion over Sym(n)."""
+    least one of the two local laws, by exhaustion over Sym(n).  At every n
+    exhausted the f^3 law never changes the minimum: as for f(x+1) = m f(x)
+    alone, it is the number of orbits of x -> m x on Z/n, over n."""
     if n > SYM_EXHAUSTIVE_MAX:
         raise ValueError(f"exhaustion limited to n <= {SYM_EXHAUSTIVE_MAX}")
     if math.gcd(m, n) != 1:

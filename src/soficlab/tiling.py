@@ -341,8 +341,13 @@ def shape_images(table: Dict[BsElement, Permutation], shape: Sequence[BsElement]
 
 def level_points(t: Tiling) -> List[np.ndarray]:
     """Per level, ascending j: a (|C_j|, |F_j|) array whose row q holds the
-    points phi(g)c of the q-th center c, g in shape order."""
-    return [shape_images(t.table, lvl.shape)[:, list(lvl.centers)].T for lvl in t.levels]
+    points phi(g)c of the q-th center c, g in shape order.  Each key's image
+    is read at the level's centers alone."""
+    points = []
+    for lvl in t.levels:
+        centers = np.asarray(lvl.centers, dtype=np.int64)
+        points.append(np.stack([t.table[g].image[centers] for g in lvl.shape]).T)
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -350,26 +355,27 @@ def level_points(t: Tiling) -> List[np.ndarray]:
 
 @dataclass(frozen=True)
 class ProductGrid:
-    """F^-1 F for one shape F in one order: rows[i][j] = F[i]^-1 F[j]."""
+    """F^-1 F for one shape F, sorted by BsElement.sort_key: rows[i][j] =
+    F[i]^-1 F[j], and keys the set of every product.  It is the domain a
+    tiling from top shape F reads phi on, so callers tabulate phi on keys
+    and hand the grid to quasi_tile."""
     shape: Tuple[BsElement, ...]
     rows: List[List[BsElement]]
+    keys: frozenset
 
 
-def inverse_products(F: Sequence[BsElement]) -> ProductGrid:
-    """The grid F^-1 F with F in the order given; each element of F is
-    inverted once."""
-    shape = tuple(F)
-    return ProductGrid(shape, [[g_inv * h for h in shape]
-                               for g_inv in (g.inverse() for g in shape)])
+def inverse_products(F: Iterable[BsElement]) -> ProductGrid:
+    """The grid F^-1 F of the sorted F; each element of F is inverted once."""
+    shape = tuple(sorted(F, key=BsElement.sort_key))
+    rows = [[g_inv * h for h in shape] for g_inv in (g.inverse() for g in shape)]
+    return ProductGrid(shape, rows, frozenset().union(*rows))
 
 
-def _b_mask(phi: SoficApprox, F_k: Sequence[BsElement],
-            grid: Optional[ProductGrid] = None) -> np.ndarray:
+def _b_mask(phi: SoficApprox, grid: ProductGrid) -> np.ndarray:
     """The points x at which phi is exactly multiplicative on F_k^-1 F_k,
-    phi(g) phi(g^-1 h) x = phi(h) x for all g, h in F_k, and free there,
-    phi(g^-1 h) x != x for g != h.  F_k holds the identity, so the grid of
-    products g^-1 h contains F_k itself.  A grid given must have been built
-    from F_k in this order; none given, it is built here.
+    phi(g) phi(g^-1 h) x = phi(h) x for all g, h in F_k = grid.shape, and
+    free there, phi(g^-1 h) x != x for g != h.  F_k holds the identity, so
+    the grid of products g^-1 h contains F_k itself.
 
     Given multiplicativity and phi(g) a bijection, phi(g^-1 h) x = x
     exactly when phi(g) x = phi(h) x: freeness is the |F_k| points phi(g) x
@@ -380,16 +386,12 @@ def _b_mask(phi: SoficApprox, F_k: Sequence[BsElement],
     every x in B: a center in B lies in its own tile phi(F_j)x, as every F_j
     holds the identity.  quasi_tile relies on this to scan only the
     uncovered B-points for centers."""
-    if grid is None:
-        grid = inverse_products(F_k)
-    elif grid.shape != tuple(F_k):
-        raise ValueError("product grid was not built from F_k in this order")
-    missing = {p for row in grid.rows for p in row} - phi.table.keys()
+    missing = grid.keys - phi.table.keys()
     if missing:
         raise MissingDomainError(f"approximation undefined on {len(missing)} keys of F_k^-1 F_k")
     if phi.forms is not None:
         return _affine_b_mask(phi.n, phi.forms, grid)
-    imgs = shape_images(phi.table, F_k)
+    imgs = shape_images(phi.table, grid.shape)
     mask = np.ones(phi.n, dtype=bool)
     for img_g, row in zip(imgs, grid.rows):
         for img_h, p in zip(imgs, row):
@@ -427,10 +429,9 @@ def _affine_b_mask(n: int, forms: Mapping[BsElement, AffineForm],
     return mask
 
 
-def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]], eps, kappa,
-               *, delta_prime=Fraction(1, 8), maximal: bool = False,
-               center_order: Optional[Sequence[int]] = None,
-               grid: Optional[ProductGrid] = None) -> Tiling:
+def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]], grid: ProductGrid,
+               eps, kappa, *, delta_prime=Fraction(1, 8), maximal: bool = False,
+               center_order: Optional[Sequence[int]] = None) -> Tiling:
     """Place tiles phi(F_j)c for j = k down to 1.
 
     B is the set of points where phi is exactly multiplicative and free on
@@ -439,7 +440,8 @@ def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]], eps,
     extracted with coverage target eps * |B_j|, pruned to minimality.
 
     folner_seq must meet the plan's shape conditions (_check_shapes): k
-    nested, non-empty shapes with the identity in the first.
+    nested, non-empty shapes with the identity in the first.  grid must be
+    inverse_products of the top shape F_k, and phi defined on its keys.
 
     maximal=True keeps the full greedy selection at every level instead of
     pruning to the eps * |B_j| coverage target.  That mode packs as much of
@@ -451,16 +453,15 @@ def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]], eps,
     ascending point index.  An order derived from the orbit structure of a
     generator image makes the construction equivariant under relabeling,
     which a conjugator build exploits.
-
-    grid is F_k^-1 F_k for the sorted F_k, when the caller has built it
-    already (see _b_mask); otherwise it is built here.
     """
     plan = plan_parameters(eps, kappa)
     eps, kappa = plan.eps, plan.kappa
     shapes = [tuple(sorted(F, key=BsElement.sort_key)) for F in folner_seq]
     _check_shapes(shapes, plan)
+    if grid.shape != shapes[-1]:
+        raise ValueError("product grid was not built from the top Folner shape")
 
-    b_mask = _b_mask(phi, shapes[-1], grid)
+    b_mask = _b_mask(phi, grid)
     n = phi.n
     order = np.arange(n)
     if center_order is not None:

@@ -29,9 +29,9 @@ from soficlab import tiling
 from soficlab.bsgroup import BsElement, bs_a1, bs_a2
 from soficlab.perm import Permutation
 from soficlab.soficcheck import SoficApprox
-from soficlab.tiling import (CoarseApproximationError, PlanParams, SetFamily, TileLevel,
-                             Tiling, _b_mask, _check_shapes, level_points, plan_parameters,
-                             shape_images)
+from soficlab.tiling import (CoarseApproximationError, PlanParams, ProductGrid, SetFamily,
+                             TileLevel, Tiling, _b_mask, _check_shapes, level_points,
+                             plan_parameters, shape_images)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +303,9 @@ def level_union_sizes(t: Tiling) -> Tuple[List[int], int]:
     return [len(u) for u in level_unions], len(np.unique(np.concatenate(level_unions)))
 
 
-def full_scan_quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]], eps,
-                         kappa, *, delta_prime=Fraction(1, 8), maximal: bool = False,
+def full_scan_quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]],
+                         grid: ProductGrid, eps, kappa, *, delta_prime=Fraction(1, 8),
+                         maximal: bool = False,
                          center_order: Optional[Sequence[int]] = None) -> Tiling:
     """quasi_tile as it stood when each level stacked the full n-point image
     of every shape key and tested every point as a center, its level loop
@@ -315,7 +316,7 @@ def full_scan_quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsEleme
     shapes = [tuple(sorted(F, key=BsElement.sort_key)) for F in folner_seq]
     _check_shapes(shapes, plan)
 
-    b_mask = _b_mask(phi, shapes[-1])
+    b_mask = _b_mask(phi, grid)
     n = phi.n
     order = np.arange(n)
     if center_order is not None:

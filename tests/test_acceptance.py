@@ -21,7 +21,7 @@ from soficlab.localexp import (PadicContext, defect_report,
 from soficlab.perm import Permutation
 from soficlab.soficcheck import (ArithmeticModel, SoficApprox, amplify,
                                  check_sofic)
-from soficlab.tiling import quasi_tile, verify_tiling
+from soficlab.tiling import inverse_products, quasi_tile, verify_tiling
 
 EPS = Fraction(1, 4)
 
@@ -69,20 +69,21 @@ def test_03_tiling_certificates():
     # cyclic translation model on 10^3 points
     phi_z = ArithmeticModel(1000, 3).approx_on(
         [BsElement(3, 0, ell, 0) for ell in range(-40, 41)])
-    t1 = quasi_tile(phi_z, [a2_interval(w, 3) for w in widths], EPS, EPS)
+    shapes_z = [a2_interval(w, 3) for w in widths]
+    t1 = quasi_tile(phi_z, shapes_z, inverse_products(shapes_z[-1]), EPS, EPS)
     ok = verify_tiling(t1).passed
     # amplified base-2 arithmetic model, 101 -> 10^4 points
     base = ArithmeticModel(101, 2).approx_on(
         [BsElement(2, 0, ell, 0) for ell in range(-33, 34)])
-    t2 = quasi_tile(amplify(base, 10_000), [a2_interval(w, 2) for w in widths],
-                    EPS, EPS)
+    shapes_2 = [a2_interval(w, 2) for w in widths]
+    t2 = quasi_tile(amplify(base, 10_000), shapes_2, inverse_products(shapes_2[-1]), EPS, EPS)
     ok = ok and verify_tiling(t2).passed
     report(3, "quasi-tiling certificates verify", ok)
 
 
 def test_04_conjugator_quality():
     n, m = 1000, 999
-    shapes, _, domain = conjugate_domain(m)
+    shapes, grid, domain = conjugate_domain(m)
     phi1 = ArithmeticModel(n, m).approx_on(domain)
     ok = True
     for seed in range(10):
@@ -91,7 +92,7 @@ def test_04_conjugator_quality():
         phi2 = SoficApprox(n,
                            {g: sigma.compose(p).compose(sigma_inv)
                             for g, p in phi1.table.items()})
-        conj = build_conjugator(phi1, phi2, EPS, shapes)
+        conj = build_conjugator(phi1, phi2, EPS, shapes, grid)
         ok = ok and sorted(conj.tau.image.tolist()) == list(range(n))
         rep = conjugacy_defect(conj, phi1, phi2, [bs_a1(m), bs_a2(m)])
         ok = ok and rep.max_defect <= EPS

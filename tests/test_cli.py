@@ -14,15 +14,50 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from soficlab import cli, tiling
-from soficlab.cli import (REQUIRED, _SUBCOMMANDS, _build_parser, _draw_unit, interval_shapes,
-                          load_config, main)
+from soficlab.bsgroup import bs_a1, bs_a2
+from soficlab.cli import (REQUIRED, _SUBCOMMANDS, _build_parser, _draw_unit, conjugate_shapes,
+                          interval_shapes, load_config, main)
 from soficlab.soficcheck import ArithmeticModel
-from soficlab.tiling import Tiling, inverse_products, plan_parameters, verify_tiling
+from soficlab.tiling import Tiling, plan_parameters, verify_tiling
 
 
 def run(tmp_path, *argv):
     out = tmp_path / "out"
     return main(list(argv) + ["--out", str(out)]), out
+
+
+def inverse_product_set(F):
+    return {g.inverse() * h for g in F for h in F}
+
+
+def tabulated_keys(tmp_path, monkeypatch, *argv):
+    """The one key list the op asks the arithmetic model for, checked free
+    of repeats, as a set."""
+    domains, real = [], ArithmeticModel.approx_on
+
+    def recording(model, keys):
+        domains.append(list(keys))
+        return real(model, domains[-1])
+    monkeypatch.setattr(ArithmeticModel, "approx_on", recording)
+    code, _ = run(tmp_path, *argv)
+    assert code == 0
+    [keys] = domains
+    assert len(keys) == len(set(keys))
+    return set(keys)
+
+
+def grids_built(tmp_path, monkeypatch, *argv):
+    """The size of the shape of every product grid the op builds."""
+    calls, real = [], tiling.inverse_products
+
+    def counting(F):
+        calls.append(len(F))
+        return real(F)
+    monkeypatch.setattr(tiling, "inverse_products", counting)
+    monkeypatch.setattr(cli, "inverse_products", counting)
+    code, _ = run(tmp_path, *argv)
+    assert code == 0
+    return calls
 
 
 class TestConfig:
@@ -287,18 +322,13 @@ class TestTileVerify:
     def test_tile_tabulates_exactly_inverse_products(self, tmp_path, monkeypatch):
         """tile asks the model for F_k^-1 F_k, the keys the B-mask reads, and
         for no other key."""
-        domains, real = [], ArithmeticModel.approx_on
-
-        def recording(model, keys):
-            domains.append(list(keys))
-            return real(model, domains[-1])
-        monkeypatch.setattr(ArithmeticModel, "approx_on", recording)
-        code, _ = run(tmp_path, "tile", "--n", "1000")
-        assert code == 0
         top = interval_shapes(plan_parameters(Fraction(1, 4), Fraction(1, 4)).k, 3)[-1]
-        [keys] = domains
-        assert len(keys) == len(set(keys))
-        assert set(keys) == set().union(*inverse_products(top).rows)
+        keys = tabulated_keys(tmp_path, monkeypatch, "tile", "--n", "1000")
+        assert keys == inverse_product_set(top)
+
+    def test_one_grid_per_op(self, tmp_path, monkeypatch):
+        """The domain and the B-mask read one F_k^-1 F_k grid."""
+        assert grids_built(tmp_path, monkeypatch, "tile", "--n", "1000") == [27]
 
     def test_interval_shapes_monotone(self):
         shapes = interval_shapes(8, 3)
@@ -458,16 +488,13 @@ class TestConjugate:
 
     def test_one_grid_per_op(self, tmp_path, monkeypatch):
         """The domain and both sides' B-masks read one F_k^-1 F_k grid."""
-        calls, real = [], tiling.inverse_products
+        assert grids_built(tmp_path, monkeypatch, "conjugate", "--n", "1000") == [32]
 
-        def counting(F):
-            calls.append(len(F))
-            return real(F)
-        monkeypatch.setattr(tiling, "inverse_products", counting)
-        monkeypatch.setattr(cli, "inverse_products", counting)
-        code, _ = run(tmp_path, "conjugate", "--n", "1000")
-        assert code == 0
-        assert calls == [32]
+    def test_conjugate_tabulates_exactly_inverse_products(self, tmp_path, monkeypatch):
+        """conjugate asks the model for F_k^-1 F_k and the generators the
+        defect reads, and for no other key."""
+        keys = tabulated_keys(tmp_path, monkeypatch, "conjugate", "--n", "1000")
+        assert keys == inverse_product_set(conjugate_shapes(999)[-1]) | {bs_a1(999), bs_a2(999)}
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from soficlab.bsgroup import bs_a1, bs_a2
-from soficlab.cli import conjugate_domain, conjugate_shapes
+from soficlab.cli import conjugate_domain
 from soficlab.conjugacy import (Conjugator, InsufficientSupportError,
                                 build_conjugator, conjugacy_defect)
 from soficlab.perm import Permutation, hamming
@@ -26,8 +26,14 @@ def conjugated(phi, sigma):
                         for g, p in phi.table.items()})
 
 
+def shapes_and_grid(m=M):
+    """The conjugate subcommand's shapes and the grid of the top one."""
+    shapes, grid, _ = conjugate_domain(m)
+    return shapes, grid
+
+
 def build(phi1, phi2, eps=EPS):
-    return build_conjugator(phi1, phi2, eps, conjugate_shapes(M))
+    return build_conjugator(phi1, phi2, eps, *shapes_and_grid())
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +70,7 @@ class TestBuildConjugator:
     def test_degree_mismatch(self, phi1):
         small = ArithmeticModel(500, 499).approx_on([bs_a1(499), bs_a2(499)])
         with pytest.raises(ValueError):
-            build_conjugator(phi1, small, EPS, conjugate_shapes(M))
+            build_conjugator(phi1, small, EPS, *shapes_and_grid())
 
     def test_insufficient_support_detected(self):
         # m = 3 is a genuine BS(1, 3) quotient; its matched support collapses
@@ -72,11 +78,12 @@ class TestBuildConjugator:
         sigma = Permutation(np.random.default_rng(0).permutation(N))
         with pytest.raises(InsufficientSupportError,
                            match=r"matched support 714/1000 below 857\.1"):
-            build_conjugator(phi, conjugated(phi, sigma), EPS, conjugate_shapes(3))
+            build_conjugator(phi, conjugated(phi, sigma), EPS, *shapes_and_grid(3))
 
     def test_shapes_off_the_inner_plan_rejected(self, phi1):
         with pytest.raises(ValueError, match="need 21 Folner shapes for eps=1/8"):
-            build_conjugator(phi1, phi1, EPS, conjugate_shapes(M)[:-1])
+            shapes, grid = shapes_and_grid()
+            build_conjugator(phi1, phi1, EPS, shapes[:-1], grid)
 
 
 class TestConjugacyDefect:

@@ -145,6 +145,27 @@ class TestMezoExhaustion:
                 if math.gcd(m, n) == 1:
                     assert min_mezo_fraction(n, m) == min_mezo_fraction_by_arrays(n, m), (img, m)
 
+    UNIT_PAIRS = [(n, m) for n in range(2, localexp.SYM_EXHAUSTIVE_MAX + 1)
+                  for m in range(1, n) if math.gcd(m, n) == 1]
+
+    @staticmethod
+    def times_m_orbits(n, m):
+        """The number of orbits of x -> m x on Z/n, by walking each."""
+        seen, orbits = set(), 0
+        for x in range(n):
+            if x not in seen:
+                orbits += 1
+                while x not in seen:
+                    seen.add(x)
+                    x = x * m % n
+        return orbits
+
+    @pytest.mark.parametrize("n, m", UNIT_PAIRS)
+    def test_equals_orbit_count_of_times_m(self, n, m):
+        """The f^3 term never changes the minimum: it is the fewest points
+        failing f(x+1) = m f(x), one per orbit of x -> m x."""
+        assert min_mezo_fraction(n, m) == Fraction(self.times_m_orbits(n, m), n)
+
     def test_limit_above_sym_exhaustion_rejected(self):
         with pytest.raises(ValueError, match="n <= 8"):
             min_mezo_fraction(localexp.SYM_EXHAUSTIVE_MAX + 1, 1)

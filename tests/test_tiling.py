@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import hashlib
+import random
 from fractions import Fraction
 from math import ceil, gcd
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -30,10 +31,16 @@ def interval_model(n, m, max_l):
     return model.approx_on([BsElement(m, 0, ell, 0) for ell in range(-max_l, max_l + 1)])
 
 
+def tile(phi, shapes, eps, kappa, **kwargs):
+    """quasi_tile on the product grid of the top shape, as every caller
+    builds it."""
+    return quasi_tile(phi, shapes, inverse_products(shapes[-1]), eps, kappa, **kwargs)
+
+
 def z_model_tiling(n=1000, eps=Fraction(1, 4)):
     phi = interval_model(n, 3, 40)
     shapes = [a2_interval(w, 3) for w in WIDTHS]
-    return quasi_tile(phi, shapes, eps, eps)
+    return tile(phi, shapes, eps, eps)
 
 
 class TestPlanParameters:
@@ -255,12 +262,23 @@ class TestQuasiTile:
         phi.table[key] = Permutation(img)
         shapes = [a2_interval(w, 3) for w in WIDTHS]
         with pytest.raises(CoarseApproximationError):
-            quasi_tile(phi, shapes, Fraction(1, 4), Fraction(1, 4))
+            tile(phi, shapes, Fraction(1, 4), Fraction(1, 4))
 
     def test_wrong_shape_count(self):
         phi = interval_model(1000, 3, 40)
         with pytest.raises(ValueError):
-            quasi_tile(phi, [a2_interval(2, 3)], Fraction(1, 4), Fraction(1, 4))
+            tile(phi, [a2_interval(2, 3)], Fraction(1, 4), Fraction(1, 4))
+
+    @pytest.mark.parametrize("other", [a2_interval(24, 3), a2_interval(32, 3) - {bs_a2(3)},
+                                       bs_rectangle(2, 16, 3)],
+                             ids=["narrower", "one-key-short", "rectangle"])
+    def test_grid_of_another_shape_refused(self, other):
+        """The B-mask reads F_k off the grid, so a grid of any shape but the
+        top one is refused before B is read."""
+        shapes = [a2_interval(w, 3) for w in WIDTHS]
+        with pytest.raises(ValueError, match="not built from the top Folner shape"):
+            quasi_tile(interval_model(1000, 3, 40), shapes, inverse_products(other),
+                       Fraction(1, 4), Fraction(1, 4))
 
 
 class TestVerifySoundness:
@@ -312,7 +330,7 @@ class TestAmplifiedModel:
         base = interval_model(101, 2, 33)
         phi = amplify(base, 10_000)
         shapes = [a2_interval(w, 2) for w in WIDTHS]
-        tiling = quasi_tile(phi, shapes, Fraction(1, 4), Fraction(1, 4))
+        tiling = tile(phi, shapes, Fraction(1, 4), Fraction(1, 4))
         assert verify_tiling(tiling).passed
 
 
@@ -398,8 +416,8 @@ def rectangle_tiling(n=1000):
     """quasi_tile as build_conjugator runs it for the conjugate subcommand:
     inner eps 1/8, maximal packing, centers ranked by the orbit order of a2."""
     phi, shapes = conjugate_mode_approx(n)
-    return quasi_tile(phi, shapes, INNER_EPS, INNER_EPS, delta_prime=DELTA_PRIME, maximal=True,
-                      center_order=orbit_order(phi.table[bs_a2(n - 1)]))
+    return tile(phi, shapes, INNER_EPS, INNER_EPS, delta_prime=DELTA_PRIME, maximal=True,
+                center_order=orbit_order(phi.table[bs_a2(n - 1)]))
 
 
 BASES = {"z_model": functools.lru_cache(maxsize=None)(z_model_tiling),
@@ -486,8 +504,8 @@ def random_order_tiling(seed, n=1000, m=3):
     levels under it stay empty."""
     phi = interval_model(n, m, 40)
     shapes = [a2_interval(min(w, n), m) for w in WIDTHS]
-    return quasi_tile(phi, shapes, Fraction(1, 4), Fraction(1, 4),
-                      maximal=True, center_order=np.random.default_rng(seed).permutation(n))
+    return tile(phi, shapes, Fraction(1, 4), Fraction(1, 4),
+                maximal=True, center_order=np.random.default_rng(seed).permutation(n))
 
 
 @pytest.mark.parametrize("edit", [
@@ -499,8 +517,8 @@ def test_center_order_must_be_a_permutation(edit):
     n, m = 1000, 3
     shapes = [a2_interval(w, m) for w in WIDTHS]
     with pytest.raises(ValueError, match=r"center_order must be a permutation of 0\.\.n-1"):
-        quasi_tile(interval_model(n, m, 40), shapes, Fraction(1, 4), Fraction(1, 4),
-                   maximal=True, center_order=edit(np.arange(n)))
+        tile(interval_model(n, m, 40), shapes, Fraction(1, 4), Fraction(1, 4),
+             maximal=True, center_order=edit(np.arange(n)))
 
 
 class TestOrderedCertificateDigests:
@@ -533,7 +551,7 @@ class TestShapeConditions:
         t = z_model_tiling()
         shapes = edit([lvl.shape for lvl in t.levels])
         with pytest.raises(ValueError, match=reason):
-            quasi_tile(interval_model(1000, 3, 40), shapes, t.eps, t.kappa)
+            tile(interval_model(1000, 3, 40), shapes, t.eps, t.kappa)
         levels = tuple(TileLevel(lvl.j, shape, lvl.lam, lvl.centers)
                        for lvl, shape in zip(t.levels, shapes))
         with pytest.raises(ValueError, match=reason):
@@ -586,12 +604,24 @@ def test_inverse_products_grid(F):
     grid = inverse_products(F)
     assert grid.shape == tuple(F)
     assert grid.rows == [[g.inverse() * h for h in F] for g in F]
+    assert grid.keys == grid_keys(F)
+
+
+@pytest.mark.parametrize("F", [a2_interval(8, 3), bs_rectangle(2, 4, 5)],
+                         ids=["interval", "rectangle"])
+@pytest.mark.parametrize("seed", range(3))
+def test_inverse_products_grid_ignores_order(F, seed):
+    """The grid of F in any order is the grid of F sorted."""
+    keys = sorted_keys(F)
+    want = inverse_products(keys)
+    assert inverse_products(keys[::-1]) == want
+    assert inverse_products(random.Random(seed).sample(keys, len(keys))) == want
 
 
 class TestBMaskMatchesOracle:
     @staticmethod
     def assert_masks_match(phi, F_k):
-        got = _b_mask(phi, F_k)
+        got = _b_mask(phi, inverse_products(F_k))
         assert got.dtype == bool and np.array_equal(got, oracle_b_mask(phi, F_k))
         return got
 
@@ -606,28 +636,18 @@ class TestBMaskMatchesOracle:
         mask = self.assert_masks_match(phi, sorted_keys(a2_interval(32, 2)))
         assert 0 < np.count_nonzero(mask) < len(mask)
 
-    def test_given_grid_gives_the_same_mask(self):
-        phi, F_k = conjugate_mode_top(1000)
-        assert np.array_equal(_b_mask(phi, F_k, inverse_products(F_k)), _b_mask(phi, F_k))
-
-    @pytest.mark.parametrize("reorder", [lambda F: F[::-1], lambda F: F[:-1]])
-    def test_grid_of_another_shape_or_order_refused(self, reorder):
-        phi, F_k = conjugate_mode_top(1000)
-        with pytest.raises(ValueError, match="not built from F_k in this order"):
-            _b_mask(phi, F_k, inverse_products(reorder(F_k)))
-
     def test_missing_key(self):
         phi, F_k = z_mode_approx(200, width=8)
         phi = SoficApprox(phi.n, dict(phi.table))
         del phi.table[BsElement(3, 0, -7, 0)]
         with pytest.raises(MissingDomainError, match="undefined on 1 keys"):
-            _b_mask(phi, F_k)
+            _b_mask(phi, inverse_products(F_k))
 
     def test_missing_key_with_forms(self):
         F_k = sorted_keys(a2_interval(8, 3))
         phi = ArithmeticModel(200, 3).approx_on(grid_keys(F_k) - {BsElement(3, 0, -7, 0)})
         with pytest.raises(MissingDomainError, match="undefined on 1 keys"):
-            _b_mask(phi, F_k)
+            _b_mask(phi, inverse_products(F_k))
 
     def test_identity_check_alone_excludes(self):
         """phi(e) = (x y) and phi(a2^-1) = phi(a2^-1)(x y) on F_k = {e, a2}:
@@ -670,7 +690,7 @@ class TestBMaskMatchesOracle:
         # delta_prime = 1 tiles from whatever B is left; in maximal mode the
         # top level offers every point of B
         with offered_rows_checked_distinct() as offered:
-            quasi_tile(perturbed, shapes, eps, eps, delta_prime=1, maximal=True)
+            tile(perturbed, shapes, eps, eps, delta_prime=1, maximal=True)
         assert bool(offered) == mask.any()
 
 
@@ -707,8 +727,9 @@ def grid_keys(F_k):
 class TestAffineBMask:
     @staticmethod
     def assert_routes_agree(phi, F_k):
-        got = _b_mask(phi, F_k)
-        assert np.array_equal(got, _b_mask(SoficApprox(phi.n, dict(phi.table)), F_k))
+        grid = inverse_products(F_k)
+        got = _b_mask(phi, grid)
+        assert np.array_equal(got, _b_mask(SoficApprox(phi.n, dict(phi.table)), grid))
         assert np.array_equal(got, oracle_b_mask(phi, F_k))
         return got
 
@@ -811,8 +832,10 @@ def tiling_and_families(build, *args, **kwargs):
 
 
 def assert_scans_agree(phi, shapes, eps, **kwargs):
-    got, got_rows = tiling_and_families(quasi_tile, phi, shapes, eps, eps, **kwargs)
-    want, want_rows = tiling_and_families(full_scan_quasi_tile, phi, shapes, eps, eps, **kwargs)
+    grid = inverse_products(shapes[-1])
+    got, got_rows = tiling_and_families(quasi_tile, phi, shapes, grid, eps, eps, **kwargs)
+    want, want_rows = tiling_and_families(full_scan_quasi_tile, phi, shapes, grid, eps, eps,
+                                          **kwargs)
     assert got == want
     assert len(got_rows) == len(want_rows)
     assert all(np.array_equal(a, b) for a, b in zip(got_rows, want_rows))
@@ -881,7 +904,7 @@ def amplified_tiling():
     """The amplified BS(1,2) certificate scripts/run_tiling_experiments.py
     writes, on n = 10 000 (composite, |B| = 9999)."""
     phi = amplify(interval_model(101, 2, 33), 10_000)
-    return quasi_tile(phi, [a2_interval(w, 2) for w in WIDTHS], Fraction(1, 4), Fraction(1, 4))
+    return tile(phi, [a2_interval(w, 2) for w in WIDTHS], Fraction(1, 4), Fraction(1, 4))
 
 
 # n crosses every decimal width boundary up to five digits; m = n + 1 is a
