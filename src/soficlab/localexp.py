@@ -22,7 +22,7 @@ import numpy as np
 
 from .perm import HammingValue, Permutation, displacement, iterate
 
-# The largest n covered by exhaustion over Sym(n), and over maps with f^4 = id
+# The largest n checked against Sym(n) exhaustion, and exhausted over f^4 = id
 SYM_EXHAUSTIVE_MAX = 8
 ORDER4_EXHAUSTIVE_MAX = 10
 
@@ -59,23 +59,19 @@ def defect_report(f: Permutation, m: int) -> DefectReport:
 
 
 def min_mezo_fraction(n: int, m: int) -> Fraction:
-    """min over all bijections of Z/nZ of the fraction of points failing at
-    least one of the two local laws, by exhaustion over Sym(n).  At every n
-    exhausted the f^3 law never changes the minimum: as for f(x+1) = m f(x)
-    alone, it is the number of orbits of x -> m x on Z/n, over n."""
+    """min over all bijections of Z/nZ of the fraction of points failing
+    f(x+1) = m f(x) or f^3(x) = x: the orbits of x -> m x on Z/n, over n.
+    The failing points of the first law cut Z/n into as many runs, the
+    images of a run lie in one orbit, and f is onto, so no bijection fails
+    at fewer (n >= 2 gives two orbits, so one point fails).  Laying the
+    orbits y, m y, m^2 y, ... end to end attains the bound with that law
+    alone.  Only exhaustion over Sym(n), in tests/oracles.py, shows the
+    f^3 law changes nothing, at every n <= SYM_EXHAUSTIVE_MAX."""
     if n > SYM_EXHAUSTIVE_MAX:
         raise ValueError(f"exhaustion limited to n <= {SYM_EXHAUSTIVE_MAX}")
     if math.gcd(m, n) != 1:
         raise ValueError(f"gcd({m}, {n}) != 1")
-    best = n
-    for img in itertools.permutations(range(n)):
-        count = sum(bad or img[img[img[x]]] != x
-                    for x, bad in enumerate(_law_flags(img, m, n)))
-        if count < best:
-            best = count
-            if best == 0:
-                break
-    return Fraction(best, n)
+    return Fraction(len(Permutation(np.arange(n) * m % n).cycle_lengths()), n)
 
 
 # ---------------------------------------------------------------------------

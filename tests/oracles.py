@@ -5,8 +5,9 @@ the package computes another way (a running product against the doubling
 exp table, exhaustive enumeration against the P_n recurrence, word
 evaluation against the arithmetic model's element table, the order-4
 sampler's shuffle, choice and randrange against its getrandbits draws, the
-order-4 enumerator's dicts against its in-place image list, numpy arrays
-against the list law scan in the Sym(n) exhaustion, and the tiling level
+order-4 enumerator's dicts against its in-place image list, the Sym(n)
+exhaustion on lists against the orbit count of x -> m x and numpy arrays
+against that list exhaustion, and the tiling level
 loop that scans every point against the one that scans B's uncovered
 points, and the tiling plan's Fraction loop against its integer powers).
 Tests import them as `from oracles import ...`; the file is not collected,
@@ -27,6 +28,7 @@ import numpy as np
 
 from soficlab import tiling
 from soficlab.bsgroup import BsElement, bs_a1, bs_a2
+from soficlab.localexp import SYM_EXHAUSTIVE_MAX, _law_flags
 from soficlab.perm import Permutation
 from soficlab.soficcheck import SoficApprox
 from soficlab.tiling import (CoarseApproximationError, PlanParams, ProductGrid, SetFamily,
@@ -128,6 +130,27 @@ def enumerate_order4(points: Sequence[int]):
             b, c, d = trio
             tail[a], tail[b], tail[c], tail[d] = b, c, d, a
             yield tail
+
+
+def min_mezo_fraction_by_lists(n: int, m: int) -> Fraction:
+    """min over all bijections of Z/nZ of the fraction of points failing at
+    least one of the two local laws, by exhaustion over Sym(n) through the
+    searcher's list law scan: the package's exhaustion as it was before it
+    read the minimum off the orbits of x -> m x, kept verbatim as the
+    reference that certifies that count at every n <= SYM_EXHAUSTIVE_MAX."""
+    if n > SYM_EXHAUSTIVE_MAX:
+        raise ValueError(f"exhaustion limited to n <= {SYM_EXHAUSTIVE_MAX}")
+    if gcd(m, n) != 1:
+        raise ValueError(f"gcd({m}, {n}) != 1")
+    best = n
+    for img in itertools.permutations(range(n)):
+        count = sum(bad or img[img[img[x]]] != x
+                    for x, bad in enumerate(_law_flags(img, m, n)))
+        if count < best:
+            best = count
+            if best == 0:
+                break
+    return Fraction(best, n)
 
 
 def min_mezo_fraction_by_arrays(n: int, m: int) -> Fraction:

@@ -576,6 +576,17 @@ class TestOtherSubcommands:
         data = json.loads((out / "h3.json").read_text())
         assert data["g1_displacement"] == [101, 101]
 
+    @pytest.mark.parametrize("argv, keys", [
+        (("--n", "8", "--m", "3"), {"n", "m", "min_failing_fraction", "strictly_positive"}),
+        (("--n", "9", "--m", "2"),
+         {"n", "m", "seed", "defect_fraction", "relator_defects", "g1_displacement"}),
+    ])
+    def test_h3_branch_at_sym_limit(self, tmp_path, argv, keys):
+        # the orbit count up to SYM_EXHAUSTIVE_MAX = 8, one random map above
+        code, out = run(tmp_path, "h3", *argv)
+        assert code == 0
+        assert set(json.loads((out / "h3.json").read_text())) == keys
+
     def test_padic(self, tmp_path):
         code, out = run(tmp_path, "padic", "--m", "2",
                         "--prime-powers", "3:2..3", "--tuples", "10")
@@ -868,6 +879,12 @@ class TestGoldenDigests:
         (("search-f", "--n", "1009", "--m", "7", "--budget", "20000", "--seed", "0"),
          "search.json",
          "24cf92cffc475b9473a066cafd6dafa8dda8f7fd9fe3e1238fedacec609d0b17"),
+        # CI's two runs at and below SYM_EXHAUSTIVE_MAX: "3/7" and "5/8"
+        # (appended last so the rows above keep their ids)
+        (("h3", "--n", "7", "--m", "2"), "h3.json",
+         "4b4f5d1e1a544df153b201754395e709d99bb57166d3865aa5836c9ecd8338e0"),
+        (("h3", "--n", "8", "--m", "3"), "h3.json",
+         "c3f7d9300a93c56e24885d01fa2fb437dcd5b46f325d6eefa6a966e7e8efffcb"),
     ])
     def test_artifact_digest(self, tmp_path, argv, artifact, digest):
         code, out = run(tmp_path, *argv)

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (count_order4, enumerate_order4, exp_table_by_product, from_cycles,
-                     is_four_periodic, min_mezo_fraction_by_arrays, random_order4, word_value)
+                     is_four_periodic, min_mezo_fraction_by_arrays, min_mezo_fraction_by_lists,
+                     random_order4, word_value)
 from soficlab import localexp
 from soficlab.cli import main
 from soficlab.localexp import (PadicContext, defect_report,
@@ -125,12 +126,14 @@ class TestMezoExhaustion:
         assert min_mezo_fraction(*nm) == self.FROZEN[nm]
 
     def test_strictly_positive(self):
-        for nm, frac in self.FROZEN.items():
-            assert frac > 0
+        for n in range(2, localexp.SYM_EXHAUSTIVE_MAX + 1):
+            for m in range(-9, 12):
+                if math.gcd(m, n) == 1:
+                    assert min_mezo_fraction(n, m) > 0, (n, m)
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_matches_array_exhaustion(self, n):
-        for m in range(1, 10):
+        for m in range(-9, 10):
             if math.gcd(m, n) == 1:
                 assert min_mezo_fraction(n, m) == min_mezo_fraction_by_arrays(n, m), m
 
@@ -138,12 +141,20 @@ class TestMezoExhaustion:
     def test_scores_each_map_as_array_exhaustion(self, n, monkeypatch):
         # over all of Sym(n), for every n <= 8, the fewest points failing
         # either law are the fewest failing f(x+1) = m f(x) alone, so the f^3
-        # check shows only when both exhaustions are offered one map at a time
+        # check of the list exhaustion shows only when both exhaustions are
+        # offered one map at a time
         for img in list(itertools.permutations(range(n))):
             monkeypatch.setattr(itertools, "permutations", lambda points: [img])
             for m in range(1, 10):
                 if math.gcd(m, n) == 1:
-                    assert min_mezo_fraction(n, m) == min_mezo_fraction_by_arrays(n, m), (img, m)
+                    assert (min_mezo_fraction_by_lists(n, m)
+                            == min_mezo_fraction_by_arrays(n, m)), (img, m)
+
+    def test_enumerates_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("min_mezo_fraction enumerated maps")
+        monkeypatch.setattr(itertools, "permutations", refuse)
+        assert min_mezo_fraction(localexp.SYM_EXHAUSTIVE_MAX, 3) == Fraction(5, 8)
 
     UNIT_PAIRS = [(n, m) for n in range(2, localexp.SYM_EXHAUSTIVE_MAX + 1)
                   for m in range(1, n) if math.gcd(m, n) == 1]
@@ -162,9 +173,16 @@ class TestMezoExhaustion:
 
     @pytest.mark.parametrize("n, m", UNIT_PAIRS)
     def test_equals_orbit_count_of_times_m(self, n, m):
-        """The f^3 term never changes the minimum: it is the fewest points
-        failing f(x+1) = m f(x), one per orbit of x -> m x."""
-        assert min_mezo_fraction(n, m) == Fraction(self.times_m_orbits(n, m), n)
+        """The f^3 term never changes the minimum over Sym(n): exhaustion
+        gives the fewest points failing f(x+1) = m f(x), one per orbit of
+        x -> m x.  The array comparison stops at n = 7, so the list oracle
+        certifies the package at n = 8."""
+        frac = Fraction(self.times_m_orbits(n, m), n)
+        assert min_mezo_fraction(n, m) == frac == min_mezo_fraction_by_lists(n, m)
+
+    def test_non_unit_rejected(self):
+        with pytest.raises(ValueError, match="gcd"):
+            min_mezo_fraction(6, 3)
 
     def test_limit_above_sym_exhaustion_rejected(self):
         with pytest.raises(ValueError, match="n <= 8"):
