@@ -6,13 +6,14 @@ x -> a x - b (mod n) with a = m^e and b = num * m^-d; in particular
 psi(a_2) = x - 1 and psi(a_1) = m^-1 x.  It is a homomorphism by
 construction, so its multiplicativity defect is identically zero.
 
-An approximation the model builds carries each key's affine form (a, b)
-beside its table, and its table is read-only, so the two cannot drift
-apart.  Two affine maps mod n agree exactly on the solutions of one linear
-congruence, so check_sofic (and tiling's B-mask) read defects, fixed points
-and agreement sets off the forms with exact integer steps, independent of
-n.  Tables without forms (conjugated, amplified or edited ones) take the
-table route, which compares image arrays.
+psi(g) is an AffinePermutation: it carries its form (a, b), and its image
+array is read only when asked, as a window of one table per dilation.  Two
+affine maps mod n agree exactly on the solutions of one linear congruence,
+so on an approximation whose permutations are all affine, check_sofic (and
+tiling's B-mask) read defects, fixed points and agreement sets off the
+forms with exact integer steps, independent of n, and read no image.  Any
+other table (conjugated, amplified, or holding a plain Permutation) takes
+the table route, which compares image arrays.
 """
 
 from __future__ import annotations
@@ -29,22 +30,14 @@ from .bsgroup import BsElement
 from .expcycles import MAX_MODULUS
 from .perm import DegreeMismatchError, HammingValue, Permutation, displacement, hamming
 
-# (a, b): the permutation x -> a x - b mod n
-AffineForm = Tuple[int, int]
-
 
 @dataclass
 class SoficApprox:
     """A finite partial map from group elements to permutations of one
-    common degree.
-
-    forms, when given, holds each key's affine form: the key's permutation
-    is x -> a x - b mod n.  They are trusted, not checked against the
-    table; ArithmeticModel.approx_on builds them, with a read-only table."""
+    common degree."""
 
     n: int
     table: Mapping[BsElement, Permutation]
-    forms: Optional[Mapping[BsElement, AffineForm]] = None
 
     def __post_init__(self) -> None:
         for key, perm in self.table.items():
@@ -52,8 +45,10 @@ class SoficApprox:
                 raise ValueError(f"permutation for {key} has degree {perm.n} != {self.n}")
             if not isinstance(key, BsElement):
                 raise TypeError(f"table has non-element key {key!r}")
-        if self.forms is not None and self.forms.keys() != self.table.keys():
-            raise ValueError("affine forms and table have different keys")
+
+    def is_affine(self) -> bool:
+        """Whether every permutation carries its affine form (a, b)."""
+        return all(isinstance(p, AffinePermutation) for p in self.table.values())
 
     def conjugated(self, sigma: Permutation) -> "SoficApprox":
         """g -> sigma phi(g) sigma^-1: the same approximation on relabelled
@@ -97,30 +92,23 @@ def check_sofic(phi: SoficApprox, delta) -> SoficReport:
     """Measure the worst multiplicativity defect over triples (g, h, gh)
     inside the domain and the least displacement over non-identity keys.
 
-    With affine forms, phi(g) phi(h) x = phi(gh) x is the congruence
+    On affine permutations, phi(g) phi(h) x = phi(gh) x is the congruence
     (a_g a_h - a_gh) x = a_g b_h + b_g - b_gh and a fixed point of phi(g)
-    solves (a_g - 1) x = b_g, so both are counted without a table."""
+    solves (a_g - 1) x = b_g, so both are counted without an image."""
     if not phi.table:
         raise ValueError("empty domain")
     delta = Fraction(delta)
-    n = phi.n
-    if phi.forms is None:
-        table = phi.table
-        defects = [hamming(table[g].compose(table[h]), table[gh]).numerator
-                   for g in table for h in table if (gh := g * h) in table]
-        moved = [displacement(p).numerator for g, p in table.items() if not g.is_identity()]
+    n, table = phi.n, phi.table
+    triples = [(p, q, r) for g, p in table.items() for h, q in table.items()
+               if (r := table.get(g * h)) is not None]
+    others = [p for g, p in table.items() if not g.is_identity()]
+    if phi.is_affine():
+        defects = [n - _solution_count(p.a * q.a - r.a, p.a * q.b + p.b - r.b, n)
+                   for p, q, r in triples]
+        moved = [n - _solution_count(p.a - 1, p.b, n) for p in others]
     else:
-        forms = phi.forms
-        defects = []
-        for g, (a_g, b_g) in forms.items():
-            for h, (a_h, b_h) in forms.items():
-                gh = g * h
-                if gh in forms:
-                    a_gh, b_gh = forms[gh]
-                    defects.append(n - _solution_count(a_g * a_h - a_gh,
-                                                       a_g * b_h + b_g - b_gh, n))
-        moved = [n - _solution_count(a - 1, b, n)
-                 for g, (a, b) in forms.items() if not g.is_identity()]
+        defects = [hamming(p.compose(q), r).numerator for p, q, r in triples]
+        moved = [displacement(p).numerator for p in others]
     max_defect = HammingValue(max(defects), n) if defects else None
     min_disp = HammingValue(min(moved), n) if moved else None
     ok_defect = max_defect is None or max_defect < delta
@@ -131,16 +119,40 @@ def check_sofic(phi: SoficApprox, delta) -> SoficReport:
 # ---------------------------------------------------------------------------
 # Arithmetic model
 
+class AffinePermutation(Permutation):
+    """x -> a x - b = a (x - c) mod n, a a unit mod n and c = a^-1 b in
+    [0, n), on the degree of its model.  The image is the window
+    D_a[n - c : 2n - c] of the model's read-only doubled table D_a, a x mod n
+    for x = 0..n-1 written twice, which is built the first time any image of
+    dilation a is read: permutations of one dilation share one buffer, and
+    none holds an array of its own."""
+
+    __slots__ = ("model", "a", "b", "c")
+
+    def __init__(self, model: "ArithmeticModel", a: int, c: int):
+        self.model, self.a, self.b, self.c = model, a, c * a % model.n, c
+
+    @property
+    def n(self) -> int:
+        return self.model.n
+
+    @property
+    def image(self) -> np.ndarray:
+        n, a, tables = self.model.n, self.a, self.model._doubled
+        doubled = tables.get(a)
+        if doubled is None:
+            doubled = tables[a] = np.tile(a * np.arange(n, dtype=np.int64) % n, 2)
+            doubled.setflags(write=False)
+        return doubled[n - self.c:2 * n - self.c]
+
+
 class ArithmeticModel:
     """Lazy exact homomorphism psi of BS(1,m) into Sym(n), gcd(m, n) = 1.
 
     g = (e, num, d) is the affine map x -> a x - b with a = m^e and
-    b = num m^-d mod n, that is x -> a (x - c) with c = a^-1 b.  For each
-    dilation a the model keeps one read-only doubled table D_a, a x mod n
-    for x = 0..n-1 written twice, and g's image is the window
-    D_a[n - c : 2n - c]: no key gets an array or any per-element work of
-    its own.  n is at most expcycles.MAX_MODULUS, so the int64 products a x
-    cannot overflow.
+    b = num m^-d mod n, an AffinePermutation.  The model keeps one doubled
+    table per dilation, made when an image of it is first read.  n is at
+    most expcycles.MAX_MODULUS, so the int64 products a x cannot overflow.
     """
 
     def __init__(self, n: int, m: int):
@@ -154,36 +166,18 @@ class ArithmeticModel:
         self.m = m
         self._doubled: Dict[int, np.ndarray] = {}    # a -> D_a, one per dilation
 
-    def affine(self, g: BsElement) -> Tuple[int, int, int]:
-        """(a, b, c): psi(g) x = a x - b = a (x - c) mod n.  c = num m^-(d+e)
-        and b = c a come from the same two pow calls."""
+    def permutation(self, g: BsElement) -> AffinePermutation:
+        """psi(g): a = m^e and c = num m^-(d+e), so b = c a, from two pow
+        calls."""
         if g.m != self.m:
             raise ValueError(f"element base {g.m} != model base {self.m}")
         n = self.n
-        a = pow(self.m, g.e, n)
-        c = g.num * pow(self.m, -(g.d + g.e), n) % n
-        return a, c * a % n, c
-
-    def permutation(self, g: BsElement,
-                    affine: Optional[Tuple[int, int, int]] = None) -> Permutation:
-        """psi(g).  affine, when given, must be self.affine(g): approx_on,
-        which keeps the form too, passes it so its pow calls run once."""
-        a, _, c = self.affine(g) if affine is None else affine
-        n = self.n
-        doubled = self._doubled.get(a)
-        if doubled is None:
-            doubled = self._doubled[a] = np.tile(a * np.arange(n, dtype=np.int64) % n, 2)
-            doubled.setflags(write=False)
-        return Permutation(doubled[n - c:2 * n - c], _trusted=True)
+        return AffinePermutation(self, pow(self.m, g.e, n),
+                                 g.num * pow(self.m, -(g.d + g.e), n) % n)
 
     def approx_on(self, S: Iterable[BsElement]) -> SoficApprox:
-        """psi on S, with each key's affine form (a, b) and a read-only table."""
-        table, forms = {}, {}
-        for g in S:
-            affine = self.affine(g)
-            table[g] = self.permutation(g, affine)
-            forms[g] = affine[:2]
-        return SoficApprox(self.n, MappingProxyType(table), MappingProxyType(forms))
+        """psi on S, as a read-only mapping."""
+        return SoficApprox(self.n, MappingProxyType({g: self.permutation(g) for g in S}))
 
 
 # ---------------------------------------------------------------------------

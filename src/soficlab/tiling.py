@@ -16,13 +16,13 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bsgroup import BsElement, json_int
 from .perm import Permutation
-from .soficcheck import AffineForm, SoficApprox, congruence_solutions
+from .soficcheck import SoficApprox, congruence_solutions
 
 
 class MissingDomainError(KeyError):
@@ -379,8 +379,8 @@ def _b_mask(phi: SoficApprox, grid: ProductGrid) -> np.ndarray:
 
     Given multiplicativity and phi(g) a bijection, phi(g^-1 h) x = x
     exactly when phi(g) x = phi(h) x: freeness is the |F_k| points phi(g) x
-    being distinct.  With affine forms, B is read off O(|F_k|^2) linear
-    congruences (_affine_b_mask); without, by comparing image tables.
+    being distinct.  On affine permutations, B is read off O(|F_k|^2)
+    linear congruences (_affine_b_mask); otherwise by comparing images.
 
     The pair (e, e) reads phi(e) phi(e) x = phi(e) x, so phi(e) x = x for
     every x in B: a center in B lies in its own tile phi(F_j)x, as every F_j
@@ -389,8 +389,8 @@ def _b_mask(phi: SoficApprox, grid: ProductGrid) -> np.ndarray:
     missing = grid.keys - phi.table.keys()
     if missing:
         raise MissingDomainError(f"approximation undefined on {len(missing)} keys of F_k^-1 F_k")
-    if phi.forms is not None:
-        return _affine_b_mask(phi.n, phi.forms, grid)
+    if phi.is_affine():
+        return _affine_b_mask(phi, grid)
     imgs = shape_images(phi.table, grid.shape)
     mask = np.ones(phi.n, dtype=bool)
     for img_g, row in zip(imgs, grid.rows):
@@ -401,29 +401,29 @@ def _b_mask(phi: SoficApprox, grid: ProductGrid) -> np.ndarray:
     return mask
 
 
-def _affine_b_mask(n: int, forms: Mapping[BsElement, AffineForm],
-                   grid: ProductGrid) -> np.ndarray:
+def _affine_b_mask(phi: SoficApprox, grid: ProductGrid) -> np.ndarray:
     """_b_mask where phi(g) x = a_g x - b_g.  For p = g^-1 h, phi(g) phi(p)
     is x -> a_g a_p x - (a_g b_p + b_g): where that form differs from h's,
     B keeps only the solutions of (a_g a_p - a_h) x = a_g b_p + b_g - b_h.
     For g != h, B drops the solutions of (a_g - a_h) x = b_g - b_h.  When
     every pair composes exactly, as for a homomorphism, the only n-sized
     work is marking those solutions."""
+    n, table = phi.n, phi.table
     mask = np.ones(n, dtype=bool)
-    shape = [forms[g] for g in grid.shape]
-    for (a_g, b_g), row in zip(shape, grid.rows):
-        for (a_h, b_h), p in zip(shape, row):
-            a_p, b_p = forms[p]
-            A, B = a_g * a_p - a_h, a_g * b_p + b_g - b_h
+    shape = [table[g] for g in grid.shape]
+    for g, row in zip(shape, grid.rows):
+        for h, key in zip(shape, row):
+            p = table[key]
+            A, B = g.a * p.a - h.a, g.a * p.b + g.b - h.b
             if A % n or B % n:
                 agree = np.zeros(n, dtype=bool)
                 solutions = congruence_solutions(A, B, n)
                 if solutions is not None:
                     agree[solutions[0]::solutions[1]] = True
                 mask &= agree
-    for i, (a_g, b_g) in enumerate(shape):
-        for a_h, b_h in shape[i + 1:]:
-            solutions = congruence_solutions(a_g - a_h, b_g - b_h, n)
+    for i, g in enumerate(shape):
+        for h in shape[i + 1:]:
+            solutions = congruence_solutions(g.a - h.a, g.b - h.b, n)
             if solutions is not None:
                 mask[solutions[0]::solutions[1]] = False
     return mask

@@ -30,7 +30,7 @@ from soficlab import tiling
 from soficlab.bsgroup import BsElement, bs_a1, bs_a2
 from soficlab.localexp import SYM_EXHAUSTIVE_MAX, _law_flags
 from soficlab.perm import Permutation
-from soficlab.soficcheck import SoficApprox
+from soficlab.soficcheck import AffinePermutation, ArithmeticModel, SoficApprox
 from soficlab.tiling import (CoarseApproximationError, PlanParams, ProductGrid, SetFamily,
                              TileLevel, Tiling, _b_mask, _check_shapes, level_points,
                              plan_parameters, shape_images)
@@ -216,12 +216,19 @@ def evaluate_word(w: Word, m: int) -> BsElement:
 
 
 def affine_approx(n: int, forms: Mapping[BsElement, Tuple[int, int]]) -> SoficApprox:
-    """An approximation carrying the given affine forms, each table written
-    by the direct formula (a x - b) mod n.  Each a must be a unit mod n; the
-    forms need not be those of a homomorphism."""
-    x = np.arange(n, dtype=np.int64)
-    table = {g: Permutation((a * x - b) % n) for g, (a, b) in forms.items()}
-    return SoficApprox(n, table, dict(forms))
+    """An approximation of AffinePermutations x -> a x - b mod n with the
+    given forms, on one ArithmeticModel of degree n.  Each a must be a unit
+    mod n and each b lie in [0, n); the forms need not be those of a
+    homomorphism."""
+    model = ArithmeticModel(n, n - 1)
+    return SoficApprox(n, {g: AffinePermutation(model, a, b * pow(a, -1, n) % n)
+                           for g, (a, b) in forms.items()})
+
+
+def plain_copy(phi: SoficApprox) -> SoficApprox:
+    """phi with each image copied into a plain Permutation, which carries no
+    affine form, so check_sofic and _b_mask take the table route on it."""
+    return SoficApprox(phi.n, {g: Permutation(p.image) for g, p in phi.table.items()})
 
 
 def _generator_images(phi: SoficApprox) -> Dict[str, Permutation]:

@@ -132,14 +132,14 @@ def test_06_padic_uniqueness():
     report(6, "p-adic fixed point unique and lifted exactly", ok)
 
 
-def test_07_mezo_exhaustion():
+def test_07_mezo_minimum_fraction():
     frozen = {(4, 3): Fraction(3, 4), (5, 2): Fraction(2, 5),
               (6, 5): Fraction(2, 3), (7, 2): Fraction(3, 7)}
     ok = True
     for (n, m), expected in sorted(frozen.items()):
         frac = min_mezo_fraction(n, m)
         ok = ok and frac > 0 and frac == expected
-    report(7, "minimum failing fraction positive and stable", ok)
+    report(7, "orbit-count minimum failing fraction positive and frozen", ok)
 
 
 def test_08_searcher_soundness():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import affine_approx, affine_fixed_points, eval_word, evaluate_word
+from oracles import affine_approx, affine_fixed_points, eval_word, evaluate_word, plain_copy
 from soficlab.bsgroup import BsElement, bs_a1, bs_a2
 from soficlab.expcycles import MAX_MODULUS
 from soficlab.perm import DegreeMismatchError, Permutation, hamming
@@ -159,22 +159,25 @@ class TestCheckSofic:
     def test_closed_form_matches_table_route(self, nm, e_bound, num_bound, delta):
         n, m = nm
         phi = ArithmeticModel(n, m).approx_on(ball(m, e_bound, num_bound))
-        assert phi.forms is not None
-        assert check_sofic(phi, delta) == check_sofic(SoficApprox(n, dict(phi.table)), delta)
+        plain = plain_copy(phi)
+        assert phi.is_affine() and not plain.is_affine()
+        assert check_sofic(phi, delta) == check_sofic(plain, delta)
 
     @given(degree_and_base(), st.data())
     @settings(max_examples=40, deadline=None)
     def test_closed_form_matches_table_route_off_a_homomorphism(self, nm, data):
         """Forms drawn at random, the identity's among them: defects,
         fixed-point counts with gcd(a - 1, n) > 1, and a = 1 with b = 0 or
-        not, all against the tables written from the same forms."""
+        not, all against plain tables of the same images."""
         n, m = nm
         units = st.sampled_from([a for a in range(1, n) if gcd(a, n) == 1] + [1] * 8)
         points = st.sampled_from([0, 0, 1, n - 1]) | st.integers(0, n - 1)
         forms = {g: (data.draw(units), data.draw(points)) for g in ball(m, 1, 2)}
         phi = affine_approx(n, forms)
+        plain = plain_copy(phi)
+        assert phi.is_affine() and not plain.is_affine()
         for delta in (Fraction(1, 8), Fraction(1, 2)):
-            assert check_sofic(phi, delta) == check_sofic(SoficApprox(n, phi.table), delta)
+            assert check_sofic(phi, delta) == check_sofic(plain, delta)
 
 
 @given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6), st.integers(1, 80))
@@ -192,31 +195,32 @@ def test_congruence_solutions_match_brute_force(A, B, n):
 class TestAffineForms:
     def test_model_table_and_forms_refuse_edits(self):
         phi = ArithmeticModel(11, 2).approx_on([bs_a1(2), bs_a2(2)])
-        for mapping in (phi.table, phi.forms):
-            with pytest.raises(TypeError):
-                mapping[bs_a2(2)] = mapping[bs_a1(2)]
-            with pytest.raises(TypeError):
-                del mapping[bs_a1(2)]
-        assert phi.table[bs_a2(2)].image.tolist() == [(x - 1) % 11 for x in range(11)]
-        assert phi.forms[bs_a2(2)] == (1, 1)
+        with pytest.raises(TypeError):
+            phi.table[bs_a2(2)] = phi.table[bs_a1(2)]
+        with pytest.raises(TypeError):
+            del phi.table[bs_a1(2)]
+        p = phi.table[bs_a2(2)]
+        assert p.image.tolist() == [(x - 1) % 11 for x in range(11)]
+        assert (p.a, p.b) == (1, 1)
 
     def test_derived_approximations_carry_no_forms(self):
         phi = ArithmeticModel(11, 2).approx_on([bs_a1(2), bs_a2(2)])
-        assert phi.conjugated(Permutation.identity(11)).forms is None
-        assert amplify(phi, 30).forms is None
+        assert phi.is_affine()
+        assert not phi.conjugated(Permutation.identity(11)).is_affine()
+        assert not amplify(phi, 30).is_affine()
 
-    def test_forms_and_table_keys_must_agree(self):
-        table = {bs_a2(2): Permutation([1, 2, 0])}
-        with pytest.raises(ValueError, match="different keys"):
-            SoficApprox(3, table, {bs_a1(2): (1, 2)})
+    def test_check_sofic_builds_no_table(self):
+        model = ArithmeticModel(1009, 3)
+        assert check_sofic(model.approx_on(ball(3)), Fraction(1, 8)).passed
+        assert not model._doubled
 
     @pytest.mark.parametrize("n, m", [(101, 3), (100, 3), (1001, 2), (30011, 2)])
     def test_form_is_the_affine_map_of_the_table(self, n, m):
         phi = ArithmeticModel(n, m).approx_on(ball(m, 2, 6))
         x = np.arange(n, dtype=np.int64)
-        for g, (a, b) in phi.forms.items():
-            assert 0 <= a < n and 0 <= b < n
-            assert np.array_equal(phi.table[g].image, (a * x - b) % n)
+        for p in phi.table.values():
+            assert 0 <= p.a < n and 0 <= p.b < n
+            assert np.array_equal(p.image, (p.a * x - p.b) % n)
 
 
 class TestSoficApprox:

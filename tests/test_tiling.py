@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (affine_approx, evaluate_word, fraction_loop_plan, full_scan_quasi_tile,
-                     level_union_sizes, tiling_json)
+                     level_union_sizes, plain_copy, tiling_json)
 
 from soficlab import tiling
 from soficlab.bsgroup import BsElement, a2_interval, bs_a2, bs_rectangle
 from soficlab.cli import conjugate_domain
 from soficlab.conjugacy import DELTA_PRIME, INNER_EPS
 from soficlab.perm import Permutation, orbit_order
-from soficlab.soficcheck import ArithmeticModel, SoficApprox, amplify
+from soficlab.soficcheck import ArithmeticModel, SoficApprox, amplify, check_sofic
 from soficlab.tiling import (CoarseApproximationError, LevelMeasure,
                              MissingDomainError, SetFamily, TileLevel, Tiling, TilingReport,
                              _b_mask, extract_eps_disjoint, inverse_products, level_points,
@@ -253,7 +253,8 @@ class TestQuasiTile:
 
     def test_corrupted_block_rejected(self):
         n = 1000
-        # the model's table is read-only: edit a plain copy, without forms
+        # the model's table is read-only: edit a copy, whose plain
+        # permutation sends it down the table route
         phi = SoficApprox(n, dict(interval_model(n, 3, 40).table))
         # corrupt half the ground set in one generator image
         key = BsElement(3, 0, 1, 0)
@@ -728,8 +729,10 @@ class TestAffineBMask:
     @staticmethod
     def assert_routes_agree(phi, F_k):
         grid = inverse_products(F_k)
+        plain = plain_copy(phi)
+        assert phi.is_affine() and not plain.is_affine()
         got = _b_mask(phi, grid)
-        assert np.array_equal(got, _b_mask(SoficApprox(phi.n, dict(phi.table)), grid))
+        assert np.array_equal(got, _b_mask(plain, grid))
         assert np.array_equal(got, oracle_b_mask(phi, F_k))
         return got
 
@@ -739,8 +742,8 @@ class TestAffineBMask:
         n, m, F_k = case
         phi = ArithmeticModel(n, m).approx_on(grid_keys(F_k))
         x = np.arange(n, dtype=np.int64)
-        for g, (a, b) in phi.forms.items():
-            assert np.array_equal(phi.table[g].image, (a * x - b) % n)
+        for p in phi.table.values():
+            assert np.array_equal(p.image, (p.a * x - p.b) % n)
         self.assert_routes_agree(phi, F_k)
 
     @pytest.mark.parametrize("n, m, rows, cols", [(63, 2, 3, 4), (1001, 8, 2, 6),
@@ -750,7 +753,7 @@ class TestAffineBMask:
         each drops gcd(a_g - a_h, n) points spaced n / gcd apart."""
         F_k = sorted_keys(bs_rectangle(rows, cols, m))
         phi = ArithmeticModel(n, m).approx_on(grid_keys(F_k))
-        forms = [phi.forms[g] for g in F_k]
+        forms = [(phi.table[g].a, phi.table[g].b) for g in F_k]
         shared = [((a_g, b_g), (a_h, b_h)) for i, (a_g, b_g) in enumerate(forms)
                   for a_h, b_h in forms[i + 1:]
                   if 1 < gcd(a_g - a_h, n) < n and (b_g - b_h) % gcd(a_g - a_h, n) == 0]
@@ -767,7 +770,8 @@ class TestAffineBMask:
         some pairs compose to another form and B keeps only the solutions of
         their congruences, which may be none."""
         n, m, F_k = case
-        forms = dict(ArithmeticModel(n, m).approx_on(grid_keys(F_k)).forms)
+        phi = ArithmeticModel(n, m).approx_on(grid_keys(F_k))
+        forms = {g: (p.a, p.b) for g, p in phi.table.items()}
         keys = sorted_keys(forms)
         units = [a for a in range(1, n) if gcd(a, n) == 1]
         for _ in range(data.draw(st.integers(1, 3))):
@@ -776,6 +780,31 @@ class TestAffineBMask:
             forms[g] = (data.draw(st.sampled_from([a] + units[:4] + units[-2:])),
                         data.draw(st.sampled_from([b, (b + 1) % n, 0]) | st.integers(0, n - 1)))
         self.assert_routes_agree(affine_approx(n, forms), F_k)
+
+    @pytest.mark.parametrize("n, m", [(101, 3), (100, 3), (1001, 2)])
+    def test_mixed_table_takes_the_table_route(self, n, m):
+        """A model approximation with one key swapped for a plain
+        Permutation is not affine: with the same map, check_sofic and the
+        B-mask equal the all-plain table route's; with another map, the
+        defect and the B-mask change with it."""
+        F_k = sorted_keys(bs_rectangle(2, 3, m))
+        grid = inverse_products(F_k)
+        phi = ArithmeticModel(n, m).approx_on(grid_keys(F_k))
+        key = F_k[-1]
+        table = dict(phi.table)
+        table[key] = Permutation(phi.table[key].image)
+        mixed = SoficApprox(n, table)
+        assert not mixed.is_affine()
+        delta = Fraction(1, 8)
+        for route in (mixed, plain_copy(phi)):
+            assert check_sofic(route, delta) == check_sofic(phi, delta)
+            assert np.array_equal(_b_mask(route, grid), _b_mask(phi, grid))
+        p = phi.table[key]
+        table[key] = Permutation((p.a * np.arange(n) - p.b - 1) % n)
+        edited = SoficApprox(n, table)
+        assert check_sofic(edited, delta).max_defect > check_sofic(phi, delta).max_defect
+        assert np.array_equal(_b_mask(edited, grid), oracle_b_mask(edited, F_k))
+        assert not np.array_equal(_b_mask(edited, grid), _b_mask(phi, grid))
 
 
 @contextlib.contextmanager
