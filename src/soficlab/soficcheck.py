@@ -11,9 +11,17 @@ array is read only when asked, as a window of one table per dilation.  Two
 affine maps mod n agree exactly on the solutions of one linear congruence,
 so on an approximation whose permutations are all affine, check_sofic (and
 tiling's B-mask) read defects, fixed points and agreement sets off the
-forms with exact integer steps, independent of n, and read no image.  Any
-other table (conjugated, amplified, or holding a plain Permutation) takes
-the table route, which compares image arrays.
+forms with exact integer steps, independent of n, and read no image.
+
+A conjugated approximation g -> sigma phi(g) sigma^-1 holds
+RelabelledPermutations: each carries its base phi(g) and the one pair
+(sigma, sigma^-1) shared by the whole table, and gathers its image
+sigma[phi(g)[sigma^-1]] only when it is read.  Relabelling moves every
+agreement set by sigma, so tiling's B-mask of such a table is the base's
+mask read at sigma^-1 x, and reaches the congruences when the base is the
+model.  Any other table (amplified, or holding a plain Permutation or
+permutations relabelled by different pairs) takes the table route, which
+compares image arrays.
 """
 
 from __future__ import annotations
@@ -52,12 +60,51 @@ class SoficApprox:
 
     def conjugated(self, sigma: Permutation) -> "SoficApprox":
         """g -> sigma phi(g) sigma^-1: the same approximation on relabelled
-        points, each image one gather sigma[p[sigma^-1]]."""
+        points, as a read-only mapping of RelabelledPermutations that share
+        one pair (sigma, sigma^-1) and build no image until it is read.
+
+        Relabelling carries every agreement set along: with y = sigma^-1 x,
+        psi(g) psi(h) x = psi(gh) x iff phi(g) phi(h) y = phi(gh) y, and the
+        points psi(g) x = sigma phi(g) y are distinct iff the phi(g) y are.
+        So the set B of tiling's B-mask is sigma(B) of the base's."""
         if sigma.n != self.n:
             raise DegreeMismatchError(f"degrees {sigma.n} != {self.n}")
-        s, s_inv = sigma.image, sigma.inverse().image
-        return SoficApprox(self.n, {g: Permutation(s[p.image[s_inv]], _trusted=True)
-                                    for g, p in self.table.items()})
+        pair = (sigma, sigma.inverse())
+        return SoficApprox(self.n, MappingProxyType(
+            {g: RelabelledPermutation(p, pair) for g, p in self.table.items()}))
+
+    def relabelling(self) -> Optional[Tuple["SoficApprox", Permutation, Permutation]]:
+        """(base approximation, sigma, sigma^-1) when every permutation is a
+        RelabelledPermutation of one shared pair, else None."""
+        perms = list(self.table.values())
+        if not perms or not all(isinstance(p, RelabelledPermutation) and p.pair is perms[0].pair
+                                for p in perms):
+            return None
+        return SoficApprox(self.n, {g: p.base for g, p in self.table.items()}), *perms[0].pair
+
+
+class RelabelledPermutation(Permutation):
+    """sigma p sigma^-1 for a base permutation p and a pair (sigma,
+    sigma^-1) shared by a relabelled approximation.  The image, the gather
+    sigma[p[sigma^-1]], is built the first time it is read and kept."""
+
+    __slots__ = ("base", "pair", "_image")
+
+    def __init__(self, base: Permutation, pair: Tuple[Permutation, Permutation]):
+        self.base, self.pair, self._image = base, pair, None
+
+    @property
+    def n(self) -> int:
+        return self.base.n
+
+    @property
+    def image(self) -> np.ndarray:
+        if self._image is None:
+            sigma, sigma_inv = self.pair
+            image = sigma.image[self.base.image[sigma_inv.image]]
+            image.setflags(write=False)
+            self._image = image
+        return self._image
 
 
 # ---------------------------------------------------------------------------

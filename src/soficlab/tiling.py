@@ -380,7 +380,11 @@ def _b_mask(phi: SoficApprox, grid: ProductGrid) -> np.ndarray:
     Given multiplicativity and phi(g) a bijection, phi(g^-1 h) x = x
     exactly when phi(g) x = phi(h) x: freeness is the |F_k| points phi(g) x
     being distinct.  On affine permutations, B is read off O(|F_k|^2)
-    linear congruences (_affine_b_mask); otherwise by comparing images.
+    linear congruences (_affine_b_mask).  On a table relabelled by one
+    sigma, psi(g) = sigma phi(g) sigma^-1, each equation and each freeness
+    test at x is the base's at sigma^-1 x (see SoficApprox.conjugated), so
+    B = sigma(B of phi): the base's mask read at sigma^-1.  Otherwise B is
+    read by comparing images.
 
     The pair (e, e) reads phi(e) phi(e) x = phi(e) x, so phi(e) x = x for
     every x in B: a center in B lies in its own tile phi(F_j)x, as every F_j
@@ -391,6 +395,10 @@ def _b_mask(phi: SoficApprox, grid: ProductGrid) -> np.ndarray:
         raise MissingDomainError(f"approximation undefined on {len(missing)} keys of F_k^-1 F_k")
     if phi.is_affine():
         return _affine_b_mask(phi, grid)
+    relabelled = phi.relabelling()
+    if relabelled is not None:
+        base, _, sigma_inv = relabelled
+        return _b_mask(base, grid)[sigma_inv.image]
     imgs = shape_images(phi.table, grid.shape)
     mask = np.ones(phi.n, dtype=bool)
     for img_g, row in zip(imgs, grid.rows):

@@ -17,7 +17,7 @@ from soficlab import cli, tiling
 from soficlab.bsgroup import bs_a1, bs_a2
 from soficlab.cli import (REQUIRED, _SUBCOMMANDS, _build_parser, _draw_unit, conjugate_shapes,
                           interval_shapes, load_config, main)
-from soficlab.soficcheck import ArithmeticModel
+from soficlab.soficcheck import ArithmeticModel, SoficApprox
 from soficlab.tiling import Tiling, plan_parameters, verify_tiling
 
 
@@ -495,6 +495,23 @@ class TestConjugate:
         defect reads, and for no other key."""
         keys = tabulated_keys(tmp_path, monkeypatch, "conjugate", "--n", "1000")
         assert keys == inverse_product_set(conjugate_shapes(999)[-1]) | {bs_a1(999), bs_a2(999)}
+
+    def test_conjugated_side_builds_only_the_images_it_reads(self, tmp_path, monkeypatch):
+        """The relabelled side gathers the images of the top shape's keys,
+        which the tiling reads, and of a_1 and a_2, which the defect reads:
+        not those of the rest of the 543 keys, which only its B-mask needs."""
+        made, real = [], SoficApprox.conjugated
+
+        def recording(phi, sigma):
+            made.append(real(phi, sigma))
+            return made[-1]
+        monkeypatch.setattr(SoficApprox, "conjugated", recording)
+        code, _ = run(tmp_path, "conjugate", "--n", "1000")
+        assert code == 0
+        [psi] = made
+        built = {g for g, p in psi.table.items() if p._image is not None}
+        assert len(psi.table) == 543
+        assert built == set(conjugate_shapes(999)[-1]) | {bs_a1(999), bs_a2(999)}
 
 
 @pytest.mark.parametrize("argv", [

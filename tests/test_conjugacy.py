@@ -80,6 +80,28 @@ class TestBuildConjugator:
                            match=r"matched support 714/1000 below 857\.1"):
             build_conjugator(phi, conjugated(phi, sigma), EPS, *shapes_and_grid(3))
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_relabelled_table_gives_the_plain_tables_conjugator(self, phi1, seed):
+        """phi1.conjugated(sigma) reads B off phi1's forms and builds its
+        images on demand; the conjugator is the one built from the plain
+        composed table."""
+        sigma = Permutation(np.random.default_rng(seed).permutation(N))
+        relabelled = phi1.conjugated(sigma)
+        assert relabelled.relabelling() is not None
+        got, want = build(phi1, relabelled), build(phi1, conjugated(phi1, sigma))
+        assert got.tau == want.tau
+        assert (got.lambda1, got.lambda2) == (want.lambda1, want.lambda2)
+
+    def test_relabelled_table_fails_the_same_support_check(self):
+        phi = base_model(m=3)
+        sigma = Permutation(np.random.default_rng(0).permutation(N))
+        errors = []
+        for phi2 in (phi.conjugated(sigma), conjugated(phi, sigma)):
+            with pytest.raises(InsufficientSupportError) as exc:
+                build_conjugator(phi, phi2, EPS, *shapes_and_grid(3))
+            errors.append(str(exc.value))
+        assert errors == ["matched support 714/1000 below 857.1"] * 2
+
     def test_shapes_off_the_inner_plan_rejected(self, phi1):
         with pytest.raises(ValueError, match="need 21 Folner shapes for eps=1/8"):
             shapes, grid = shapes_and_grid()

@@ -214,6 +214,15 @@ class TestAffineForms:
         assert check_sofic(model.approx_on(ball(3)), Fraction(1, 8)).passed
         assert not model._doubled
 
+    def test_conjugated_builds_no_image(self):
+        model = ArithmeticModel(1009, 3)
+        sigma = Permutation(np.random.default_rng(0).permutation(1009))
+        psi = model.approx_on(ball(3)).conjugated(sigma)
+        assert all(p._image is None for p in psi.table.values())
+        assert not model._doubled
+        with pytest.raises(TypeError):
+            psi.table[bs_a1(3)] = sigma
+
     @pytest.mark.parametrize("n, m", [(101, 3), (100, 3), (1001, 2), (30011, 2)])
     def test_form_is_the_affine_map_of_the_table(self, n, m):
         phi = ArithmeticModel(n, m).approx_on(ball(m, 2, 6))

@@ -807,6 +807,95 @@ class TestAffineBMask:
         assert not np.array_equal(_b_mask(edited, grid), _b_mask(phi, grid))
 
 
+# ---------------------------------------------------------------------------
+# B of a relabelled table read off its base, against the pair loop on a
+# plain copy and against oracle_b_mask
+
+def relabeller(n, seed):
+    return Permutation(np.random.default_rng(seed).permutation(n))
+
+
+class TestRelabelledBMask:
+    @staticmethod
+    def assert_routes_agree(phi, F_k):
+        """_b_mask on phi equals the table route on its plain copy and the
+        oracle; when phi is relabelled, the route built no image of phi."""
+        grid = inverse_products(F_k)
+        got = _b_mask(phi, grid)
+        if phi.relabelling() is not None:
+            assert all(p._image is None for p in phi.table.values())
+        plain = plain_copy(phi)
+        assert plain.relabelling() is None
+        assert np.array_equal(got, _b_mask(plain, grid))
+        assert np.array_equal(got, oracle_b_mask(phi, F_k))
+        return got
+
+    # m = n - 1, 2 and 3 at a prime and at composite degrees; every case
+    # leaves some points out of B, so the test sees sigma move them
+    @pytest.mark.parametrize("n, m", [(1009, 1008), (1009, 2), (1009, 3), (1000, 999),
+                                      (1001, 2), (1000, 3), (63, 2), (1001, 8)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_conjugated_model(self, n, m, seed):
+        F_k = sorted_keys(bs_rectangle(2, 4, m))
+        base = ArithmeticModel(n, m).approx_on(grid_keys(F_k))
+        phi = base.conjugated(relabeller(n, seed))
+        relabelled = phi.relabelling()
+        assert relabelled is not None and relabelled[0].is_affine()
+        got = self.assert_routes_agree(phi, F_k)
+        assert not got.all()
+        sigma = relabelled[1].image
+        assert np.array_equal(got[sigma], _b_mask(base, inverse_products(F_k)))
+
+    def test_conjugate_mode(self):
+        phi, F_k = conjugate_mode_top(1000)
+        self.assert_routes_agree(phi.conjugated(relabeller(1000, 2)), F_k)
+
+    def test_conjugated_amplified_model(self):
+        """A base without forms: the relabel route reaches the base's table
+        route, and the identity tail still leaves B, moved by sigma."""
+        base = amplify(interval_model(101, 2, 33), 1000)
+        phi = base.conjugated(relabeller(1000, 3))
+        assert not phi.relabelling()[0].is_affine()
+        mask = self.assert_routes_agree(phi, sorted_keys(a2_interval(32, 2)))
+        assert 0 < np.count_nonzero(mask) < len(mask)
+
+    def test_doubly_conjugated(self):
+        F_k = sorted_keys(bs_rectangle(2, 4, 3))
+        base = ArithmeticModel(1000, 3).approx_on(grid_keys(F_k))
+        phi = base.conjugated(relabeller(1000, 4)).conjugated(relabeller(1000, 5))
+        assert phi.relabelling()[0].relabelling()[0].is_affine()
+        self.assert_routes_agree(phi, F_k)
+
+    @pytest.mark.parametrize("n, m", [(1009, 1008), (1000, 3)])
+    def test_swapped_permutation_takes_the_table_route(self, n, m):
+        """One key of a relabelled table swapped for a plain Permutation of
+        the same map: no relabelling, and the same B by the table route."""
+        F_k = sorted_keys(bs_rectangle(2, 4, m))
+        phi = ArithmeticModel(n, m).approx_on(grid_keys(F_k)).conjugated(relabeller(n, 6))
+        table = dict(phi.table)
+        table[F_k[-1]] = Permutation(table[F_k[-1]].image)
+        swapped = SoficApprox(n, table)
+        assert swapped.relabelling() is None
+        grid = inverse_products(F_k)
+        assert np.array_equal(self.assert_routes_agree(swapped, F_k), _b_mask(phi, grid))
+
+    @pytest.mark.parametrize("n, m", [(1009, 1008), (1000, 3)])
+    def test_table_mixing_two_sigmas_takes_the_table_route(self, n, m):
+        """Keys taken alternately from two relabellings: no relabelling.
+        With two equal sigmas the table is the relabelled one and B is its
+        B; with two different sigmas B is the oracle's."""
+        F_k = sorted_keys(bs_rectangle(2, 4, m))
+        grid = inverse_products(F_k)
+        base = ArithmeticModel(n, m).approx_on(grid_keys(F_k))
+        keys = sorted_keys(base.table)
+        for other, same in ((relabeller(n, 7), True), (relabeller(n, 8), False)):
+            phi, psi = base.conjugated(relabeller(n, 7)), base.conjugated(other)
+            mixed = SoficApprox(n, {g: (phi, psi)[i % 2].table[g] for i, g in enumerate(keys)})
+            assert mixed.relabelling() is None
+            mask = self.assert_routes_agree(mixed, F_k)
+            assert np.array_equal(mask, _b_mask(phi, grid)) == same
+
+
 @contextlib.contextmanager
 def offered_rows_checked_distinct():
     """tiling.extract_eps_disjoint, wrapped to assert that every row of the
