@@ -241,15 +241,15 @@ class Tiling:
         digits = np.array([str(x) for x in range(self.n)], dtype=object)
         # one join over every piece, so the text is built once: the row texts
         # and the result are the only copies of the table held at one time
-        pieces = [head[:-1], ', "table": [']
+        pieces = [head[:-1], _TABLE_OPEN]
         for i, g in enumerate(sorted(self.table, key=BsElement.sort_key)):
             image = self.table[g].image
             # numpy would wrap a negative entry round to the end of digits
             if not (0 <= image.min() and image.max() < self.n):
                 raise ValueError(f"permutation for {g} has an image outside [0, {self.n})")
-            pieces += [", [" if i else "[", json.dumps(g.to_obj()), ", [",
-                       ", ".join(digits[image].tolist()), "]]"]
-        pieces.append("]}")
+            pieces += [_SEP + "[" if i else "[", json.dumps(g.to_obj()), _IMAGE_OPEN,
+                       _SEP.join(digits[image].tolist()), _ROW_CLOSE]
+        pieces.append(_TABLE_CLOSE)
         return "".join(pieces)
 
     @classmethod
@@ -260,11 +260,27 @@ class Tiling:
         rejected too, whichever of its images would verify, and so is an
         object, list, level, key or table row of the wrong shape, or a zero
         denominator, by its field.  Each check runs once per level, key or
-        row, never per table entry."""
+        row, never per table entry.
+
+        Two routes read the text.  The canonical route takes text exactly
+        as to_json writes it, with or without a trailing newline, and reads
+        each image row with one numpy parse (_canonical_parts); the json
+        route reads any text with json.loads.  The canonical route only
+        returns a Tiling built by the same helpers from the values json.loads
+        would give: its head is what json.loads reads and re-dumps to the
+        same text, each key re-dumps to its own text, and each row is proven
+        to be the decimal text of a permutation of 0..n-1 with no leading
+        zero.  On any other text, or wherever a check or helper raises, it
+        declines and the json route decides, so every verdict and every
+        reason for a rejection is the json route's."""
+        try:
+            return cls._from_fields(*_canonical_parts(text))
+        except Exception:
+            pass    # declined, by a failed check or a helper's error: the json
+                    # route below gives the verdict and its reason
         data = _json_object(json.loads(text), "certificate",
                             ("key_kind", "n", "eps", "kappa", "b_size", "levels", "table"))
-        if data["key_kind"] != "element":
-            raise ValueError(f"unsupported key kind {data['key_kind']!r}")
+        _check_key_kind(data)
         table: Dict[BsElement, Permutation] = {}
         for i, row in enumerate(_json_list(data["table"], "table")):
             if type(row) is not list or len(row) != 2:
@@ -274,11 +290,103 @@ class Tiling:
             if g in table:
                 raise ValueError(f"table lists key {g} twice")
             table[g] = _json_image(img, obj)
+        return cls._from_fields(data, table)
+
+    @classmethod
+    def _from_fields(cls, data: dict, table: Dict[BsElement, Permutation]) -> "Tiling":
+        """The certificate from its parsed head fields and its table."""
         levels = tuple(_json_level(lvl, f"levels[{i}]")
                        for i, lvl in enumerate(_json_list(data["levels"], "levels")))
         return cls(json_int(data["n"], "n"), _json_fraction(data["eps"], "eps"),
                    _json_fraction(data["kappa"], "kappa"), levels, table,
                    json_int(data["b_size"], "b_size"))
+
+
+# The certificate text as to_json writes it: json.dumps of the head fields
+# in _HEAD_FIELDS order with its closing brace dropped, then _TABLE_OPEN,
+# the rows joined by _SEP, and _TABLE_CLOSE.  A row is "[", json.dumps of
+# its key, _IMAGE_OPEN, the image's decimal entries joined by _SEP, and
+# _ROW_CLOSE.
+_HEAD_FIELDS = ("n", "eps", "kappa", "key_kind", "b_size", "levels")
+_SEP = ", "
+_TABLE_OPEN = _SEP + '"table": ['
+_IMAGE_OPEN = _SEP + "["
+_ROW_CLOSE = "]]"
+_TABLE_CLOSE = "]}"
+_DIGITS = b"0123456789"
+_AS_ZERO = bytes.maketrans(_DIGITS, b"0" * len(_DIGITS))
+_INT64_UNSAFE = b"0" * 19       # a run of 19 digits may not fit in int64
+
+
+def _require(ok: bool) -> None:
+    if not ok:
+        raise ValueError("not the text Tiling.to_json writes")
+
+
+def _canonical_parts(text: str) -> Tuple[dict, Dict[BsElement, Permutation]]:
+    """The head fields and table of a certificate in exactly the text
+    to_json writes, with or without a trailing newline; anything else
+    raises.  The rows are walked by index in the text, which is never split
+    or copied whole.
+
+    Every entry of a permutation of 0..n-1 written in decimal makes a row of
+    one length, the digits of 0..n-1 and n-1 separators, so each row is
+    read at that length.  Its text must be n digit runs of 1 to 18 digits
+    joined by _SEP: numpy parses only such text, where every run fits in
+    int64.  The Permutation check that follows proves the entries are
+    0..n-1, so their digits fill the row exactly and no run has a leading
+    zero: the row is json.dumps of its entries."""
+    end = len(text) - text.endswith("\n") - len(_TABLE_CLOSE)
+    at = text.find(_TABLE_OPEN)
+    _require(at >= 0 and text.startswith(_TABLE_CLOSE, end))
+    head_text = text[:at] + "}"
+    head = json.loads(head_text)
+    _require(tuple(head) == _HEAD_FIELDS and json.dumps(head) == head_text)
+    _check_key_kind(head)
+    n = json_int(head["n"], "n")
+    # the digits of 0..n-1, one per entry and one more per entry >= 10^w for
+    # each 10^w <= n - 1, and n - 1 separators
+    width = n + sum(n - 10 ** w for w in range(1, len(str(n - 1)))) + len(_SEP) * (n - 1)
+    table: Dict[BsElement, Permutation] = {}
+    last = None
+    at += len(_TABLE_OPEN)
+    while True:
+        _require(text.startswith("[", at))
+        key_end = text.index("}", at) + 1
+        key_text = text[at + 1:key_end]
+        g = _json_key(json.loads(key_text), "key")
+        # to_json writes the keys in ascending sort_key, so none twice
+        _require(json.dumps(g.to_obj()) == key_text and (last is None or last < g.sort_key())
+                 and text.startswith(_IMAGE_OPEN, key_end))
+        last = g.sort_key()
+        at = key_end + len(_IMAGE_OPEN) + width
+        _require(text.startswith(_ROW_CLOSE, at))
+        table[g] = Permutation(_digit_row(text[at - width:at], n))
+        at += len(_ROW_CLOSE)
+        if not text.startswith(_SEP, at):
+            break
+        at += len(_SEP)
+    _require(at == end)
+    return head, table
+
+
+def _digit_row(row: str, n: int) -> np.ndarray:
+    """row as n int64 entries, when it is n digit runs of 1 to 18 digits
+    joined by _SEP; anything else raises before numpy parses it.  With only
+    digits between the separators, an empty run leaves two separators
+    touching or one at an end."""
+    raw, sep = row.encode("ascii"), _SEP.encode()
+    _require(raw.translate(None, _DIGITS) == sep * (n - 1) and 2 * sep not in raw
+             and raw[:1].isdigit() and raw[-1:].isdigit()
+             and _INT64_UNSAFE not in raw.translate(_AS_ZERO))
+    # numpy skips the space before each entry itself, and matches a
+    # separator with whitespace in it more slowly
+    return np.fromstring(raw, dtype=np.int64, sep=_SEP.strip())
+
+
+def _check_key_kind(data: dict) -> None:
+    if data["key_kind"] != "element":
+        raise ValueError(f"unsupported key kind {data['key_kind']!r}")
 
 
 def _json_level(lvl, field: str) -> TileLevel:

@@ -2,9 +2,13 @@ import contextlib
 import functools
 import hashlib
 import random
+import re
+import tempfile
 from fractions import Fraction
 from math import ceil, gcd
+from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from oracles import (affine_approx, evaluate_word, fraction_loop_plan, full_scan
 
 from soficlab import tiling
 from soficlab.bsgroup import BsElement, a2_interval, bs_a2, bs_rectangle
-from soficlab.cli import conjugate_domain
+from soficlab.cli import conjugate_domain, main
 from soficlab.conjugacy import DELTA_PRIME, INNER_EPS
 from soficlab.perm import Permutation, orbit_order
 from soficlab.soficcheck import ArithmeticModel, SoficApprox, amplify, check_sofic
@@ -1056,6 +1060,241 @@ class TestCertificateWriter:
         table[g] = Permutation(image, _trusted=True)
         with pytest.raises(ValueError, match=r"outside \[0, 10\)"):
             Tiling(t.n, t.eps, t.kappa, t.levels, table, t.b_size).to_json()
+
+
+# ---------------------------------------------------------------------------
+# The certificate reader: the canonical route against the json route alone
+
+def json_route_only():
+    """Tiling.from_json with its canonical route declining every text."""
+    return mock.patch.object(tiling, "_canonical_parts", side_effect=ValueError("declined"))
+
+
+@functools.lru_cache(maxsize=None)
+def tile_certificate(n):
+    """The tiling.json text that tile --n n writes."""
+    with tempfile.TemporaryDirectory() as out:
+        assert main(["tile", "--n", str(n), "--out", out]) == 0
+        return (Path(out) / "tiling.json").read_text()
+
+
+# tile --n on both sides of 10^3 and 10^4, where the width of the largest
+# entry grows by a digit, and every certificate the writer tests build
+READER_TEXTS = {f"tile_n{n}": functools.partial(tile_certificate, n)
+                for n in (997, 1009, 9973, 10007)}
+READER_TEXTS.update({name: functools.partial(lambda build: build().to_json(), build)
+                     for name, build in WRITER_BUILDS.items()})
+
+
+def assert_same_tiling(a: Tiling, b: Tiling) -> None:
+    assert (a.n, a.eps, a.kappa, a.b_size, a.levels) == (b.n, b.eps, b.kappa, b.b_size, b.levels)
+    assert list(a.table) == list(b.table)
+    for g in a.table:
+        assert np.array_equal(a.table[g].image, b.table[g].image)
+
+
+class TestCanonicalReader:
+    @pytest.mark.parametrize("newline", ["", "\n"])
+    @pytest.mark.parametrize("name", sorted(READER_TEXTS))
+    def test_matches_the_json_route(self, name, newline):
+        text = READER_TEXTS[name]().rstrip("\n") + newline
+        tiling._canonical_parts(text)       # the canonical route reads the text
+        with json_route_only():
+            expected = Tiling.from_json(text)
+        assert_same_tiling(Tiling.from_json(text), expected)
+
+    @pytest.mark.parametrize("row, n", [
+        ("1, , 2", 3), (", 1, 2", 3), ("1, 2, ", 3), ("1,2", 2), ("1,  2", 2), ("1 , 2", 2),
+        ("1, 2x", 2), ("1.0, 2", 2), ("-1, 2", 2), ("\u0661, 2", 2), ("9" * 19 + ", 1", 2),
+        ("1, 2", 3)])
+    def test_numpy_parses_only_digit_runs(self, row, n):
+        """Malformed text reaches no numpy version; their parses of it
+        differ.  numpy 2.4 reads an empty run as 0 and raises on other stray
+        text, 1.x warns and returns what it read so far."""
+        with mock.patch.object(np, "fromstring", side_effect=AssertionError("parsed")):
+            with pytest.raises(ValueError):
+                tiling._digit_row(row, n)
+
+    def test_runs_of_18_digits_parse(self):
+        assert tiling._digit_row("9" * 18 + ", 0", 2).tolist() == [10 ** 18 - 1, 0]
+
+    def test_reads_no_entry_through_python_ints(self, monkeypatch):
+        text = tile_certificate(10007)
+        expected = Tiling.from_json(text)
+
+        def refuse(row, key):
+            raise AssertionError(f"table row of {key} read one entry at a time")
+        monkeypatch.setattr(tiling, "_json_image", refuse)
+        assert_same_tiling(Tiling.from_json(text), expected)
+
+
+class Landmarks(NamedTuple):
+    text: str
+    digits: List[int]                       # position of every digit
+    spaces: List[int]                       # position of every space
+    keys: List[Tuple[int, int]]             # span of each table key
+    rows: List[Tuple[int, int]]             # span of each table row
+    row_entries: List[List[Tuple[int, int]]]    # per row, the span of each image entry
+    entries: List[Tuple[int, int]]          # every image entry
+    seps: List[Tuple[int, int]]             # every separator inside an image
+
+
+@functools.lru_cache(maxsize=None)
+def text_landmarks(name) -> Landmarks:
+    text = READER_TEXTS[name]()
+    table_at = text.index(', "table": [')
+    rows = [(table_at + m.start(), table_at + m.end())
+            for m in re.finditer(r"\[\{[^}]*\}, \[[0-9, ]*\]\]", text[table_at:])]
+    images = [(text.rindex("[", a, b - 2) + 1, b - 2) for a, b in rows]
+    row_entries = [[(a + m.start(), a + m.end()) for m in re.finditer(r"\d+", text[a:b])]
+                   for a, b in images]
+    seps = [(a + m.start(), a + m.end()) for a, b in images for m in re.finditer(", ", text[a:b])]
+    return Landmarks(text, [m.start() for m in re.finditer(r"\d", text)],
+                     [m.start() for m in re.finditer(" ", text)],
+                     [(a + 1, text.index("}", a) + 1) for a, _ in rows], rows, row_entries,
+                     [span for row in row_entries for span in row], seps)
+
+
+def splice(text, *edits):
+    """text with each (span, new) edit made; the spans are disjoint."""
+    for (a, b), new in sorted(edits, reverse=True):
+        text = text[:a] + new + text[b:]
+    return text
+
+
+@st.composite
+def same_length_row_edit(draw, marks):
+    """In one image row, edits that keep its length and its values as numpy
+    2 would parse them: the first or last entry emptied, after trading
+    places with the entry 0, or the entry 0 emptied where it stands, or a
+    separator written ","; and a leading zero or a space added."""
+    text = marks.text
+    row = draw(st.sampled_from(marks.row_entries))
+    zero = next(span for span in row if text[slice(*span)] == "0")
+    cut = draw(st.sampled_from(["first", "last", "zero", "space"]))
+    if cut == "space":
+        i = draw(st.integers(0, len(row) - 2))
+        edits = [((row[i][1] + 1, row[i + 1][0]), "")]     # the space of a separator
+    else:
+        emptied = {"first": row[0], "last": row[-1], "zero": zero}[cut]
+        edits = [(emptied, "")] + [(zero, text[slice(*emptied)])] * (emptied != zero)
+    at = draw(st.sampled_from([a for a, _ in row if a not in (zero[0], edits[0][0][0])]))
+    return splice(text, *edits, ((at, at), draw(st.sampled_from(["0", " "]))))
+
+
+@st.composite
+def mutated_texts(draw):
+    """A canonical certificate with one edit to its text, or two that keep
+    an image row's length."""
+    marks = text_landmarks(draw(st.sampled_from(["tile_n997", "rectangle"])))
+    text = marks.text
+    kind = draw(st.sampled_from(["digit", "insert_space", "key_space", "remove_space", "comma",
+                                 "entry", "same_length", "swap", "duplicate", "head_member",
+                                 "level_table", "tail_table", "key_kind", "crlf"]))
+    if kind == "digit":
+        at = draw(st.sampled_from(marks.digits))
+        new = draw(st.sampled_from("0123456789".replace(text[at], "")))
+        return splice(text, ((at, at + 1), new))
+    if kind in ("insert_space", "key_space"):
+        a, b = (0, len(text)) if kind == "insert_space" else draw(st.sampled_from(marks.keys))
+        at = draw(st.integers(a, b))
+        return splice(text, ((at, at), " "))
+    if kind == "remove_space":
+        at = draw(st.sampled_from(marks.spaces))
+        return splice(text, ((at, at + 1), ""))
+    if kind == "comma":
+        return splice(text, (draw(st.sampled_from(marks.seps)), ","))
+    if kind == "entry":
+        span = draw(st.sampled_from(marks.entries))
+        entry = text[slice(*span)]
+        new = draw(st.sampled_from(["0" + entry, "-" + entry, "-0", "1.0", "1e0", "true"]))
+        same_length = [s for s in marks.entries if s[1] - s[0] == len(new)]
+        if same_length and draw(st.booleans()):
+            span = draw(st.sampled_from(same_length))
+        return splice(text, (span, new))
+    if kind == "same_length":
+        return draw(same_length_row_edit(marks))
+    if kind == "head_member":
+        return splice(text, ((1, 1), draw(st.sampled_from(['"note": 0, ', '"table": [], ']))))
+    if kind in ("level_table", "tail_table"):
+        row = text[slice(*draw(st.sampled_from(marks.rows)))]
+        if kind == "level_table":
+            at = draw(st.sampled_from([m.start() for m in re.finditer('"centers"', text)]))
+            return splice(text, ((at, at), f'"table": [{row}], '))
+        at = text.rindex("}")
+        return splice(text, ((at, at), f', "table": [{row}]'))
+    if kind == "key_kind":
+        return text.replace('"element"', '"word"', 1)
+    if kind == "crlf":
+        return text.rstrip("\n") + "\r\n"
+    i, j = sorted(draw(st.lists(st.integers(0, len(marks.rows) - 1), min_size=2, max_size=2,
+                                unique=True)))
+    first, second = (text[slice(*marks.rows[q])] for q in (i, j))
+    if kind == "swap":
+        return splice(text, (marks.rows[i], second), (marks.rows[j], first))
+    return splice(text, ((marks.rows[j][0],) * 2, first + ", "))
+
+
+def read_outcome(text):
+    """What Tiling.from_json makes of text: the tiling, or the error."""
+    try:
+        return Tiling.from_json(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def verify_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("verify")
+
+
+def assert_same_verdict(verify_dir, text):
+    """verify exits with the same code and writes the same verify.json on
+    text as with the json route alone, and from_json reads it alike."""
+    cert = verify_dir / "tiling.json"
+    cert.write_bytes(text.encode())
+    argv = ["verify", "--certificate", str(cert), "--out"]
+    code = main(argv + [str(verify_dir / "both")])
+    with json_route_only():
+        json_code = main(argv + [str(verify_dir / "json")])
+        json_outcome = read_outcome(text)
+    assert code == json_code
+    assert ((verify_dir / "both" / "verify.json").read_bytes()
+            == (verify_dir / "json" / "verify.json").read_bytes())
+    outcome = read_outcome(text)
+    if isinstance(outcome, Tiling):
+        assert_same_tiling(outcome, json_outcome)
+    else:
+        assert outcome == json_outcome
+
+
+def assert_read_only_as_written(text):
+    """When the canonical route reads text, text is what to_json writes."""
+    try:
+        t = Tiling._from_fields(*tiling._canonical_parts(text))
+    except Exception:
+        return
+    assert text in (t.to_json(), t.to_json() + "\n")
+
+
+class TestMutatedCertificateText:
+    @given(text=mutated_texts())
+    @settings(max_examples=150, deadline=None)
+    def test_same_verdict_as_the_json_route(self, verify_dir, text):
+        assert_same_verdict(verify_dir, text)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_same_length_row_edits(self, verify_dir, data):
+        marks = text_landmarks(data.draw(st.sampled_from(["tile_n997", "rectangle"])))
+        text = data.draw(same_length_row_edit(marks))
+        assert_same_verdict(verify_dir, text)
+        assert_read_only_as_written(text)
+
+    @given(text=mutated_texts())
+    @settings(max_examples=150, deadline=None)
+    def test_canonical_route_reads_only_what_to_json_writes(self, text):
+        assert_read_only_as_written(text)
 
 
 class TestCountedUnionSizes:
