@@ -313,9 +313,6 @@ _TABLE_OPEN = _SEP + '"table": ['
 _IMAGE_OPEN = _SEP + "["
 _ROW_CLOSE = "]]"
 _TABLE_CLOSE = "]}"
-_DIGITS = b"0123456789"
-_AS_ZERO = bytes.maketrans(_DIGITS, b"0" * len(_DIGITS))
-_INT64_UNSAFE = b"0" * 19       # a run of 19 digits may not fit in int64
 
 
 def _require(ok: bool) -> None:
@@ -371,17 +368,31 @@ def _canonical_parts(text: str) -> Tuple[dict, Dict[BsElement, Permutation]]:
 
 
 def _digit_row(row: str, n: int) -> np.ndarray:
-    """row as n int64 entries, when it is n digit runs of 1 to 18 digits
-    joined by _SEP; anything else raises before numpy parses it.  With only
-    digits between the separators, an empty run leaves two separators
-    touching or one at an end."""
-    raw, sep = row.encode("ascii"), _SEP.encode()
-    _require(raw.translate(None, _DIGITS) == sep * (n - 1) and 2 * sep not in raw
-             and raw[:1].isdigit() and raw[-1:].isdigit()
-             and _INT64_UNSAFE not in raw.translate(_AS_ZERO))
+    """row as n int64 entries, when it is n runs of 1 to 18 ASCII digits
+    joined by _SEP; anything else raises before numpy parses it."""
+    raw = row.encode("ascii")
+    _require(_is_digit_row(raw, n))
     # numpy skips the space before each entry itself, and matches a
     # separator with whitespace in it more slowly
     return np.fromstring(raw, dtype=np.int64, sep=_SEP.strip())
+
+
+def _is_digit_row(raw: bytes, n: int) -> bool:
+    """Whether no byte of raw lies above "9" and its bytes below "0" are
+    n - 1 commas and a space right after each, so they make n - 1 whole
+    separators _SEP, with 1 to 18 digits before, between and after them: a
+    run of 19 may not fit in int64.  A function of its own, so that its
+    arrays are freed before the parse."""
+    text = np.frombuffer(raw, dtype=np.uint8)
+    comma, space = map(ord, _SEP)
+    commas = np.flatnonzero(text == comma)
+    # comma to comma, from one before the row to one past it: the stride
+    # checks come first, so that no comma is the row's last byte
+    strides = np.diff(commas, prepend=-len(_SEP), append=len(raw))
+    return bool(len(commas) == n - 1 and text.max(initial=0) <= ord("9")
+                and np.count_nonzero(text < ord("0")) == len(_SEP) * (n - 1)
+                and strides.min() >= len(_SEP) + 1 and strides.max() <= len(_SEP) + 18
+                and (text[1:][commas] == space).all())     # the byte after each comma
 
 
 def _check_key_kind(data: dict) -> None:

@@ -1106,7 +1106,7 @@ class TestCanonicalReader:
     @pytest.mark.parametrize("row, n", [
         ("1, , 2", 3), (", 1, 2", 3), ("1, 2, ", 3), ("1,2", 2), ("1,  2", 2), ("1 , 2", 2),
         ("1, 2x", 2), ("1.0, 2", 2), ("-1, 2", 2), ("\u0661, 2", 2), ("9" * 19 + ", 1", 2),
-        ("1, 2", 3)])
+        ("1, 2", 3), ("0,1 , 2", 3), ("1, ,2 3", 3), ("1  2", 2), ("1; 2", 2)])
     def test_numpy_parses_only_digit_runs(self, row, n):
         """Malformed text reaches no numpy version; their parses of it
         differ.  numpy 2.4 reads an empty run as 0 and raises on other stray
@@ -1165,13 +1165,18 @@ def splice(text, *edits):
 @st.composite
 def same_length_row_edit(draw, marks):
     """In one image row, edits that keep its length and its values as numpy
-    2 would parse them: the first or last entry emptied, after trading
+    2 would parse them: an entry moved between the "," and the space of the
+    separator before it; or the first or last entry emptied, after trading
     places with the entry 0, or the entry 0 emptied where it stands, or a
-    separator written ","; and a leading zero or a space added."""
+    separator written ",", and then a leading zero or a space added."""
     text = marks.text
     row = draw(st.sampled_from(marks.row_entries))
     zero = next(span for span in row if text[slice(*span)] == "0")
-    cut = draw(st.sampled_from(["first", "last", "zero", "space"]))
+    cut = draw(st.sampled_from(["first", "last", "zero", "space", "shift"]))
+    if cut == "shift":
+        i = draw(st.integers(1, len(row) - 1))
+        (_, sep_at), (a, b) = row[i - 1], row[i]
+        return splice(text, ((sep_at, b), "," + text[a:b] + " "))
     if cut == "space":
         i = draw(st.integers(0, len(row) - 2))
         edits = [((row[i][1] + 1, row[i + 1][0]), "")]     # the space of a separator
