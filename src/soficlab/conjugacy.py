@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
@@ -29,9 +29,10 @@ class InsufficientSupportError(ValueError):
 
 @dataclass(frozen=True)
 class Conjugator:
+    """tau, and the supports Lambda_1 and tau(Lambda_1) as ascending read-only int64 arrays."""
     tau: Permutation
-    lambda1: frozenset
-    lambda2: frozenset
+    lambda1: np.ndarray
+    lambda2: np.ndarray
     eps: Fraction
 
     def support_fraction(self) -> Fraction:
@@ -42,8 +43,8 @@ class Conjugator:
             "n": self.tau.n,
             "eps": [self.eps.numerator, self.eps.denominator],
             "tau": self.tau.image.tolist(),
-            "lambda1": sorted(self.lambda1),
-            "lambda2": sorted(self.lambda2),
+            "lambda1": self.lambda1.tolist(),
+            "lambda2": self.lambda2.tolist(),
         })
 
 
@@ -85,8 +86,6 @@ def build_conjugator(phi1: SoficApprox, phi2: SoficApprox, eps,
         sides.append(zip(t.levels, points, tile_cores(points)))
 
     tau_img = np.full(n, -1, dtype=np.int64)
-    lambda1: List[np.ndarray] = []
-    lambda2: List[np.ndarray] = []
     for (lvl1, pts1, core1), (lvl2, pts2, core2) in zip(*sides):
         m_count = min(len(lvl1.centers), len(lvl2.centers))
         # keep the centers with the largest disjoint cores and pair them in
@@ -94,28 +93,23 @@ def build_conjugator(phi1: SoficApprox, phi2: SoficApprox, eps,
         q1 = np.lexsort((lvl1.centers, -core1.sum(axis=1)))[:m_count]
         q2 = np.lexsort((lvl2.centers, -core2.sum(axis=1)))[:m_count]
         shared = core1[q1] & core2[q2]
-        x = pts1[q1][shared]
-        y = pts2[q2][shared]
-        tau_img[x] = y
-        lambda1.append(x)
-        lambda2.append(y)
-    lambda1_pts = np.concatenate(lambda1)
-    lambda2_pts = np.concatenate(lambda2)
+        tau_img[pts1[q1][shared]] = pts2[q2][shared]
+    # the cores are disjoint, so each matched point is written once
+    lambda1 = np.flatnonzero(tau_img >= 0)
 
     support_bound = (1 - 4 * eps / 7) * n
-    if len(lambda1_pts) < support_bound:
+    if len(lambda1) < support_bound:
         raise InsufficientSupportError(
-            f"matched support {len(lambda1_pts)}/{n} below {float(support_bound):.1f}")
+            f"matched support {len(lambda1)}/{n} below {float(support_bound):.1f}")
 
     # order-preserving extension between the complements
-    free1 = np.flatnonzero(tau_img < 0)
     used2 = np.zeros(n, dtype=bool)
-    used2[lambda2_pts] = True
-    free2 = np.flatnonzero(~used2)
-    tau_img[free1] = free2
-    tau = Permutation(tau_img)
-
-    return Conjugator(tau, frozenset(lambda1_pts.tolist()), frozenset(lambda2_pts.tolist()), eps)
+    used2[tau_img[lambda1]] = True
+    lambda2 = np.flatnonzero(used2)
+    tau_img[tau_img < 0] = np.flatnonzero(~used2)
+    lambda1.setflags(write=False)
+    lambda2.setflags(write=False)
+    return Conjugator(Permutation(tau_img), lambda1, lambda2, eps)
 
 
 @dataclass(frozen=True)
@@ -135,11 +129,6 @@ def conjugacy_defect(c: Conjugator, phi1: SoficApprox, phi2: SoficApprox,
     if missing:
         raise KeyError(f"keys missing from an approximation: {missing}")
     tau_inv = c.tau.inverse()
-    per: Dict[BsElement, HammingValue] = {}
-    worst: Optional[HammingValue] = None
-    for s in S:
-        d = hamming(c.tau.compose(phi1.table[s]).compose(tau_inv), phi2.table[s])
-        per[s] = d
-        if worst is None or d > worst:
-            worst = d
+    per = {s: hamming(c.tau.compose(phi1.table[s]).compose(tau_inv), phi2.table[s]) for s in S}
+    worst = max(per.values())
     return ConjugacyReport(per, worst, worst <= c.eps)

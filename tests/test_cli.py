@@ -392,6 +392,21 @@ class TestVerifyMutatedCertificates:
         }
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_conjugator_artifact_supports(tmp_path, seed):
+    """conjugator.json lists Lambda_1 ascending and Lambda_2 = tau(Lambda_1)
+    ascending, and Lambda_1 is the support fraction of the report."""
+    code, out = run(tmp_path, "conjugate", "--n", "1000", "--seed", str(seed))
+    assert code == 0
+    conj = json.loads((out / "conjugator.json").read_text())
+    report = json.loads((out / "conjugacy_report.json").read_text())
+    lambda1, lambda2, tau = conj["lambda1"], conj["lambda2"], conj["tau"]
+    assert all(x < y for x, y in zip(lambda1, lambda1[1:]))
+    assert all(x < y for x, y in zip(lambda2, lambda2[1:]))
+    assert lambda2 == sorted(tau[x] for x in lambda1)
+    assert Fraction(len(lambda1), conj["n"]) == Fraction(report["support_fraction"])
+
+
 def set_field(*path, value):
     """A mutation writing value at path in the certificate, which it
     returns; a callable value maps the entry it replaces."""
@@ -920,6 +935,18 @@ class TestGoldenDigests:
         assert main(["verify", "--certificate", "t/tiling.json", "--out", "v"]) == 0
         assert sha256(tmp_path / "v" / "verify.json") == (
             "87088601761222029dd1a3596f315cf5f7e74bb71ea7ccb0e17a98217950e8fd")
+
+    def test_failing_verify_report_digest(self, tmp_path, monkeypatch):
+        """A tile --n 1000 certificate with the top level's centers emptied
+        fails its measures; the bytes pin verify.json's key order too."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["tile", "--n", "1000", "--out", "t"]) == 0
+        data = json.loads(Path("t/tiling.json").read_text())
+        data["levels"][-1]["centers"] = []
+        Path("t/top_empty.json").write_text(json.dumps(data))
+        assert main(["verify", "--certificate", "t/top_empty.json", "--out", "v"]) == 2
+        assert sha256(tmp_path / "v" / "verify.json") == (
+            "c709045a7062377ae5236b36048556431f1f614e5e0d4cd64afec500701fb36a")
 
     @pytest.mark.parametrize("argv, digest", [
         (("heuristic", "--N", "6", "--eps", "1/5"),

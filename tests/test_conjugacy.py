@@ -65,7 +65,10 @@ class TestBuildConjugator:
         conj = build(phi1, conjugated(phi1, sigma))
         assert conj.support_fraction() >= 1 - 4 * EPS / 7
         assert len(conj.lambda1) == len(conj.lambda2)
-        assert {int(conj.tau.image[x]) for x in conj.lambda1} == set(conj.lambda2)
+        assert np.array_equal(np.sort(conj.tau.image[conj.lambda1]), conj.lambda2)
+        for support in (conj.lambda1, conj.lambda2):
+            assert support.dtype == np.int64 and not support.flags.writeable
+            assert (np.diff(support) > 0).all()
 
     def test_degree_mismatch(self, phi1):
         small = ArithmeticModel(500, 499).approx_on([bs_a1(499), bs_a2(499)])
@@ -90,7 +93,8 @@ class TestBuildConjugator:
         assert relabelled.relabelling() is not None
         got, want = build(phi1, relabelled), build(phi1, conjugated(phi1, sigma))
         assert got.tau == want.tau
-        assert (got.lambda1, got.lambda2) == (want.lambda1, want.lambda2)
+        assert np.array_equal(got.lambda1, want.lambda1)
+        assert np.array_equal(got.lambda2, want.lambda2)
 
     def test_relabelled_table_fails_the_same_support_check(self):
         phi = base_model(m=3)
@@ -151,5 +155,6 @@ class TestSerialization:
         conj = build(phi1, phi1)
         data = json.loads(conj.to_json())
         assert data["n"] == N
-        assert sorted(data["lambda1"]) == sorted(conj.lambda1)
+        assert data["lambda1"] == conj.lambda1.tolist()
+        assert data["lambda2"] == conj.lambda2.tolist()
         assert sorted(data["tau"]) == list(range(N))
