@@ -12,8 +12,8 @@ from pathlib import Path
 
 from soficlab.bsgroup import a2_interval
 from soficlab.soficcheck import ArithmeticModel, amplify
-from soficlab.tiling import (CoarseApproximationError, inverse_products, plan_parameters,
-                             quasi_tile, verify_tiling)
+from soficlab.tiling import (CoarseApproximationError, b_mask, inverse_products,
+                             plan_parameters, quasi_tile, verify_tiling)
 
 WIDTHS = [2, 4, 6, 8, 12, 16, 24, 32]
 
@@ -48,8 +48,8 @@ def main() -> int:
     grid2 = inverse_products(shapes2[-1])
     big = amplify(ArithmeticModel(101, 2).approx_on(grid2.keys), 10_000)
     try:
-        t1 = quasi_tile(phi, shapes3, grid3, eps, eps)
-        t2 = quasi_tile(big, shapes2, grid2, eps, eps)
+        t1 = quasi_tile(phi, shapes3, grid3, eps, eps, b=b_mask(phi, grid3))
+        t2 = quasi_tile(big, shapes2, grid2, eps, eps, b=b_mask(big, grid2))
     except CoarseApproximationError as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 2

@@ -49,22 +49,30 @@ class BsElement(namedtuple("BsElement", "m e num d")):
     def is_identity(self) -> bool:
         return self.e == 0 and self.num == 0
 
-    def _check_base(self, other: "BsElement") -> None:
-        if self.m != other.m:
-            raise BaseMismatchError(f"bases {self.m} != {other.m}")
-
     def __mul__(self, other: "BsElement") -> "BsElement":
-        self._check_base(other)
-        # g(h(x)) = m^(eg+eh) x + m^eg * bh + bg, over the common denominator m^D
-        m = self.m
-        D = max(other.d - self.e, self.d)
-        num = other.num * m ** (D + self.e - other.d) + self.num * m ** (D - self.d)
-        return _normal(m, self.e + other.e, num, D)
+        # g(h(x)) = m^(eg+eh) x + m^eg * bh + bg, over the common denominator
+        # m^D; the loop normalizes it as _normal does, and the product of two
+        # valid elements needs no other check, so the result skips __new__'s
+        m, e, num, d = self
+        m_h, e_h, num_h, d_h = other
+        if m != m_h:
+            raise BaseMismatchError(f"bases {m} != {m_h}")
+        D = max(d_h - e, d)
+        num = num_h * m ** (D + e - d_h) + num * m ** (D - d)
+        while D > 0 and num % m == 0:
+            num //= m
+            D -= 1
+        return tuple.__new__(BsElement, (m, e + e_h, num, D))
 
     def inverse(self) -> "BsElement":
-        # g^-1(x) = m^-e x - num / m^(d+e)
-        D = max(self.d + self.e, 0)
-        return _normal(self.m, -self.e, -self.num * self.m ** (D - self.d - self.e), D)
+        # g^-1(x) = m^-e x - num / m^(d+e), normalized as in __mul__
+        m, e, num, d = self
+        D = max(d + e, 0)
+        num = -num * m ** (D - d - e)
+        while D > 0 and num % m == 0:
+            num //= m
+            D -= 1
+        return tuple.__new__(BsElement, (m, -e, num, D))
 
     def sort_key(self):
         return (self.e, self.d, self.num)

@@ -35,8 +35,8 @@ from .localexp import (ORDER4_EXHAUSTIVE_MAX, SYM_EXHAUSTIVE_MAX, PadicContext,
                        padic_fixed_point, search_local_exp)
 from .perm import HammingValue, Permutation
 from .soficcheck import ArithmeticModel, check_sofic
-from .tiling import (ProductGrid, Tiling, inverse_products, plan_parameters, quasi_tile,
-                     verify_tiling)
+from .tiling import (ProductGrid, Tiling, b_mask, inverse_products, plan_parameters,
+                     quasi_tile, verify_tiling)
 
 
 class UsageError(ValueError):
@@ -315,7 +315,7 @@ def _cmd_tile(v) -> Outcome:
     shapes = interval_shapes(plan.k, m)
     grid = inverse_products(shapes[-1])
     phi = ArithmeticModel(n, m).approx_on(grid.keys)
-    tiling = quasi_tile(phi, shapes, grid, eps, kappa)
+    tiling = quasi_tile(phi, shapes, grid, eps, kappa, b=b_mask(phi, grid))
     report = verify_tiling(tiling)
     return {"tiling.json": tiling.to_json() + "\n", "tile_report.json": _json({
         "n": n, "m": m, "eps": eps, "kappa": kappa, "b_size": tiling.b_size,
@@ -422,7 +422,7 @@ def _cmd_heuristic(v) -> Outcome:
 def _cmd_verify(v) -> Outcome:
     p = Path(v["certificate"])
     try:
-        tiling = Tiling.from_json(p.read_text())
+        tiling = Tiling.from_json(p)
         report = verify_tiling(tiling)
     except Exception as exc:
         return {"verify.json": _json({"certificate": str(p), "error": str(exc),

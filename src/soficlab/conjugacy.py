@@ -20,7 +20,7 @@ import numpy as np
 from .bsgroup import BsElement, bs_a2
 from .perm import HammingValue, Permutation, hamming, orbit_order
 from .soficcheck import SoficApprox
-from .tiling import ProductGrid, level_points, quasi_tile, tile_cores
+from .tiling import ProductGrid, b_mask, level_points, quasi_tile, tile_cores
 
 
 class InsufficientSupportError(ValueError):
@@ -65,7 +65,9 @@ def build_conjugator(phi1: SoficApprox, phi2: SoficApprox, eps,
     tilings stay structurally aligned and the matched support stays large.
     The tilings run in maximal packing mode for the same reason.  Both
     read the caller's grid, inverse_products of the top shape, on which
-    both approximations must be defined.
+    both approximations must be defined.  When phi2 relabels phi1's own
+    permutations, its B is phi1's read at sigma^-1 (see b_mask), so B is
+    solved once.
 
     Raises InsufficientSupportError when the matched supports fall below
     (1 - 4 eps / 7) n.
@@ -76,9 +78,10 @@ def build_conjugator(phi1: SoficApprox, phi2: SoficApprox, eps,
     n = phi1.n
     a2 = bs_a2(next(iter(folner_seq[0])).m)
 
+    b1 = b_mask(phi1, grid)
     sides = []
-    for phi in (phi1, phi2):
-        t = quasi_tile(phi, folner_seq, grid, INNER_EPS, INNER_EPS, delta_prime=DELTA_PRIME,
+    for phi, b in ((phi1, b1), (phi2, b_mask(phi2, grid, solved=(phi1, b1)))):
+        t = quasi_tile(phi, folner_seq, grid, INNER_EPS, INNER_EPS, b=b, delta_prime=DELTA_PRIME,
                        maximal=True, center_order=orbit_order(phi.table[a2]))
         points = level_points(t)
         # levels never share a point (a level's tiles avoid every point

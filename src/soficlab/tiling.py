@@ -11,12 +11,14 @@ lambda_j -- are independently recheckable from the raw data.
 
 from __future__ import annotations
 
+import io
 import json
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import BinaryIO, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -96,7 +98,7 @@ class SetFamily:
     """Subsets of the ground set {0..n-1}, all of one size: row i of sets
     holds the points of the i-th set offered, which must be distinct; only
     the range is checked.  The rows quasi_tile offers are phi(F_j)c for
-    centers c in B, and _b_mask admits c to B only where the points phi(g)c,
+    centers c in B, and b_mask admits c to B only where the points phi(g)c,
     g in F_k, are distinct."""
     n: int
     sets: np.ndarray        # (|C|, w) int
@@ -128,9 +130,35 @@ def tile_cores(blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
     return [mask.reshape(b.shape) for b, mask in zip(blocks, masks)]
 
 
+# After this many rejected rows in a row the greedy looks ahead in stretches
+# (_first_passing) of _STRETCH rows and more.  A tile op's gaps between kept
+# rows stay below it, so only a conjugate op's long runs pay for a stretch.
+_RUN = 24
+_STRETCH = 32
+
+
+def _first_passing(passes, start: int, stop: int) -> int:
+    """The first index in [start, stop) at which passes holds, or stop.
+    passes(lo, hi) tests the stretch [lo, hi) in one array pass, one bool per
+    index; the stretches double in length from _STRETCH."""
+    step = _STRETCH
+    while start < stop:
+        ok = passes(start, min(start + step, stop))
+        if ok.any():
+            return start + int(ok.argmax())
+        start += step
+        step *= 2
+    return stop
+
+
 def extract_eps_disjoint(fam: SetFamily, eps, target: Optional[int] = None) -> ExtractionResult:
     """Greedy eps-disjoint subfamily: row by row, a set is kept when
     ceil((1-eps) w) of its w points avoid everything already selected.
+
+    Only a kept set grows the union, so every row up to the next kept one
+    is tested against the union as it stands.  After _RUN rejections in a
+    row the greedy tests the rows ahead against it in stretches and goes on
+    at the first that passes, skipping the rows proved rejected.
 
     With a coverage target, the selection is then pruned to minimality:
     latest first, drop every set whose removal keeps the union of the
@@ -138,7 +166,10 @@ def extract_eps_disjoint(fam: SetFamily, eps, target: Optional[int] = None) -> E
     cover counts suffices because droppability is monotone: dropping a set
     only shrinks the union of the others, so a set that could not be dropped
     never becomes droppable later.  The pass therefore selects exactly what
-    restarting from the latest set after every drop would.
+    restarting from the latest set after every drop would.  For the same
+    reason the pass tests the sets ahead in stretches against the current
+    counts: a set that cannot be dropped now is kept, and the first that can
+    is dropped, since no drop comes between.
 
     With a target, the greedy stops at the first kept set s_q that brings
     the union V(q+1) of s_0..s_q up to the target.  The prune of the full
@@ -155,25 +186,37 @@ def extract_eps_disjoint(fam: SetFamily, eps, target: Optional[int] = None) -> E
     union = np.zeros(fam.n, dtype=bool)
     selected: List[int] = []
     covered = 0                 # |union|: the points of a set are distinct
+    last_kept, next_try = -1, 0   # the rows from last_kept + 1 to next_try - 1 are rejected
     for i, row in enumerate(rows):
+        if i < next_try:
+            continue
         fresh = width - np.count_nonzero(union[row])
         if fresh >= keep_at:
             selected.append(i)
             union[row] = True
             covered += fresh
+            last_kept = i
             if target is not None and covered >= target:
                 break
+        elif i - last_kept >= _RUN:
+            next_try = _first_passing(
+                lambda lo, hi: union[rows[lo:hi]].sum(axis=1) <= width - keep_at, i + 1, len(rows))
 
     if target is not None:
         cover = np.bincount(rows[selected].ravel(), minlength=fam.n)
-        kept = []
-        for i in reversed(selected):
-            only_here = int(np.count_nonzero(cover[rows[i]] == 1))
-            if covered - only_here >= target:
-                cover[rows[i]] -= 1
-                covered -= only_here
-            else:
-                kept.append(i)
+        latest = selected[::-1]
+        kept: List[int] = []
+        at = 0
+        while at < len(latest):
+            drop = _first_passing(
+                lambda lo, hi: (cover[rows[latest[lo:hi]]] == 1).sum(axis=1) <= covered - target,
+                at, len(latest))
+            kept += latest[at:drop]
+            if drop < len(latest):
+                row = rows[latest[drop]]
+                covered -= int(np.count_nonzero(cover[row] == 1))
+                cover[row] -= 1
+            at = drop + 1
         selected = kept[::-1]
     return ExtractionResult(tuple(selected))
 
@@ -253,10 +296,11 @@ class Tiling:
         return "".join(pieces)
 
     @classmethod
-    def from_json(cls, text: str) -> "Tiling":
-        """Read a certificate.  Every integer field must be a JSON integer:
-        a float or a string is rejected rather than converted, and so is a
-        bool outside a table row (see _json_image).  A key listed twice is
+    def from_json(cls, source: Union[str, Path]) -> "Tiling":
+        """Read a certificate from its text, or from the file at a Path.
+        Every integer field must be a JSON integer: a float or a string is
+        rejected rather than converted, and so is a bool outside a table row
+        (see _json_image).  A key listed twice is
         rejected too, whichever of its images would verify, and so is an
         object, list, level, key or table row of the wrong shape, or a zero
         denominator, by its field.  Each check runs once per level, key or
@@ -264,20 +308,25 @@ class Tiling:
 
         Two routes read the text.  The canonical route takes text exactly
         as to_json writes it, with or without a trailing newline, and reads
-        each image row with one numpy parse (_canonical_parts); the json
-        route reads any text with json.loads.  The canonical route only
-        returns a Tiling built by the same helpers from the values json.loads
-        would give: its head is what json.loads reads and re-dumps to the
+        each image row with one numpy parse (_canonical_parts); it reads a
+        file's bytes a row at a time, so the whole text is never held.  The
+        json route reads any text with json.loads, a file's as read_text()
+        decodes it.  The canonical route only returns a Tiling built by the
+        same helpers from the values json.loads would give: its head is what json.loads reads and re-dumps to the
         same text, each key re-dumps to its own text, and each row is proven
         to be the decimal text of a permutation of 0..n-1 with no leading
         zero.  On any other text, or wherever a check or helper raises, it
         declines and the json route decides, so every verdict and every
         reason for a rejection is the json route's."""
         try:
-            return cls._from_fields(*_canonical_parts(text))
+            if isinstance(source, Path):
+                with source.open("rb") as f:
+                    return cls._from_fields(*_canonical_parts(f))
+            return cls._from_fields(*_canonical_parts(source))
         except Exception:
             pass    # declined, by a failed check or a helper's error: the json
                     # route below gives the verdict and its reason
+        text = source.read_text() if isinstance(source, Path) else source
         data = _json_object(json.loads(text), "certificate",
                             ("key_kind", "n", "eps", "kappa", "b_size", "levels", "table"))
         _check_key_kind(data)
@@ -320,11 +369,12 @@ def _require(ok: bool) -> None:
         raise ValueError("not the text Tiling.to_json writes")
 
 
-def _canonical_parts(text: str) -> Tuple[dict, Dict[BsElement, Permutation]]:
+def _canonical_parts(source: Union[str, BinaryIO]) -> Tuple[dict, Dict[BsElement, Permutation]]:
     """The head fields and table of a certificate in exactly the text
     to_json writes, with or without a trailing newline; anything else
-    raises.  The rows are walked by index in the text, which is never split
-    or copied whole.
+    raises.  source is the text, or a binary file holding it, read from
+    where it stands.  The text is read in order, a row at a time, so a
+    file's text is never held whole.
 
     Every entry of a permutation of 0..n-1 written in decimal makes a row of
     one length, the digits of 0..n-1 and n-1 separators, so each row is
@@ -333,48 +383,60 @@ def _canonical_parts(text: str) -> Tuple[dict, Dict[BsElement, Permutation]]:
     int64.  The Permutation check that follows proves the entries are
     0..n-1, so their digits fill the row exactly and no run has a leading
     zero: the row is json.dumps of its entries."""
-    end = len(text) - text.endswith("\n") - len(_TABLE_CLOSE)
-    at = text.find(_TABLE_OPEN)
-    _require(at >= 0 and text.startswith(_TABLE_CLOSE, end))
-    head_text = text[:at] + "}"
+    f = io.BytesIO(source.encode("ascii")) if isinstance(source, str) else source
+    table_open, image_open, row_close, table_close, sep = (
+        s.encode() for s in (_TABLE_OPEN, _IMAGE_OPEN, _ROW_CLOSE, _TABLE_CLOSE, _SEP))
+    head_text = _read_through(f, table_open)[:-len(table_open)] + b"}"
     head = json.loads(head_text)
-    _require(tuple(head) == _HEAD_FIELDS and json.dumps(head) == head_text)
+    _require(tuple(head) == _HEAD_FIELDS and json.dumps(head).encode() == head_text)
     _check_key_kind(head)
     n = json_int(head["n"], "n")
     # the digits of 0..n-1, one per entry and one more per entry >= 10^w for
     # each 10^w <= n - 1, and n - 1 separators
-    width = n + sum(n - 10 ** w for w in range(1, len(str(n - 1)))) + len(_SEP) * (n - 1)
+    width = n + sum(n - 10 ** w for w in range(1, len(str(n - 1)))) + len(sep) * (n - 1)
     table: Dict[BsElement, Permutation] = {}
     last = None
-    at += len(_TABLE_OPEN)
-    while True:
-        _require(text.startswith("[", at))
-        key_end = text.index("}", at) + 1
-        key_text = text[at + 1:key_end]
+    after = sep
+    while after == sep:
+        _require(f.read(1) == b"[")
+        key_text = _read_through(f, b"}")
         g = _json_key(json.loads(key_text), "key")
         # to_json writes the keys in ascending sort_key, so none twice
-        _require(json.dumps(g.to_obj()) == key_text and (last is None or last < g.sort_key())
-                 and text.startswith(_IMAGE_OPEN, key_end))
+        _require(json.dumps(g.to_obj()).encode() == key_text
+                 and (last is None or last < g.sort_key()))
         last = g.sort_key()
-        at = key_end + len(_IMAGE_OPEN) + width
-        _require(text.startswith(_ROW_CLOSE, at))
-        table[g] = Permutation(_digit_row(text[at - width:at], n))
-        at += len(_ROW_CLOSE)
-        if not text.startswith(_SEP, at):
-            break
-        at += len(_SEP)
-    _require(at == end)
+        _require(f.read(len(image_open)) == image_open)
+        row = f.read(width)
+        _require(f.read(len(row_close)) == row_close)
+        table[g] = Permutation(_digit_row(row, n))
+        after = f.read(len(sep))
+    _require(after + f.read() in (table_close, table_close + b"\n"))
     return head, table
 
 
-def _digit_row(row: str, n: int) -> np.ndarray:
+def _read_through(f: BinaryIO, marker: bytes) -> bytes:
+    """The bytes of f from where it stands through the first marker, in
+    reads that double in size; f is left just past the marker.  Raises when
+    f ends first."""
+    start, text, size = f.tell(), bytearray(), 256
+    while True:
+        chunk = f.read(size)
+        _require(len(chunk) > 0)
+        text += chunk
+        at = text.find(marker, max(len(text) - len(chunk) - len(marker) + 1, 0))
+        if at >= 0:
+            f.seek(start + at + len(marker))
+            return bytes(text[:at + len(marker)])
+        size *= 2
+
+
+def _digit_row(row: bytes, n: int) -> np.ndarray:
     """row as n int64 entries, when it is n runs of 1 to 18 ASCII digits
     joined by _SEP; anything else raises before numpy parses it."""
-    raw = row.encode("ascii")
-    _require(_is_digit_row(raw, n))
+    _require(_is_digit_row(row, n))
     # numpy skips the space before each entry itself, and matches a
     # separator with whitespace in it more slowly
-    return np.fromstring(raw, dtype=np.int64, sep=_SEP.strip())
+    return np.fromstring(row, dtype=np.int64, sep=_SEP.strip())
 
 
 def _is_digit_row(raw: bytes, n: int) -> bool:
@@ -490,8 +552,9 @@ def inverse_products(F: Iterable[BsElement]) -> ProductGrid:
     return ProductGrid(shape, rows, frozenset().union(*rows))
 
 
-def _b_mask(phi: SoficApprox, grid: ProductGrid) -> np.ndarray:
-    """The points x at which phi is exactly multiplicative on F_k^-1 F_k,
+def b_mask(phi: SoficApprox, grid: ProductGrid,
+           solved: Optional[Tuple[SoficApprox, np.ndarray]] = None) -> np.ndarray:
+    """B, the points x at which phi is exactly multiplicative on F_k^-1 F_k,
     phi(g) phi(g^-1 h) x = phi(h) x for all g, h in F_k = grid.shape, and
     free there, phi(g^-1 h) x != x for g != h.  F_k holds the identity, so
     the grid of products g^-1 h contains F_k itself.
@@ -505,6 +568,11 @@ def _b_mask(phi: SoficApprox, grid: ProductGrid) -> np.ndarray:
     B = sigma(B of phi): the base's mask read at sigma^-1.  Otherwise B is
     read by comparing images.
 
+    solved, when given, is (psi, b_mask(psi, grid)) for an approximation
+    solved before.  A table relabelled by one sigma from the very
+    permutations psi holds on the grid keys then reads psi's mask at
+    sigma^-1, and the base's congruences are not solved a second time.
+
     The pair (e, e) reads phi(e) phi(e) x = phi(e) x, so phi(e) x = x for
     every x in B: a center in B lies in its own tile phi(F_j)x, as every F_j
     holds the identity.  quasi_tile relies on this to scan only the
@@ -517,7 +585,9 @@ def _b_mask(phi: SoficApprox, grid: ProductGrid) -> np.ndarray:
     relabelled = phi.relabelling()
     if relabelled is not None:
         base, _, sigma_inv = relabelled
-        return _b_mask(base, grid)[sigma_inv.image]
+        if solved is not None and all(base.table[g] is solved[0].table[g] for g in grid.keys):
+            return solved[1][sigma_inv.image]
+        return b_mask(base, grid)[sigma_inv.image]
     imgs = shape_images(phi.table, grid.shape)
     mask = np.ones(phi.n, dtype=bool)
     for img_g, row in zip(imgs, grid.rows):
@@ -529,7 +599,7 @@ def _b_mask(phi: SoficApprox, grid: ProductGrid) -> np.ndarray:
 
 
 def _affine_b_mask(phi: SoficApprox, grid: ProductGrid) -> np.ndarray:
-    """_b_mask where phi(g) x = a_g x - b_g.  For p = g^-1 h, phi(g) phi(p)
+    """b_mask where phi(g) x = a_g x - b_g.  For p = g^-1 h, phi(g) phi(p)
     is x -> a_g a_p x - (a_g b_p + b_g): where that form differs from h's,
     B keeps only the solutions of (a_g a_p - a_h) x = a_g b_p + b_g - b_h.
     For g != h, B drops the solutions of (a_g - a_h) x = b_g - b_h.  When
@@ -557,7 +627,7 @@ def _affine_b_mask(phi: SoficApprox, grid: ProductGrid) -> np.ndarray:
 
 
 def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]], grid: ProductGrid,
-               eps, kappa, *, delta_prime=Fraction(1, 8), maximal: bool = False,
+               eps, kappa, *, b: np.ndarray, delta_prime=Fraction(1, 8), maximal: bool = False,
                center_order: Optional[Sequence[int]] = None) -> Tiling:
     """Place tiles phi(F_j)c for j = k down to 1.
 
@@ -568,7 +638,9 @@ def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]], grid
 
     folner_seq must meet the plan's shape conditions (_check_shapes): k
     nested, non-empty shapes with the identity in the first.  grid must be
-    inverse_products of the top shape F_k, and phi defined on its keys.
+    inverse_products of the top shape F_k, and b the mask of B that
+    b_mask(phi, grid) returns.  The caller solves B, so that a caller tiling
+    a relabelling of phi as well solves it once (see b_mask).
 
     maximal=True keeps the full greedy selection at every level instead of
     pruning to the eps * |B_j| coverage target.  That mode packs as much of
@@ -588,14 +660,13 @@ def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]], grid
     if grid.shape != shapes[-1]:
         raise ValueError("product grid was not built from the top Folner shape")
 
-    b_mask = _b_mask(phi, grid)
     n = phi.n
     order = np.arange(n)
     if center_order is not None:
         order = np.asarray(center_order, dtype=np.int64)
         if not np.array_equal(np.sort(order), np.arange(n)):
             raise ValueError("center_order must be a permutation of 0..n-1")
-    b_size = int(np.count_nonzero(b_mask))
+    b_size = int(np.count_nonzero(b))
     if b_size < (1 - Fraction(delta_prime)) * n:
         raise CoarseApproximationError(
             f"approximation too coarse: |B| = {b_size} < (1 - {delta_prime}) * {n}")
@@ -604,15 +675,19 @@ def quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsElement]], grid
     levels: List[TileLevel] = []
     for j in range(plan.k, 0, -1):
         shape = shapes[j - 1]
-        # a center lies in its own tile (see _b_mask), so only uncovered
+        # a center lies in its own tile (see b_mask), so only uncovered
         # B-points can be centers; a candidate is one when its whole tile is
         # uncovered
-        cand = order[(b_mask & ~covered)[order]]
+        cand = order[(b & ~covered)[order]]
         imgs = np.empty((len(shape), len(cand)), dtype=np.int64)
         for q, g in enumerate(shape):
             imgs[q] = phi.table[g].image[cand]
         free = ~covered[imgs].any(axis=0)
-        centers, imgs = cand[free], imgs[:, free]
+        # at the top level nothing is covered yet, so every candidate is
+        # free and the stack is kept rather than copied
+        centers = cand
+        if not free.all():
+            centers, imgs = cand[free], imgs[:, free]
         if not len(centers):
             if not maximal:
                 raise CoarseApproximationError(f"no available centers at level {j}")

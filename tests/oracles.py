@@ -7,9 +7,11 @@ evaluation against the arithmetic model's element table, the order-4
 sampler's shuffle, choice and randrange against its getrandbits draws, the
 order-4 enumerator's dicts against its in-place image list, the Sym(n)
 exhaustion on lists against the orbit count of x -> m x and numpy arrays
-against that list exhaustion, and the tiling level
+against that list exhaustion, the tiling level
 loop that scans every point against the one that scans B's uncovered
-points, and the tiling plan's Fraction loop against its integer powers).
+points, the extraction greedy that tests every row against the one that
+skips runs of rejected rows, and the tiling plan's Fraction loop against
+its integer powers).
 Tests import them as `from oracles import ...`; the file is not collected,
 since its name does not start with `test_`.
 """
@@ -32,7 +34,7 @@ from soficlab.localexp import SYM_EXHAUSTIVE_MAX, _law_flags
 from soficlab.perm import Permutation
 from soficlab.soficcheck import AffinePermutation, ArithmeticModel, SoficApprox
 from soficlab.tiling import (CoarseApproximationError, PlanParams, ProductGrid, SetFamily,
-                             TileLevel, Tiling, _b_mask, _check_shapes, level_points,
+                             TileLevel, Tiling, _check_shapes, b_mask, level_points,
                              plan_parameters, shape_images)
 
 
@@ -227,7 +229,7 @@ def affine_approx(n: int, forms: Mapping[BsElement, Tuple[int, int]]) -> SoficAp
 
 def plain_copy(phi: SoficApprox) -> SoficApprox:
     """phi with each image copied into a plain Permutation, which carries no
-    affine form, so check_sofic and _b_mask take the table route on it."""
+    affine form, so check_sofic and b_mask take the table route on it."""
     return SoficApprox(phi.n, {g: Permutation(p.image) for g, p in phi.table.items()})
 
 
@@ -305,6 +307,41 @@ def fraction_loop_plan(eps, kappa) -> PlanParams:
     return PlanParams(eps, kappa, k, lambdas)
 
 
+def row_by_row_extract(fam: SetFamily, eps, target: Optional[int] = None) -> Tuple[int, ...]:
+    """extract_eps_disjoint as it stood when the greedy tested every row
+    and the prune every selected set one at a time, kept verbatim; the
+    selected row positions."""
+    if not len(fam.sets):
+        raise ValueError("empty family")
+    rows = fam.sets
+    width = rows.shape[1]
+    keep_at = ceil((1 - Fraction(eps)) * width)
+    union = np.zeros(fam.n, dtype=bool)
+    selected: List[int] = []
+    covered = 0                 # |union|: the points of a set are distinct
+    for i, row in enumerate(rows):
+        fresh = width - np.count_nonzero(union[row])
+        if fresh >= keep_at:
+            selected.append(i)
+            union[row] = True
+            covered += fresh
+            if target is not None and covered >= target:
+                break
+
+    if target is not None:
+        cover = np.bincount(rows[selected].ravel(), minlength=fam.n)
+        kept = []
+        for i in reversed(selected):
+            only_here = int(np.count_nonzero(cover[rows[i]] == 1))
+            if covered - only_here >= target:
+                cover[rows[i]] -= 1
+                covered -= only_here
+            else:
+                kept.append(i)
+        selected = kept[::-1]
+    return tuple(selected)
+
+
 def tiling_json(t: Tiling) -> str:
     """The certificate encoder as json.dumps of the whole object, one Python
     int per table entry."""
@@ -346,14 +383,14 @@ def full_scan_quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsEleme
     shapes = [tuple(sorted(F, key=BsElement.sort_key)) for F in folner_seq]
     _check_shapes(shapes, plan)
 
-    b_mask = _b_mask(phi, grid)
+    b = b_mask(phi, grid)
     n = phi.n
     order = np.arange(n)
     if center_order is not None:
         order = np.asarray(center_order, dtype=np.int64)
         if not np.array_equal(np.sort(order), np.arange(n)):
             raise ValueError("center_order must be a permutation of 0..n-1")
-    b_size = int(np.count_nonzero(b_mask))
+    b_size = int(np.count_nonzero(b))
     if b_size < (1 - Fraction(delta_prime)) * n:
         raise CoarseApproximationError(
             f"approximation too coarse: |B| = {b_size} < (1 - {delta_prime}) * {n}")
@@ -363,7 +400,7 @@ def full_scan_quasi_tile(phi: SoficApprox, folner_seq: Sequence[Iterable[BsEleme
     for j in range(plan.k, 0, -1):
         shape = shapes[j - 1]
         imgs = shape_images(phi.table, shape)
-        available = b_mask & ~covered[imgs].any(axis=0)
+        available = b & ~covered[imgs].any(axis=0)
         centers = order[available[order]]
         if not len(centers):
             if not maximal:

@@ -21,7 +21,7 @@ from soficlab.localexp import (PadicContext, defect_report,
 from soficlab.perm import Permutation
 from soficlab.soficcheck import (ArithmeticModel, SoficApprox, amplify,
                                  check_sofic)
-from soficlab.tiling import inverse_products, quasi_tile, verify_tiling
+from soficlab.tiling import b_mask, inverse_products, quasi_tile, verify_tiling
 
 EPS = Fraction(1, 4)
 
@@ -70,13 +70,15 @@ def test_03_tiling_certificates():
     phi_z = ArithmeticModel(1000, 3).approx_on(
         [BsElement(3, 0, ell, 0) for ell in range(-40, 41)])
     shapes_z = [a2_interval(w, 3) for w in widths]
-    t1 = quasi_tile(phi_z, shapes_z, inverse_products(shapes_z[-1]), EPS, EPS)
+    grid_z = inverse_products(shapes_z[-1])
+    t1 = quasi_tile(phi_z, shapes_z, grid_z, EPS, EPS, b=b_mask(phi_z, grid_z))
     ok = verify_tiling(t1).passed
     # amplified base-2 arithmetic model, 101 -> 10^4 points
     base = ArithmeticModel(101, 2).approx_on(
         [BsElement(2, 0, ell, 0) for ell in range(-33, 34)])
     shapes_2 = [a2_interval(w, 2) for w in widths]
-    t2 = quasi_tile(amplify(base, 10_000), shapes_2, inverse_products(shapes_2[-1]), EPS, EPS)
+    phi_2, grid_2 = amplify(base, 10_000), inverse_products(shapes_2[-1])
+    t2 = quasi_tile(phi_2, shapes_2, grid_2, EPS, EPS, b=b_mask(phi_2, grid_2))
     ok = ok and verify_tiling(t2).passed
     report(3, "quasi-tiling certificates verify", ok)
 

@@ -180,6 +180,41 @@ class TestIntegerNormalForm:
             assert apply(gi, apply(g, x)) == x and apply(g, apply(gi, x)) == x
 
 
+BASES = [2, 3, 5, 1999]
+
+
+def fractional(m):
+    """Elements over base m with d > 0, so m does not divide num, and e of
+    either sign."""
+    return st.builds(lambda e, num, d: BsElement(m, e, num, d), st.integers(-6, 6),
+                     st.integers(-10 ** 4, 10 ** 4).filter(lambda num: num % m), st.integers(1, 6))
+
+
+class TestUncheckedProducts:
+    """Products and inverses build their result without the constructor's
+    checks; every result must be the normal form the checked constructor
+    accepts, as the Fraction route gives it."""
+
+    @given(st.sampled_from(BASES).flatmap(lambda m: st.tuples(fractional(m), fractional(m))))
+    def test_products_and_inverses_are_normal_forms(self, pair):
+        g, h = pair
+        m = g.m
+        gh = g * h
+        assert gh == _affine_oracle(m, g.e + h.e, Fraction(m) ** g.e * shift(h) + shift(g))
+        assert g.inverse() == _affine_oracle(m, -g.e, -shift(g) * Fraction(m) ** -g.e)
+        for x in (gh, h * g, g.inverse(), gh.inverse()):
+            assert type(x) is BsElement and BsElement(*x) == x and _normalized(x)
+
+    @given(st.permutations(BASES).flatmap(lambda ms: st.tuples(fractional(ms[0]),
+                                                                fractional(ms[1]))))
+    def test_mixed_bases_raise(self, pair):
+        g, h = pair
+        with pytest.raises(BaseMismatchError):
+            g * h
+        with pytest.raises(BaseMismatchError):
+            h * g
+
+
 class TestWordValue:
     def test_unknown_generator(self):
         with pytest.raises(KeyError):

@@ -60,6 +60,20 @@ def grids_built(tmp_path, monkeypatch, *argv):
     return calls
 
 
+def b_masks_solved(tmp_path, monkeypatch, *argv):
+    """How many times the op solves the arithmetic model's B-mask
+    congruences."""
+    calls, real = [], tiling._affine_b_mask
+
+    def counting(phi, grid):
+        calls.append(phi.n)
+        return real(phi, grid)
+    monkeypatch.setattr(tiling, "_affine_b_mask", counting)
+    code, _ = run(tmp_path, *argv)
+    assert code == 0
+    return len(calls)
+
+
 class TestConfig:
     def test_defaults_provenance(self):
         cfg, source = load_config(None)
@@ -330,6 +344,9 @@ class TestTileVerify:
         """The domain and the B-mask read one F_k^-1 F_k grid."""
         assert grids_built(tmp_path, monkeypatch, "tile", "--n", "1000") == [27]
 
+    def test_b_solved_once_per_op(self, tmp_path, monkeypatch):
+        assert b_masks_solved(tmp_path, monkeypatch, "tile", "--n", "1000") == 1
+
     def test_interval_shapes_monotone(self):
         shapes = interval_shapes(8, 3)
         sizes = [len(s) for s in shapes]
@@ -504,6 +521,11 @@ class TestConjugate:
     def test_one_grid_per_op(self, tmp_path, monkeypatch):
         """The domain and both sides' B-masks read one F_k^-1 F_k grid."""
         assert grids_built(tmp_path, monkeypatch, "conjugate", "--n", "1000") == [32]
+
+    def test_b_solved_once_per_op(self, tmp_path, monkeypatch):
+        """phi2 relabels phi1's own permutations, so its B is phi1's read at
+        sigma^-1 and the model's congruences are solved once."""
+        assert b_masks_solved(tmp_path, monkeypatch, "conjugate", "--n", "1000") == 1
 
     def test_conjugate_tabulates_exactly_inverse_products(self, tmp_path, monkeypatch):
         """conjugate asks the model for F_k^-1 F_k and the generators the

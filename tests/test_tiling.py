@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (affine_approx, evaluate_word, fraction_loop_plan, full_scan_quasi_tile,
-                     level_union_sizes, plain_copy, tiling_json)
+                     level_union_sizes, plain_copy, row_by_row_extract, tiling_json)
 
 from soficlab import tiling
 from soficlab.bsgroup import BsElement, a2_interval, bs_a2, bs_rectangle
@@ -24,7 +24,7 @@ from soficlab.perm import Permutation, orbit_order
 from soficlab.soficcheck import ArithmeticModel, SoficApprox, amplify, check_sofic
 from soficlab.tiling import (CoarseApproximationError, LevelMeasure,
                              MissingDomainError, SetFamily, TileLevel, Tiling, TilingReport,
-                             _b_mask, extract_eps_disjoint, inverse_products, level_points,
+                             b_mask, extract_eps_disjoint, inverse_products, level_points,
                              plan_parameters, quasi_tile, tile_cores, verify_tiling)
 
 WIDTHS = [2, 4, 6, 8, 12, 16, 24, 32]
@@ -36,9 +36,10 @@ def interval_model(n, m, max_l):
 
 
 def tile(phi, shapes, eps, kappa, **kwargs):
-    """quasi_tile on the product grid of the top shape, as every caller
-    builds it."""
-    return quasi_tile(phi, shapes, inverse_products(shapes[-1]), eps, kappa, **kwargs)
+    """quasi_tile on the product grid of the top shape and its B, as every
+    caller builds them."""
+    grid = inverse_products(shapes[-1])
+    return quasi_tile(phi, shapes, grid, eps, kappa, b=b_mask(phi, grid), **kwargs)
 
 
 def z_model_tiling(n=1000, eps=Fraction(1, 4)):
@@ -245,6 +246,80 @@ class TestExtraction:
             SetFamily(10, rows)
 
 
+# ---------------------------------------------------------------------------
+# extract_eps_disjoint tests the rows ahead of a run of rejections, and the
+# sets the prune reaches, in stretches; the loop that tests them one at a
+# time is kept in oracles.row_by_row_extract
+
+@functools.lru_cache(maxsize=None)
+def orbit_rectangle_rows(n):
+    """The top rectangle's points at every point, taken in the orbit order
+    of a2, as a conjugate run offers them at its top level: runs of rows
+    that overlap a kept one."""
+    phi, shapes = conjugate_mode_approx(n)
+    order = orbit_order(phi.table[bs_a2(n - 1)])
+    return np.stack([phi.table[g].image[order] for g in sorted_keys(shapes[-1])]).T
+
+
+@st.composite
+def run_families(draw):
+    """Rows of w distinct points, each new row followed by a run of up to 60
+    rows that repeat earlier ones, which the greedy rejects when eps < 1."""
+    n = draw(st.integers(2, 120))
+    w = draw(st.integers(1, min(8, n)))
+    rows: List[List[int]] = []
+    for _ in range(draw(st.integers(1, 8))):
+        rows.append(draw(st.lists(st.integers(0, n - 1), min_size=w, max_size=w, unique=True)))
+        rows += [rows[draw(st.integers(0, len(rows) - 1))]
+                 for _ in range(draw(st.integers(0, 60)))]
+    return SetFamily(n, rows)
+
+
+class TestStretchScan:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_by_row(self, data):
+        """Both modes, on families with long runs of rejected rows and on
+        the rectangle rows of a conjugate run from any start, under the
+        default run and stretch lengths and under short ones, which make a
+        stretch out of almost every gap and reach many targets inside
+        one."""
+        if data.draw(st.booleans()):
+            fam = data.draw(run_families())
+        else:
+            n = data.draw(st.sampled_from([200, 331, 500]))
+            rows = orbit_rectangle_rows(n)
+            fam = SetFamily(n, rows[data.draw(st.integers(0, len(rows) - 1)):])
+        eps = data.draw(st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), 1]))
+        target = data.draw(st.one_of(st.none(), st.integers(0, fam.n)))
+        run = data.draw(st.sampled_from([1, 2, 5, tiling._RUN]))
+        stretch = data.draw(st.sampled_from([1, 3, tiling._STRETCH]))
+        with mock.patch.object(tiling, "_RUN", run), mock.patch.object(tiling, "_STRETCH", stretch):
+            got = extract_eps_disjoint(fam, eps, target).indices
+        assert got == row_by_row_extract(fam, eps, target)
+
+    def test_target_reached_past_a_skipped_run(self, monkeypatch):
+        """Three disjoint rows, each of the last two after 40 copies of the
+        first: the scan jumps over each run to the next new row, and the
+        target is met at the second, which ends the greedy there."""
+        w = 4
+        rows = ([list(range(w))] * 41 + [list(range(w, 2 * w))] + [list(range(w))] * 40
+                + [list(range(2 * w, 3 * w))])
+        fam = SetFamily(3 * w, rows)
+        jumps, real = [], tiling._first_passing
+
+        def recording(passes, start, stop):
+            jumps.append(real(passes, start, stop))
+            return jumps[-1]
+        monkeypatch.setattr(tiling, "_first_passing", recording)
+        assert extract_eps_disjoint(fam, Fraction(1, 4)).indices == (0, 41, 82)
+        assert extract_eps_disjoint(fam, Fraction(1, 4), target=2 * w).indices == (0, 41)
+        assert jumps[:3] == [41, 82, 41]
+        for target in (None, 2 * w):
+            assert extract_eps_disjoint(fam, Fraction(1, 4), target).indices == \
+                row_by_row_extract(fam, Fraction(1, 4), target)
+
+
 class TestQuasiTile:
     def test_z_model_certificate(self):
         tiling = z_model_tiling()
@@ -283,7 +358,7 @@ class TestQuasiTile:
         shapes = [a2_interval(w, 3) for w in WIDTHS]
         with pytest.raises(ValueError, match="not built from the top Folner shape"):
             quasi_tile(interval_model(1000, 3, 40), shapes, inverse_products(other),
-                       Fraction(1, 4), Fraction(1, 4))
+                       Fraction(1, 4), Fraction(1, 4), b=np.ones(1000, dtype=bool))
 
 
 class TestVerifySoundness:
@@ -564,7 +639,7 @@ class TestShapeConditions:
 
 
 # The per-pair B loop of quasi_tile as it stood before freeness was read off
-# the stacked F_k images, kept as the reference _b_mask must reproduce.
+# the stacked F_k images, kept as the reference b_mask must reproduce.
 
 def oracle_b_mask(phi: SoficApprox, F_k) -> np.ndarray:
     inverses = {g: g.inverse() for g in F_k}
@@ -626,7 +701,7 @@ def test_inverse_products_grid_ignores_order(F, seed):
 class TestBMaskMatchesOracle:
     @staticmethod
     def assert_masks_match(phi, F_k):
-        got = _b_mask(phi, inverse_products(F_k))
+        got = b_mask(phi, inverse_products(F_k))
         assert got.dtype == bool and np.array_equal(got, oracle_b_mask(phi, F_k))
         return got
 
@@ -646,13 +721,13 @@ class TestBMaskMatchesOracle:
         phi = SoficApprox(phi.n, dict(phi.table))
         del phi.table[BsElement(3, 0, -7, 0)]
         with pytest.raises(MissingDomainError, match="undefined on 1 keys"):
-            _b_mask(phi, inverse_products(F_k))
+            b_mask(phi, inverse_products(F_k))
 
     def test_missing_key_with_forms(self):
         F_k = sorted_keys(a2_interval(8, 3))
         phi = ArithmeticModel(200, 3).approx_on(grid_keys(F_k) - {BsElement(3, 0, -7, 0)})
         with pytest.raises(MissingDomainError, match="undefined on 1 keys"):
-            _b_mask(phi, inverse_products(F_k))
+            b_mask(phi, inverse_products(F_k))
 
     def test_identity_check_alone_excludes(self):
         """phi(e) = (x y) and phi(a2^-1) = phi(a2^-1)(x y) on F_k = {e, a2}:
@@ -735,8 +810,8 @@ class TestAffineBMask:
         grid = inverse_products(F_k)
         plain = plain_copy(phi)
         assert phi.is_affine() and not plain.is_affine()
-        got = _b_mask(phi, grid)
-        assert np.array_equal(got, _b_mask(plain, grid))
+        got = b_mask(phi, grid)
+        assert np.array_equal(got, b_mask(plain, grid))
         assert np.array_equal(got, oracle_b_mask(phi, F_k))
         return got
 
@@ -802,13 +877,13 @@ class TestAffineBMask:
         delta = Fraction(1, 8)
         for route in (mixed, plain_copy(phi)):
             assert check_sofic(route, delta) == check_sofic(phi, delta)
-            assert np.array_equal(_b_mask(route, grid), _b_mask(phi, grid))
+            assert np.array_equal(b_mask(route, grid), b_mask(phi, grid))
         p = phi.table[key]
         table[key] = Permutation((p.a * np.arange(n) - p.b - 1) % n)
         edited = SoficApprox(n, table)
         assert check_sofic(edited, delta).max_defect > check_sofic(phi, delta).max_defect
-        assert np.array_equal(_b_mask(edited, grid), oracle_b_mask(edited, F_k))
-        assert not np.array_equal(_b_mask(edited, grid), _b_mask(phi, grid))
+        assert np.array_equal(b_mask(edited, grid), oracle_b_mask(edited, F_k))
+        assert not np.array_equal(b_mask(edited, grid), b_mask(phi, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -822,15 +897,15 @@ def relabeller(n, seed):
 class TestRelabelledBMask:
     @staticmethod
     def assert_routes_agree(phi, F_k):
-        """_b_mask on phi equals the table route on its plain copy and the
+        """b_mask on phi equals the table route on its plain copy and the
         oracle; when phi is relabelled, the route built no image of phi."""
         grid = inverse_products(F_k)
-        got = _b_mask(phi, grid)
+        got = b_mask(phi, grid)
         if phi.relabelling() is not None:
             assert all(p._image is None for p in phi.table.values())
         plain = plain_copy(phi)
         assert plain.relabelling() is None
-        assert np.array_equal(got, _b_mask(plain, grid))
+        assert np.array_equal(got, b_mask(plain, grid))
         assert np.array_equal(got, oracle_b_mask(phi, F_k))
         return got
 
@@ -848,7 +923,22 @@ class TestRelabelledBMask:
         got = self.assert_routes_agree(phi, F_k)
         assert not got.all()
         sigma = relabelled[1].image
-        assert np.array_equal(got[sigma], _b_mask(base, inverse_products(F_k)))
+        assert np.array_equal(got[sigma], b_mask(base, inverse_products(F_k)))
+
+    def test_solved_base_read_only_for_its_own_permutations(self):
+        """A mask handed in as solved is read at sigma^-1 for a relabelling
+        of that approximation's own permutations, and ignored for one of
+        another approximation of the same map."""
+        F_k = sorted_keys(bs_rectangle(2, 4, 3))
+        grid = inverse_products(F_k)
+        base = ArithmeticModel(1000, 3).approx_on(grid_keys(F_k))
+        twin = ArithmeticModel(1000, 3).approx_on(grid_keys(F_k))
+        sigma = relabeller(1000, 8)
+        marked = np.arange(1000) % 3 == 0     # no B-mask: shows which route ran
+        own = b_mask(base.conjugated(sigma), grid, solved=(base, marked))
+        assert np.array_equal(own, marked[sigma.inverse().image])
+        other = b_mask(twin.conjugated(sigma), grid, solved=(base, marked))
+        assert np.array_equal(other, b_mask(base.conjugated(sigma), grid))
 
     def test_conjugate_mode(self):
         phi, F_k = conjugate_mode_top(1000)
@@ -881,7 +971,7 @@ class TestRelabelledBMask:
         swapped = SoficApprox(n, table)
         assert swapped.relabelling() is None
         grid = inverse_products(F_k)
-        assert np.array_equal(self.assert_routes_agree(swapped, F_k), _b_mask(phi, grid))
+        assert np.array_equal(self.assert_routes_agree(swapped, F_k), b_mask(phi, grid))
 
     @pytest.mark.parametrize("n, m", [(1009, 1008), (1000, 3)])
     def test_table_mixing_two_sigmas_takes_the_table_route(self, n, m):
@@ -897,7 +987,7 @@ class TestRelabelledBMask:
             mixed = SoficApprox(n, {g: (phi, psi)[i % 2].table[g] for i, g in enumerate(keys)})
             assert mixed.relabelling() is None
             mask = self.assert_routes_agree(mixed, F_k)
-            assert np.array_equal(mask, _b_mask(phi, grid)) == same
+            assert np.array_equal(mask, b_mask(phi, grid)) == same
 
 
 @contextlib.contextmanager
@@ -955,7 +1045,8 @@ def tiling_and_families(build, *args, **kwargs):
 
 def assert_scans_agree(phi, shapes, eps, **kwargs):
     grid = inverse_products(shapes[-1])
-    got, got_rows = tiling_and_families(quasi_tile, phi, shapes, grid, eps, eps, **kwargs)
+    got, got_rows = tiling_and_families(quasi_tile, phi, shapes, grid, eps, eps,
+                                        b=b_mask(phi, grid), **kwargs)
     want, want_rows = tiling_and_families(full_scan_quasi_tile, phi, shapes, grid, eps, eps,
                                           **kwargs)
     assert got == want
@@ -1113,10 +1204,10 @@ class TestCanonicalReader:
         text, 1.x warns and returns what it read so far."""
         with mock.patch.object(np, "fromstring", side_effect=AssertionError("parsed")):
             with pytest.raises(ValueError):
-                tiling._digit_row(row, n)
+                tiling._digit_row(row.encode(), n)
 
     def test_runs_of_18_digits_parse(self):
-        assert tiling._digit_row("9" * 18 + ", 0", 2).tolist() == [10 ** 18 - 1, 0]
+        assert tiling._digit_row(b"9" * 18 + b", 0", 2).tolist() == [10 ** 18 - 1, 0]
 
     def test_reads_no_entry_through_python_ints(self, monkeypatch):
         text = tile_certificate(10007)
